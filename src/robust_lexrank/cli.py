@@ -302,7 +302,8 @@ def cmd_verify(args):
     for _ in range(args.instances):
         m = int(rng.integers(1, 7))
         weights = rng.uniform(0.0, 2.0, size=m)
-        dualnorms.simplex_decomposition_min(m, weights)  # raises on disagreement
+        closed, direct = dualnorms._simplex_minimum_routes(m, weights)
+        worst = max(worst, abs(closed - direct))
     report("simplex minimum closed form vs LP", worst, 1e-9)
 
     return 0 if failures == 0 else 6

@@ -71,7 +71,7 @@ def box_l1_support(x, box: BudgetedBox) -> DualCertificate:
     """Maximize ``z @ x`` over ``||z||_1 <= eps_total, |z_j| <= eps_col[j]``.
 
     Greedy and exact: allocate budget to coordinates in order of
-    decreasing ``|x_j]``, capping each at its box bound. Ties take the
+    decreasing ``|x_j|``, capping each at its box bound. Ties take the
     lower index, so certificates are reproducible.
     """
     x = np.asarray(x, dtype=float)
@@ -100,42 +100,68 @@ def _check_certificate(z, box, ball):
         raise NumericError("certificate leaves the box", gap=float(excess.max()))
 
 
+def _support_program(cost, bounds, rows, relations, rhs, blocks) -> LinearProgram:
+    """Build a head model plus one compact support block per entry of ``blocks``.
+
+    The head has variables ``v`` with ``cost``, ``bounds`` (one ``(low,
+    high)`` pair each) and constraints ``rows @ v (relations) rhs``. A block
+    ``(select, offset, box, signed)`` names ``x = select @ v + offset`` and
+    appends variables ``(t, u)`` (``1 + box.size``) with cost
+    ``box.eps_total * t + box.eps_col @ u``, bounds ``t, u >= 0`` and rows
+
+        x_j - t - u_j <= 0          and, when ``signed``,  -x_j - t - u_j <= 0.
+
+    For fixed ``x`` the minimum over ``(t, u)`` is ``box_l1_support(x, box)``
+    (its LP dual), for ``x >= 0`` or, with ``signed``, for any ``x``. Block
+    variables follow the head variables and block rows follow the head
+    rows, both in block order.
+    """
+    head = len(cost)
+    width = head + sum(1 + box.size for _, _, box, _ in blocks)
+    matrix = [np.hstack([rows, np.zeros((len(rhs), width - head))])]
+    right = [np.asarray(rhs, dtype=float)]
+    costs = [np.asarray(cost, dtype=float)]
+    bounds = list(bounds)
+    start = head
+    for select, offset, box, signed in blocks:
+        n = box.size
+        sign = np.array([1.0, -1.0]) if signed else np.ones(1)
+        block = np.zeros((sign.size, n, width))
+        block[:, :, :head] = sign[:, None, None] * select
+        block[:, :, start] = -1.0
+        block[:, np.arange(n), start + 1 + np.arange(n)] = -1.0
+        matrix.append(block.reshape(-1, width))
+        right.append(np.outer(-sign, offset).ravel())
+        costs += [[box.eps_total], box.eps_col]
+        bounds += [(0.0, None)] * (1 + n)
+        start += 1 + n
+    matrix = np.vstack(matrix)
+    relations = list(relations) + ["<="] * (matrix.shape[0] - len(rhs))
+    return LinearProgram.build(
+        np.concatenate(costs), bounds, zip(matrix, relations, np.concatenate(right))
+    )
+
+
 def _decomposition_program(x, inf_weight, l1_weights):
     """Model ``min inf_weight * max_j |x_j - mu_j| + sum_j w_j |mu_j|`` over ``mu``.
 
-    Variables are laid out as ``(mu, t, r)`` with ``t`` bounding the
-    inf-norm part and ``r`` the coordinatewise magnitudes of ``mu``.
+    Variables are laid out as ``(t, u)``: ``min inf_weight * t + w @ u``
+    subject to ``u_j >= +-x_j - t`` and ``t, u >= 0``. At a given ``t`` the
+    best split is ``mu_j = sign(x_j) * (|x_j| - t)_+``, whose magnitude is
+    the least feasible ``u_j``, so both models share their minimum.
     """
-    n = x.size
-    objective = np.concatenate([np.zeros(n), [inf_weight], l1_weights])
-    bounds = [(None, None)] * n + [(0.0, None)] + [(0.0, None)] * n
-    constraints = []
-    width = 2 * n + 1
-    for j in range(n):
-        row = np.zeros(width)
-        row[j] = -1.0
-        row[n] = -1.0
-        constraints.append((row, "<=", -x[j]))  # x_j - mu_j <= t
-        row = np.zeros(width)
-        row[j] = 1.0
-        row[n] = -1.0
-        constraints.append((row, "<=", x[j]))  # mu_j - x_j <= t
-        row = np.zeros(width)
-        row[j] = 1.0
-        row[n + 1 + j] = -1.0
-        constraints.append((row, "<=", 0.0))  # mu_j <= r_j
-        row = np.zeros(width)
-        row[j] = -1.0
-        row[n + 1 + j] = -1.0
-        constraints.append((row, "<=", 0.0))  # -mu_j <= r_j
-    return LinearProgram.build(objective, bounds, constraints)
+    return _support_program(
+        np.zeros(0), [], np.zeros((0, 0)), [], np.zeros(0),
+        [(np.zeros((x.size, 0)), x, BudgetedBox(inf_weight, l1_weights), True)],
+    )
 
 
 def _solve_decomposition(x, inf_weight, l1_weights):
     solution = solve(_decomposition_program(x, inf_weight, l1_weights))
     if solution.status != "optimal":
         raise NumericError(f"decomposition program ended {solution.status}")
-    mu = solution.x[: x.size]
+    t = solution.x[0]
+    mu = np.sign(x) * np.clip(np.abs(x) - t, 0.0, None)
     return NormDecomposition(lam=x - mu, mu=mu, value=float(solution.objective_value))
 
 
@@ -177,10 +203,19 @@ def simplex_decomposition_min(m, weights) -> float:
     smallest weight. The value is cross-checked against a direct joint
     minimization before being returned; ``m = 0`` is zero by convention.
     """
+    closed, direct = _simplex_minimum_routes(m, weights)
+    gap = abs(direct - closed)
+    if gap > SIMPLEX_MIN_TOL:
+        raise NumericError("closed-form simplex minimum disagrees with direct LP", gap=gap)
+    return closed
+
+
+def _simplex_minimum_routes(m, weights):
+    """The simplex minimum as ``(closed form, direct LP optimum)``, unchecked."""
     if m < 0:
         raise ParameterError("simplex dimension must be nonnegative")
     if m == 0:
-        return 0.0
+        return 0.0, 0.0
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (m,):
         raise ParameterError("need one weight per simplex coordinate")
@@ -188,40 +223,15 @@ def simplex_decomposition_min(m, weights) -> float:
         raise ParameterError("weights must be nonnegative")
     closed = 1.0 / m if np.all(weights >= 1.0 / m) else float(weights.min())
 
-    # joint LP over (y, mu, t, r) with y on the simplex
-    width = 3 * m + 1
-    objective = np.concatenate([np.zeros(m), np.zeros(m), [1.0], weights])
-    bounds = [(0.0, None)] * m + [(None, None)] * m + [(0.0, None)] + [(0.0, None)] * m
-    constraints = []
-    for j in range(m):
-        row = np.zeros(width)
-        row[j] = 1.0
-        row[m + j] = -1.0
-        row[2 * m] = -1.0
-        constraints.append((row, "<=", 0.0))  # y_j - mu_j <= t
-        row = np.zeros(width)
-        row[j] = -1.0
-        row[m + j] = 1.0
-        row[2 * m] = -1.0
-        constraints.append((row, "<=", 0.0))
-        row = np.zeros(width)
-        row[m + j] = 1.0
-        row[2 * m + 1 + j] = -1.0
-        constraints.append((row, "<=", 0.0))
-        row = np.zeros(width)
-        row[m + j] = -1.0
-        row[2 * m + 1 + j] = -1.0
-        constraints.append((row, "<=", 0.0))
-    simplex_row = np.zeros(width)
-    simplex_row[:m] = 1.0
-    constraints.append((simplex_row, "=", 1.0))
-    solution = solve(LinearProgram.build(objective, bounds, constraints))
+    # joint LP over (y, t, u) with y on the simplex
+    program = _support_program(
+        np.zeros(m), [(0.0, None)] * m, np.ones((1, m)), ["="], np.ones(1),
+        [(np.eye(m), np.zeros(m), BudgetedBox(1.0, weights), False)],
+    )
+    solution = solve(program)
     if solution.status != "optimal":
         raise NumericError(f"simplex minimization ended {solution.status}")
-    gap = abs(solution.objective_value - closed)
-    if gap > SIMPLEX_MIN_TOL:
-        raise NumericError("closed-form simplex minimum disagrees with direct LP", gap=gap)
-    return closed
+    return closed, float(solution.objective_value)
 
 
 def box_l2_support(x, box: BudgetedBox) -> DualCertificate:

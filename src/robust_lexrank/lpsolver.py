@@ -62,29 +62,30 @@ class LinearProgram:
         if c.ndim != 1:
             raise ModelError("objective must be a vector")
         n = c.size
-        lo = np.empty(n)
-        hi = np.empty(n)
         bounds = list(var_bounds)
         if len(bounds) != n:
             raise ModelError(f"{len(bounds)} bounds for {n} variables")
-        for j, (a, b) in enumerate(bounds):
-            lo[j] = -np.inf if a is None else float(a)
-            hi[j] = np.inf if b is None else float(b)
-        rows, rels, rhs = [], [], []
-        for coeffs, rel, b in constraints:
-            row = np.asarray(coeffs, dtype=float)
-            if row.shape != (n,):
-                raise ModelError(f"constraint width {row.shape} does not match {n} variables")
-            if rel not in RELATIONS:
-                raise ModelError(f"unknown relation {rel!r}")
-            if not np.isfinite(b):
-                raise ModelError("constraint rhs must be finite")
-            rows.append(row)
-            rels.append(rel)
-            rhs.append(float(b))
-        m = len(rows)
-        mat = np.vstack(rows) if m else np.zeros((0, n))
-        return cls(c, lo, hi, mat, tuple(rels), np.asarray(rhs, dtype=float))
+        pairs = np.array(bounds, dtype=object).reshape(n, 2)
+        unset = np.equal(pairs, None)
+        lo = np.where(unset[:, 0], -np.inf, pairs[:, 0]).astype(float)
+        hi = np.where(unset[:, 1], np.inf, pairs[:, 1]).astype(float)
+        triples = list(constraints)
+        if not triples:
+            return cls(c, lo, hi, np.zeros((0, n)), (), np.zeros(0))
+        coeffs, rels, rhs = zip(*triples)
+        try:
+            mat = np.array(coeffs, dtype=float)
+        except ValueError:
+            raise ModelError(f"constraint widths do not match {n} variables") from None
+        if mat.shape != (len(triples), n):
+            raise ModelError(f"constraint width {mat.shape[1:]} does not match {n} variables")
+        unknown = set(rels) - set(RELATIONS)
+        if unknown:
+            raise ModelError(f"unknown relation {sorted(unknown)[0]!r}")
+        rhs = np.asarray(rhs, dtype=float)
+        if not np.all(np.isfinite(rhs)):
+            raise ModelError("constraint rhs must be finite")
+        return cls(c, lo, hi, mat, tuple(rels), rhs)
 
     @property
     def n_vars(self):
@@ -166,65 +167,54 @@ def _run_simplex(tableau, basis, costs, bland_after):
 
 
 class _StandardForm:
-    """Rewrite of a general model as ``min c @ y, A y <= b, y >= 0``."""
+    """Rewrite of a general model as ``min c @ y, A y <= b, y >= 0``.
+
+    Each original variable maps to one column of ``y``: shifted by its lower
+    bound (sign +1) or, when only bounded above, by its upper bound (sign
+    -1). A free variable takes a second column with sign -1, right after
+    its first. Each row keeps its place; an ``=`` row is followed by its
+    negation, a ``>=`` row is negated, and a cap row per finite upper bound
+    on a lower-bounded variable comes last.
+    """
 
     def __init__(self, lp: LinearProgram):
-        self.lp = lp
-        n = lp.n_vars
-        self.shift = np.zeros(n)
-        # per original variable: list of (y column, sign)
-        self.pieces: list[list[tuple[int, float]]] = [[] for _ in range(n)]
-        extra_rows = []
-        k = 0
-        for j in range(n):
-            lo, hi = lp.lower[j], lp.upper[j]
-            if lo == -np.inf and hi == np.inf:
-                self.pieces[j] = [(k, 1.0), (k + 1, -1.0)]
-                k += 2
-            elif lo > -np.inf:
-                self.shift[j] = lo
-                self.pieces[j] = [(k, 1.0)]
-                if hi < np.inf:
-                    extra_rows.append((k, hi - lo))
-                k += 1
-            else:
-                self.shift[j] = hi
-                self.pieces[j] = [(k, -1.0)]
-                k += 1
-        self.n_y = k
+        lower, upper = lp.lower, lp.upper
+        has_lower = lower > -np.inf
+        self.free = ~has_lower & (upper == np.inf)
+        self.sign = np.where(has_lower | self.free, 1.0, -1.0)
+        self.shift = np.where(has_lower, lower, np.where(self.free, 0.0, upper))
+        width = 1 + self.free
+        self.col = np.cumsum(width) - width
+        self.n_y = int(width.sum())
+        self.split = self.col[self.free] + 1
 
-        def to_y(row):
-            out = np.zeros(self.n_y)
-            for j in np.nonzero(row)[0]:
-                for col, sign in self.pieces[j]:
-                    out[col] = row[j] * sign
-            return out
+        relations = np.array(lp.relations, dtype=object)
+        copies = 1 + (relations == "=")
+        source = np.repeat(np.arange(lp.n_rows), copies)
+        flip = np.ones(source.size)
+        first = np.cumsum(copies) - copies
+        flip[first[relations == ">="]] = -1.0
+        flip[first[relations == "="] + 1] = -1.0
+        capped = np.nonzero(has_lower & (upper < np.inf))[0]
 
-        rows, rhs = [], []
-        for row, rel, b in zip(lp.rows, lp.relations, lp.rhs):
-            yrow = to_y(row)
-            shifted = b - row @ self.shift
-            if rel in ("<=", "="):
-                rows.append(yrow)
-                rhs.append(shifted)
-            if rel in (">=", "="):
-                rows.append(-yrow)
-                rhs.append(-shifted)
-        for col, cap in extra_rows:
-            row = np.zeros(self.n_y)
-            row[col] = 1.0
-            rows.append(row)
-            rhs.append(cap)
-        self.A = np.vstack(rows) if rows else np.zeros((0, self.n_y))
-        self.b = np.asarray(rhs, dtype=float)
-        self.c = to_y(lp.objective)
-        self.constant = float(lp.objective @ self.shift)
+        rows = self._to_y(lp.rows[source] * flip[:, None])
+        caps = np.zeros((capped.size, self.n_y))
+        caps[np.arange(capped.size), self.col[capped]] = 1.0
+        self.A = np.vstack([rows, caps])
+        shifted = lp.rhs - lp.rows @ self.shift
+        self.b = np.concatenate([shifted[source] * flip, upper[capped] - lower[capped]])
+        self.c = self._to_y(lp.objective)
+
+    def _to_y(self, coefficients):
+        """Coefficients on the original variables rewritten on ``y`` (last axis)."""
+        out = np.zeros(coefficients.shape[:-1] + (self.n_y,))
+        out[..., self.col] = coefficients * self.sign
+        out[..., self.split] = -coefficients[..., self.free]
+        return out
 
     def recover(self, y):
-        x = self.shift.copy()
-        for j, parts in enumerate(self.pieces):
-            for col, sign in parts:
-                x[j] += sign * y[col]
+        x = self.shift + self.sign * y[self.col]
+        x[self.free] -= y[self.split]
         return x
 
 
@@ -254,17 +244,10 @@ def solve(lp: LinearProgram) -> LinearProgramSolution:
     tableau = np.zeros((m, columns + 1))
     tableau[:, : ny + m] = A
     tableau[:, -1] = b
-    basis = np.empty(m, dtype=int)
-    art_index = ny + m
-    art_cols = []
-    for i in range(m):
-        if negative[i]:
-            tableau[i, art_index] = 1.0
-            basis[i] = art_index
-            art_cols.append(art_index)
-            art_index += 1
-        else:
-            basis[i] = ny + i
+    art_rows = np.nonzero(negative)[0]
+    basis = ny + np.arange(m)
+    basis[art_rows] = ny + m + np.arange(n_art)
+    tableau[art_rows, basis[art_rows]] = 1.0
 
     bland_after = 2 * (m + columns)
 
@@ -312,13 +295,13 @@ def _check_solution(lp, x):
         raise NumericError("solution violates variable bounds")
     if lp.n_rows == 0:
         return
-    values = lp.rows @ x
-    for value, rel, b in zip(values, lp.relations, lp.rhs):
-        gap = value - b
-        bad = (
-            (rel == "<=" and gap > CONSTRAINT_TOL)
-            or (rel == ">=" and gap < -CONSTRAINT_TOL)
-            or (rel == "=" and abs(gap) > CONSTRAINT_TOL)
-        )
-        if bad:
-            raise NumericError(f"constraint residual {gap:.3e} exceeds tolerance", gap=gap)
+    gap = lp.rows @ x - lp.rhs
+    relations = np.array(lp.relations, dtype=object)
+    bad = np.where(
+        relations == "<=",
+        gap > CONSTRAINT_TOL,
+        np.where(relations == ">=", gap < -CONSTRAINT_TOL, np.abs(gap) > CONSTRAINT_TOL),
+    )
+    if bad.any():
+        worst = float(gap[np.argmax(bad)])
+        raise NumericError(f"constraint residual {worst:.3e} exceeds tolerance", gap=worst)

@@ -7,8 +7,17 @@ The target is the minimizer over the simplex of
 which bounds the worst-case eigenvector residual over every admissible
 perturbation of the transition matrix, including matrices grown by new
 sentences. The growth-aware model carries an extra block for the new
-coordinates; its optimum provably zeroes that block, which the test suite
-verifies rather than assumes.
+coordinates. Both terms are positively homogeneous, so its optimum is the
+cheaper of the fixed optimum and the new block's own simplex minimum (2
+for balanced growth): below that, the optimum zeroes the new block and
+matches the fixed model, which the test suite verifies rather than
+assumes.
+
+Every model here is one compact LP. The residual is bounded by ``s``
+(``-s <= P x - x <= s``) and, since ``x >= 0``, the norm term by its dual
+support form ``eps1 * t + sum_j eps_j * u_j`` with ``u_j >= x_j - t`` and
+``t, u >= 0`` (``dualnorms._support_program``). The fixed model has
+variables ``(x, s, t, u)``: 3n+1 of them and 3n+1 rows.
 """
 
 from __future__ import annotations
@@ -17,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualnorms import BudgetedBox, box_l1_support
+from .dualnorms import BudgetedBox, _support_program, box_l1_support
 from .errors import NumericError, ParameterError, SolverError
 from .graph import TransitionMatrix
 from .lpsolver import LinearProgram, LinearProgramSolution, solve
@@ -127,29 +136,6 @@ class ComparativeRankResult:
     objective: float
 
 
-def _decomposition_block(rows, width, offset_x, offset_t, offset_r, offset_mu, n):
-    """Rows tying a block ``x`` to its inf-norm bound ``t`` and magnitudes ``r``."""
-    for j in range(n):
-        row = np.zeros(width)
-        row[offset_x + j] = 1.0
-        row[offset_mu + j] = -1.0
-        row[offset_t] = -1.0
-        rows.append((row, "<=", 0.0))  # x_j - mu_j <= t
-        row = np.zeros(width)
-        row[offset_x + j] = -1.0
-        row[offset_mu + j] = 1.0
-        row[offset_t] = -1.0
-        rows.append((row, "<=", 0.0))  # mu_j - x_j <= t
-        row = np.zeros(width)
-        row[offset_mu + j] = 1.0
-        row[offset_r + j] = -1.0
-        rows.append((row, "<=", 0.0))  # mu_j <= r_j
-        row = np.zeros(width)
-        row[offset_mu + j] = -1.0
-        row[offset_r + j] = -1.0
-        rows.append((row, "<=", 0.0))  # -mu_j <= r_j
-
-
 def _check_dims(p: TransitionMatrix, budget: RobustBudget):
     if budget.size != p.size:
         raise ParameterError(
@@ -157,48 +143,54 @@ def _check_dims(p: TransitionMatrix, budget: RobustBudget):
         )
 
 
-def build_robust_program(p: TransitionMatrix, budget: RobustBudget) -> LinearProgram:
-    """Model minimizing residual plus budget-weighted decomposition norm.
+def _rank_program(p: TransitionMatrix, budget: RobustBudget, growth=None, pinned=None):
+    """The one rank model behind the fixed, growth and comparative programs.
 
-    Variable layout: ``x`` (n), ``s`` (n, bounds the residual), ``t``
-    (inf-norm part), ``r`` (n, magnitudes of ``mu``), ``mu`` (n, free).
-    Constraints: ``-s <= P x - x <= s``, the decomposition rows, ``x >= 0``
-    and ``sum(x) = 1``.
+    Head variables ``x1`` (n), ``x2`` (m, the growth block) and ``s`` (n);
+    rows ``-s <= P x1 - x1 <= s`` interleaved per sentence, then
+    ``sum(x1) + sum(x2) = 1`` unless ``pinned`` is given, in which case the
+    first ``pinned`` coordinates of ``x1`` are fixed at one and the rest
+    boxed into [0, 1]. Then ``(t, u)`` bounds the support of ``x1`` over
+    the budget and, with growth, ``(t2, u2)`` that of ``x2`` over the grown
+    columns' ball.
     """
     _check_dims(p, budget)
     n = p.size
-    width = 4 * n + 1
-    off_x, off_s, off_t, off_r, off_mu = 0, n, 2 * n, 2 * n + 1, 3 * n + 1
-
-    objective = np.zeros(width)
-    objective[off_s : off_s + n] = 1.0
-    objective[off_t] = budget.eps1
-    objective[off_r : off_r + n] = budget.eps_col
-
-    bounds = (
-        [(0.0, None)] * n  # x
-        + [(0.0, None)] * n  # s
-        + [(0.0, None)]  # t
-        + [(0.0, None)] * n  # r
-        + [(None, None)] * n  # mu
-    )
-
-    rows = []
+    m = growth.m if growth is not None else 0
+    head = 2 * n + m
     shifted = p.values - np.eye(n)
-    for i in range(n):
-        row = np.zeros(width)
-        row[off_x : off_x + n] = shifted[i]
-        row[off_s + i] = -1.0
-        rows.append((row, "<=", 0.0))  # (P x - x)_i <= s_i
-        row = np.zeros(width)
-        row[off_x : off_x + n] = -shifted[i]
-        row[off_s + i] = -1.0
-        rows.append((row, "<=", 0.0))  # -(P x - x)_i <= s_i
-    _decomposition_block(rows, width, off_x, off_t, off_r, off_mu, n)
-    simplex = np.zeros(width)
-    simplex[off_x : off_x + n] = 1.0
-    rows.append((simplex, "=", 1.0))
-    return LinearProgram.build(objective, bounds, rows)
+    residual = np.zeros((n, 2, head))
+    residual[:, 0, :n] = shifted
+    residual[:, 1, :n] = -shifted
+    residual[:, :, n + m :] = -np.eye(n)[:, None, :]
+    rows = residual.reshape(2 * n, head)
+    relations = ["<="] * (2 * n)
+    rhs = np.zeros(2 * n)
+    if pinned is None:
+        x_bounds = [(0.0, None)] * n
+        simplex = np.concatenate([np.ones(n + m), np.zeros(n)])
+        rows = np.vstack([rows, simplex])
+        relations.append("=")
+        rhs = np.append(rhs, 1.0)
+    else:
+        x_bounds = [(1.0, 1.0)] * pinned + [(0.0, 1.0)] * (n - pinned)
+    cost = np.concatenate([np.zeros(n + m), np.ones(n)])
+    bounds = x_bounds + [(0.0, None)] * (m + n)
+    blocks = [(np.eye(n, head), np.zeros(n), budget.box(), False)]
+    if m:
+        blocks.append((np.eye(m, head, k=n), np.zeros(m), growth.box(), False))
+    return _support_program(cost, bounds, rows, relations, rhs, blocks)
+
+
+def build_robust_program(p: TransitionMatrix, budget: RobustBudget) -> LinearProgram:
+    """Model minimizing residual plus budget-weighted decomposition norm.
+
+    Variable layout: ``x`` (n), ``s`` (n, bounds the residual), ``t`` (the
+    inf-norm weight of the support dual), ``u`` (n, per-column excess over
+    ``t``): 3n+1 variables. Rows: ``-s <= P x - x <= s`` (2n),
+    ``sum(x) = 1``, then ``u_j >= x_j - t`` (n); ``x, s, t, u >= 0``.
+    """
+    return _rank_program(p, budget)
 
 
 def build_growth_program(
@@ -206,63 +198,13 @@ def build_growth_program(
 ) -> LinearProgram:
     """Growth-aware model over the enlarged simplex.
 
-    The existing block keeps the layout of ``build_robust_program``; the
-    new block contributes its own decomposition variables weighted by the
-    support-set radii of the grown columns. With zero growth the model
-    coincides with the fixed one.
+    Variable layout: ``x1`` (n), ``x2`` (m), ``s`` (n), ``t`` and ``u``
+    (n) for the existing block, ``t2`` and ``u2`` (m) for the new block,
+    weighted by ``growth.ball_total`` and ``growth.ball_col``: 3n+2m+2
+    variables and 3n+m+1 rows. With zero growth the model coincides with
+    the fixed one.
     """
-    _check_dims(p, budget)
-    n, m = p.size, growth.m
-    if m == 0:
-        return build_robust_program(p, budget)
-    width = 4 * n + 1 + m + 1 + 2 * m
-    off_x1 = 0
-    off_x2 = n
-    off_s = n + m
-    off_t = 2 * n + m
-    off_r = off_t + 1
-    off_mu = off_r + n
-    off_t2 = off_mu + n
-    off_r2 = off_t2 + 1
-    off_mu2 = off_r2 + m
-
-    objective = np.zeros(width)
-    objective[off_s : off_s + n] = 1.0
-    objective[off_t] = budget.eps1
-    objective[off_r : off_r + n] = budget.eps_col
-    objective[off_t2] = growth.ball_total
-    objective[off_r2 : off_r2 + m] = growth.ball_col
-
-    bounds = (
-        [(0.0, None)] * n  # x1
-        + [(0.0, None)] * m  # x2
-        + [(0.0, None)] * n  # s
-        + [(0.0, None)]  # t
-        + [(0.0, None)] * n  # r
-        + [(None, None)] * n  # mu
-        + [(0.0, None)]  # t2
-        + [(0.0, None)] * m  # r2
-        + [(None, None)] * m  # mu2
-    )
-
-    rows = []
-    shifted = p.values - np.eye(n)
-    for i in range(n):
-        row = np.zeros(width)
-        row[off_x1 : off_x1 + n] = shifted[i]
-        row[off_s + i] = -1.0
-        rows.append((row, "<=", 0.0))
-        row = np.zeros(width)
-        row[off_x1 : off_x1 + n] = -shifted[i]
-        row[off_s + i] = -1.0
-        rows.append((row, "<=", 0.0))
-    _decomposition_block(rows, width, off_x1, off_t, off_r, off_mu, n)
-    _decomposition_block(rows, width, off_x2, off_t2, off_r2, off_mu2, m)
-    simplex = np.zeros(width)
-    simplex[off_x1 : off_x1 + n] = 1.0
-    simplex[off_x2 : off_x2 + m] = 1.0
-    rows.append((simplex, "=", 1.0))
-    return LinearProgram.build(objective, bounds, rows)
+    return _rank_program(p, budget, growth)
 
 
 def _expect_optimal(solution: LinearProgramSolution) -> LinearProgramSolution:
@@ -330,25 +272,10 @@ def comparative_rank(
     boxing the rest into [0, 1]. The raw scores are reported; dividing by
     their sum gives a feasible simplex point, also returned.
     """
-    _check_dims(p, budget)
     if not 1 <= n_verified <= p.size:
         raise ParameterError(f"n_verified {n_verified} outside 1..{p.size}")
-    program = build_robust_program(p, budget)
-    n = p.size
-    lower = program.lower.copy()
-    upper = program.upper.copy()
-    lower[:n_verified] = 1.0
-    upper[:n] = 1.0
-    keep = [
-        (row, rel, rhs)
-        for row, rel, rhs in zip(program.rows, program.relations, program.rhs)
-        if rel != "="
-    ]
-    bounded = LinearProgram.build(
-        program.objective, list(zip(lower, upper)), keep
-    )
-    solution = _expect_optimal(solve(bounded))
-    x = solution.x[:n]
+    solution = _expect_optimal(solve(_rank_program(p, budget, pinned=n_verified)))
+    x = solution.x[: p.size]
     reported = normalize_max_one(x, ids)
     return ComparativeRankResult(
         reported=reported,

@@ -153,3 +153,68 @@ def sampled_box_l2_max(x, eps_total, eps_col, n_samples, rng):
         if value > best:
             best, best_z = value, z
     return best, best_z
+
+
+def decomposition_rank_optimum(p, eps1, eps_col, growth=None, pinned=None):
+    """Optimum of a robust rank model in its decomposition form, solved by HiGHS.
+
+    An independent formulation of the package's models: the norm term of
+    each block is written as ``min over lam + mu = x`` of
+    ``total * ||lam||_inf + caps @ |mu|``, with variables ``(t, r, mu)``
+    (``t`` bounds ``|x_j - mu_j|``, ``r`` bounds ``|mu_j|``, ``mu`` free).
+    Variables are ``x1``, ``x2``, ``s``, then ``(t, r, mu)`` per block.
+
+    ``growth`` is ``(m, ball_total, ball_col)`` for a new block ``x2`` or
+    ``None``. With ``pinned=None`` all of ``x`` lies on the simplex;
+    otherwise the first ``pinned`` entries of ``x1`` are fixed at one, the
+    rest lie in ``[0, 1]``, and there is no simplex row.
+    """
+    from scipy.optimize import linprog
+
+    p = np.asarray(p, dtype=float)
+    n = p.shape[0]
+    blocks = [(0, n, float(eps1), np.asarray(eps_col, dtype=float))]
+    if growth is not None:
+        m, total, caps = growth
+        blocks.append((n, m, float(total), np.asarray(caps, dtype=float)))
+    k = sum(size for _, size, _, _ in blocks)
+    width = k + n + sum(1 + 2 * size for _, size, _, _ in blocks)
+    cost = np.zeros(width)
+    cost[k : k + n] = 1.0
+    bounds = [(0.0, None)] * (k + n)
+    if pinned is not None:
+        bounds[:n] = [(1.0, 1.0)] * pinned + [(0.0, 1.0)] * (n - pinned)
+    a_ub = []
+
+    def row(entries):
+        out = np.zeros(width)
+        for index, value in entries:
+            out[index] += value
+        a_ub.append(out)
+
+    shifted = p - np.eye(n)
+    for i in range(n):
+        for sign in (1.0, -1.0):  # +-(P x1 - x1)_i <= s_i
+            row([(j, sign * shifted[i, j]) for j in range(n)] + [(k + i, -1.0)])
+    col = k + n
+    for x_off, size, total, caps in blocks:
+        t, r, mu = col, col + 1, col + 1 + size
+        cost[t] = total
+        cost[r : r + size] = caps
+        bounds += [(0.0, None)] * (1 + size) + [(None, None)] * size
+        for j in range(size):
+            row([(x_off + j, 1.0), (mu + j, -1.0), (t, -1.0)])  # x_j - mu_j <= t
+            row([(x_off + j, -1.0), (mu + j, 1.0), (t, -1.0)])  # mu_j - x_j <= t
+            row([(mu + j, 1.0), (r + j, -1.0)])  # mu_j <= r_j
+            row([(mu + j, -1.0), (r + j, -1.0)])  # -mu_j <= r_j
+        col = mu + size
+    a_eq = b_eq = None
+    if pinned is None:
+        a_eq = np.zeros((1, width))
+        a_eq[0, :k] = 1.0
+        b_eq = [1.0]
+    result = linprog(cost, A_ub=np.array(a_ub), b_ub=np.zeros(len(a_ub)), A_eq=a_eq,
+                     b_eq=b_eq, bounds=bounds, method="highs")
+    if result.status != 0:
+        raise RuntimeError(f"HiGHS ended with status {result.status}: {result.message}")
+    return float(result.fun)

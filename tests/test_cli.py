@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from robust_lexrank import dualnorms
 from robust_lexrank.cli import main
 
 
@@ -162,3 +163,13 @@ class TestVerifyCommand:
         assert code == 0
         assert stdout.count("PASS") == 4
         assert "FAIL" not in stdout
+
+    def test_simplex_minimum_disagreement_fails(self, capsys, monkeypatch):
+        def disagreeing(m, weights):
+            return 1.0, 1.5
+
+        monkeypatch.setattr(dualnorms, "_simplex_minimum_routes", disagreeing)
+        code, stdout, _ = run_cli(capsys, "verify", "--seed", "1", "--instances", "3")
+        assert code == 6
+        assert "FAIL simplex minimum closed form vs LP: worst gap 5.000e-01" in stdout
+        assert stdout.count("PASS") == 3

@@ -234,6 +234,41 @@ class TestWeightedDecompositionNorm:
             weighted_decomposition_norm(np.ones(2), np.array([0.5, -0.5]))
 
 
+RECOVERY_CASES = [
+    pytest.param(np.array([1.5, -2.0, 0.3, -0.1, 0.0]), 1.2,
+                 np.array([0.5, 0.0, 1.0, 0.0, 0.3]), id="mixed-sign-zero-caps"),
+    pytest.param(np.array([-0.4, 0.4, -3.0, 2.5]), 2.0,
+                 np.array([0.7, 0.7, 0.2, 1.5]), id="mixed-sign"),
+    pytest.param(np.zeros(4), 1.0, np.array([0.0, 0.5, 1.0, 0.0]), id="zero-vector"),
+    pytest.param(np.array([0.0, -1.0, 2.0]), 0.5, np.zeros(3), id="all-caps-zero"),
+]
+
+
+class TestDecompositionRecovery:
+    """The split returned with each norm value: sum, value, and support duality."""
+
+    @staticmethod
+    def assert_split(result, x, weights):
+        np.testing.assert_allclose(result.lam + result.mu, x, rtol=0, atol=1e-12)
+        split_value = np.abs(result.lam).max(initial=0.0) + weights @ np.abs(result.mu)
+        assert split_value == pytest.approx(result.value, abs=1e-9)
+
+    @pytest.mark.parametrize("x, total, caps", RECOVERY_CASES)
+    def test_decomposition_norm_split(self, x, total, caps):
+        budget = box(total, caps)
+        result = decomposition_norm(x, budget)
+        self.assert_split(result, x, caps / total)
+        support = box_l1_support(x, budget).value
+        assert total * result.value == pytest.approx(support, abs=1e-9)
+
+    @pytest.mark.parametrize("x, total, caps", RECOVERY_CASES)
+    def test_weighted_decomposition_norm_split(self, x, total, caps):
+        result = weighted_decomposition_norm(x, caps)
+        self.assert_split(result, x, caps)
+        support = box_l1_support(x, box(1.0, caps)).value
+        assert result.value == pytest.approx(support, abs=1e-9)
+
+
 class TestSimplexDecompositionMin:
     def test_uniform_weights(self):
         assert simplex_decomposition_min(3, np.full(3, 1 / 3)) == pytest.approx(1 / 3, abs=1e-12)

@@ -7,6 +7,7 @@ from oracles import enumerate_lp_optimum
 
 from robust_lexrank import LinearProgram, solve
 from robust_lexrank.errors import ModelError
+from robust_lexrank.lpsolver import _StandardForm
 
 
 def lp(objective, bounds, constraints):
@@ -110,6 +111,10 @@ class TestValidation:
         with pytest.raises(ModelError):
             lp([1.0], [(0, None)], [([1.0], "<=", np.inf)])
 
+    def test_ragged_constraint_widths(self):
+        with pytest.raises(ModelError):
+            lp([1.0, 2.0], [(0, None), (0, None)], [([1.0, 1.0], "<=", 1.0), ([1.0], "<=", 1.0)])
+
     def test_dump_mentions_all_pieces(self):
         model = lp([1.0, -2.0], [(0.0, 1.0), (None, None)], [([1.0, 1.0], "=", 1.0)])
         text = model.dump()
@@ -176,3 +181,78 @@ class TestAgainstEnumeration:
         if first.status == "optimal":
             assert abs(first.objective_value - second.objective_value) <= 1e-10
             assert np.array_equal(first.x, second.x)
+
+
+def loop_standard_form(model):
+    """Variable-by-variable and row-by-row rewrite to ``min c @ y, A y <= b, y >= 0``."""
+    pieces, shift, caps, k = [], [], [], 0
+    for lo, hi in zip(model.lower, model.upper):
+        if lo == -np.inf and hi == np.inf:
+            pieces.append([(k, 1.0), (k + 1, -1.0)])
+            shift.append(0.0)
+            k += 2
+        elif lo > -np.inf:
+            pieces.append([(k, 1.0)])
+            shift.append(lo)
+            if hi < np.inf:
+                caps.append((k, hi - lo))
+            k += 1
+        else:
+            pieces.append([(k, -1.0)])
+            shift.append(hi)
+            k += 1
+    shift = np.array(shift)
+
+    def to_y(row):
+        out = np.zeros(k)
+        for j, value in enumerate(row):
+            for col, sign in pieces[j]:
+                out[col] = value * sign
+        return out
+
+    rows, rhs = [], []
+    for row, rel, b in zip(model.rows, model.relations, model.rhs):
+        shifted = b - sum(row[j] * shift[j] for j in range(row.size))
+        if rel in ("<=", "="):
+            rows.append(to_y(row))
+            rhs.append(shifted)
+        if rel in (">=", "="):
+            rows.append(-to_y(row))
+            rhs.append(-shifted)
+    for col, cap in caps:
+        rows.append(np.eye(k)[col])
+        rhs.append(cap)
+
+    def recover(y):
+        return np.array([s + sum(sign * y[col] for col, sign in parts)
+                         for s, parts in zip(shift, pieces)])
+
+    return np.array(rows).reshape(-1, k), np.array(rhs), to_y(model.objective), recover
+
+
+class TestStandardForm:
+    def test_matches_loop_rewrite(self):
+        rng = np.random.default_rng(31)
+        kinds = [(0.0, None), (None, None), (None, 2.0), (-1.0, 3.0), (1.5, 1.5), (-2.0, None)]
+        for _ in range(30):
+            n = int(rng.integers(1, 7))
+            bounds = [kinds[i] for i in rng.integers(0, len(kinds), size=n)]
+            m = int(rng.integers(0, 5))
+            constraints = [
+                (rng.normal(size=n), str(rng.choice(["<=", "=", ">="])), float(rng.normal()))
+                for _ in range(m)
+            ]
+            model = lp(rng.normal(size=n), bounds, constraints)
+            expected = [
+                (-np.inf if lo is None else lo, np.inf if hi is None else hi)
+                for lo, hi in bounds
+            ]
+            assert np.array_equal(np.column_stack([model.lower, model.upper]), expected)
+            form = _StandardForm(model)
+            rows, rhs, cost, recover = loop_standard_form(model)
+            assert np.array_equal(form.A, rows)
+            assert np.array_equal(form.c, cost)
+            # only the shift products may sum in another order
+            np.testing.assert_allclose(form.b, rhs, rtol=1e-12, atol=1e-12)
+            y = rng.uniform(0, 2, size=form.A.shape[1])
+            np.testing.assert_allclose(form.recover(y), recover(y), rtol=1e-15, atol=1e-15)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 
 from conftest import random_stochastic
+from oracles import decomposition_rank_optimum
 
 from robust_lexrank import (
+    AdjacencyMatrix,
     GrowthModel,
     RobustBudget,
     TransitionMatrix,
@@ -14,8 +16,10 @@ from robust_lexrank import (
     build_robust_program,
     comparative_rank,
     power_iteration,
+    simplex_decomposition_min,
     solve_growth,
     solve_robust,
+    to_transition,
     worst_case_upper_bound,
 )
 from robust_lexrank.errors import ParameterError
@@ -57,13 +61,24 @@ def scipy_reference_solve(program):
 
 
 class TestProgramStructure:
-    def test_two_sentence_model_has_nine_variables(self):
+    def test_two_sentence_model_has_seven_variables_and_rows(self):
         program = build_robust_program(
             TransitionMatrix(np.eye(2)), uniform_budget(2, 1.0)
         )
-        assert program.n_vars == 9
-        # residual, inf-part, magnitude rows in both directions plus the simplex row
-        assert program.n_rows == 6 * 2 + 1
+        # (x, s, t, u): 3n+1 variables
+        assert program.n_vars == 3 * 2 + 1
+        # residual rows in both directions, the simplex row, one support row per x
+        assert program.n_rows == 3 * 2 + 1
+
+    def test_growth_model_shape(self):
+        n, m = 3, 2
+        program = build_growth_program(
+            TransitionMatrix(np.eye(n)), uniform_budget(n, 1.0), GrowthModel.balanced(m)
+        )
+        # (x1, x2, s, t, u, t2, u2)
+        assert program.n_vars == 3 * n + 2 * m + 2
+        # residual rows, the simplex row, one support row per x1 and per x2 entry
+        assert program.n_rows == 3 * n + m + 1
 
     def test_budget_dimension_mismatch(self):
         with pytest.raises(ParameterError):
@@ -113,6 +128,74 @@ class TestSolveRobust:
         residual = np.abs(transition_02.values @ result.x1.values - result.x1.values).sum()
         support = box_l1_support(result.x1.values, budget.box()).value
         assert result.objective == pytest.approx(residual + support, abs=1e-7)
+
+
+def random_adjacency(n, density, rng):
+    upper = np.triu(rng.random((n, n)) < density, 1)
+    return (upper | upper.T | np.eye(n, dtype=bool)).astype(float)
+
+
+def adversarial_cases():
+    """Graphs and budgets that stress the model, each with n <= 60."""
+    rng = np.random.default_rng(2509)
+    disconnected = np.zeros((12, 12))
+    disconnected[:7, :7] = random_adjacency(7, 0.6, rng)
+    disconnected[7:, 7:] = random_adjacency(5, 0.6, rng)
+    isolated = random_adjacency(10, 0.5, rng)
+    isolated[3, :] = isolated[:, 3] = 0.0
+    isolated[3, 3] = 1.0
+    duplicate = random_adjacency(9, 0.4, rng)
+    duplicate[1, :] = duplicate[0, :]
+    duplicate[:, 1] = duplicate[:, 0]
+    duplicate[[0, 1], [1, 0]] = duplicate[0, 0] = duplicate[1, 1] = 1.0
+    mixed_caps = np.tile([0.0, 0.5], 6)
+    cases = [
+        ("disconnected", disconnected, 0.3, np.full(12, 0.3)),
+        ("isolated", isolated, 0.5, np.full(10, 0.5)),
+        ("duplicate", duplicate, 0.2, np.full(9, 0.2)),
+        ("zero-budget", random_adjacency(15, 0.3, rng), 0.0, np.zeros(15)),
+        ("above-4(n-1)", random_adjacency(10, 0.4, rng), 37.5, np.full(10, 37.5)),
+        ("zero-caps", random_adjacency(12, 0.4, rng), 1.0, np.zeros(12)),
+        ("mixed-caps", random_adjacency(12, 0.4, rng), 0.8, mixed_caps),
+        ("sparse-60", random_adjacency(60, 0.08, rng), 0.01, np.full(60, 0.01)),
+    ]
+    return [pytest.param(a, e, c, id=name) for name, a, e, c in cases]
+
+
+class TestAgainstDecompositionForm:
+    """The compact models against the decomposition form of the same objective."""
+
+    @pytest.mark.parametrize("adjacency, eps1, eps_col", adversarial_cases())
+    def test_objectives_match(self, adjacency, eps1, eps_col):
+        pytest.importorskip("scipy.optimize")
+        p = to_transition(AdjacencyMatrix(adjacency, 0.0))
+        n = p.size
+        budget = RobustBudget(eps1, eps_col)
+        reference = decomposition_rank_optimum(p.values, eps1, eps_col)
+        assert solve_robust(p, budget).objective == pytest.approx(reference, abs=1e-8)
+
+        growth = GrowthModel.balanced(3)
+        grown = solve_growth(p, budget, growth).objective
+        grown_reference = decomposition_rank_optimum(
+            p.values, eps1, eps_col, growth=(growth.m, growth.ball_total, growth.ball_col)
+        )
+        assert grown == pytest.approx(grown_reference, abs=1e-8)
+        # Both terms are positively homogeneous, so the growth optimum is the
+        # cheaper of the fixed optimum and the new block's simplex minimum
+        # (2 for balanced growth): it equals the fixed objective in every
+        # case here but the budget above 4 (n - 1).
+        block_min = growth.ball_total * simplex_decomposition_min(
+            growth.m, growth.ball_col / growth.ball_total
+        )
+        assert grown == pytest.approx(min(reference, block_min), abs=1e-8)
+        if eps1 < 4 * (n - 1):
+            assert grown == pytest.approx(reference, abs=1e-8)
+
+        pinned = n // 2
+        comparative = comparative_rank(p, pinned, budget).objective
+        assert comparative == pytest.approx(
+            decomposition_rank_optimum(p.values, eps1, eps_col, pinned=pinned), abs=1e-8
+        )
 
 
 class TestGrowthIndependence:
