@@ -208,24 +208,25 @@ def cmd_reproduce_tables(args):
     corpus = load_packaged_corpus()
     if corpus.ids != reference["ids"]:
         raise SetupError("packaged cluster and reference tables disagree on ids")
+    similarity = build_similarity_matrix(corpus)
+    graphs = {}
+    for label in reference["thresholds"]:
+        transition = to_transition(threshold_adjacency(similarity, float(label)))
+        graphs[label] = (transition, normalize_max_one(power_iteration(transition), corpus.ids))
     columns = []
     for budget_label in reference["budgets"]:
         eps = float(budget_label)
-        for threshold_label in reference["thresholds"]:
-            threshold = float(threshold_label)
-            transition = _transition_for(corpus, threshold)
-            plain = normalize_max_one(power_iteration(transition), corpus.ids)
-            robust = solve_robust(
-                transition, RobustBudget.broadcast(len(corpus), eps, eps), corpus.ids
-            )
-            for method, computed in (
-                ("lexrank", plain.normalized),
-                ("robust", robust.reported.normalized),
+        budget = RobustBudget.broadcast(len(corpus), eps, eps)
+        for threshold_label, (transition, plain) in graphs.items():
+            robust = solve_robust(transition, budget, corpus.ids)
+            for method, computed, expected in (
+                ("lexrank", plain.normalized, reference["lexrank"][threshold_label]),
+                (
+                    "robust",
+                    robust.reported.normalized,
+                    reference["robust"][budget_label][threshold_label],
+                ),
             ):
-                if method == "lexrank":
-                    expected = reference["lexrank"][threshold_label]
-                else:
-                    expected = reference["robust"][budget_label][threshold_label]
                 deviations = [abs(c - e) for c, e in zip(computed.tolist(), expected)]
                 columns.append(
                     {

@@ -197,8 +197,3 @@ def read_corpus(path) -> Corpus:
 def write_matrix_csv(values, path):
     """Row-major CSV, no header, 17 significant digits."""
     np.savetxt(path, np.asarray(values, dtype=float), delimiter=",", fmt="%.17g")
-
-
-def read_matrix_csv(path) -> np.ndarray:
-    matrix = np.loadtxt(path, delimiter=",", ndmin=2)
-    return np.asarray(matrix, dtype=float)

@@ -33,9 +33,6 @@ class AdjacencyMatrix:
     def size(self):
         return self.values.shape[0]
 
-    def degrees(self):
-        return self.values.sum(axis=1)
-
 
 @dataclass(frozen=True)
 class TransitionMatrix:

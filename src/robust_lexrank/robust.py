@@ -11,7 +11,8 @@ coordinates. Both terms are positively homogeneous, so its optimum is the
 cheaper of the fixed optimum and the new block's own simplex minimum (2
 for balanced growth): below that, the optimum zeroes the new block and
 matches the fixed model, which the test suite verifies rather than
-assumes.
+assumes; beyond it, the optimum leaves the existing block empty and
+``solve_growth`` raises ``SolverError``.
 
 Every model here is one compact LP. The residual is bounded by ``s``
 (``-s <= P x - x <= s``) and, since ``x >= 0``, the norm term by its dual
@@ -213,9 +214,17 @@ def _expect_optimal(solution: LinearProgramSolution) -> LinearProgramSolution:
     return solution
 
 
-def _objective_identity(p, x1, objective, norm_value, tol=OBJECTIVE_IDENTITY_TOL):
-    residual = float(np.abs(p.values @ x1 - x1).sum())
-    gap = abs(objective - (residual + norm_value))
+def _bound(p, budget, x1, growth=None, x2=None) -> float:
+    """Residual at ``x1`` plus the support of ``x1`` and, with growth, of ``x2``."""
+    value = float(np.abs(p.values @ x1 - x1).sum())
+    value += box_l1_support(x1, budget.box()).value
+    if growth is not None and growth.m:
+        value += box_l1_support(x2, growth.box()).value
+    return value
+
+
+def _objective_identity(objective, bound, tol=OBJECTIVE_IDENTITY_TOL):
+    gap = abs(objective - bound)
     if gap > tol * max(1.0, abs(objective)):
         raise NumericError("objective does not decompose into residual plus norm", gap=gap)
 
@@ -229,7 +238,7 @@ def solve_robust(p: TransitionMatrix, budget: RobustBudget, ids=None) -> RobustR
         raise SolverError("solution drifted off the simplex")
     x = x / total
     objective = float(solution.objective_value)
-    _objective_identity(p, x, objective, box_l1_support(x, budget.box()).value)
+    _objective_identity(objective, _bound(p, budget, x))
     return RobustRankResult(
         x1=RankVector(x),
         x2=np.zeros(0),
@@ -241,19 +250,21 @@ def solve_robust(p: TransitionMatrix, budget: RobustBudget, ids=None) -> RobustR
 def solve_growth(
     p: TransitionMatrix, budget: RobustBudget, growth: GrowthModel, ids=None
 ) -> RobustRankResult:
-    """Solve the growth-aware model; the new block of the optimum is returned raw."""
+    """Solve the growth-aware model; the new block of the optimum is returned raw.
+
+    Raises ``SolverError`` when the optimum puts no mass on the existing
+    block, which happens once the fixed optimum exceeds the new block's
+    own simplex minimum.
+    """
     solution = _expect_optimal(solve(build_growth_program(p, budget, growth)))
     n, m = p.size, growth.m
     x1 = solution.x[:n]
     x2 = solution.x[n : n + m]
     objective = float(solution.objective_value)
-    norm_value = box_l1_support(x1, budget.box()).value
-    if m:
-        norm_value += box_l1_support(x2, growth.box()).value
-    _objective_identity(p, x1, objective, norm_value)
+    _objective_identity(objective, _bound(p, budget, x1, growth, x2))
     total = x1.sum()
-    if total <= 0:
-        raise SolverError("existing block carries no mass")
+    if total <= SIMPLEX_INPUT_TOL:
+        raise SolverError("growth optimum lies on the new block: existing block has no mass")
     return RobustRankResult(
         x1=RankVector(x1 / total),
         x2=x2,
@@ -276,11 +287,12 @@ def comparative_rank(
         raise ParameterError(f"n_verified {n_verified} outside 1..{p.size}")
     solution = _expect_optimal(solve(_rank_program(p, budget, pinned=n_verified)))
     x = solution.x[: p.size]
-    reported = normalize_max_one(x, ids)
+    objective = float(solution.objective_value)
+    _objective_identity(objective, _bound(p, budget, x))
     return ComparativeRankResult(
-        reported=reported,
+        reported=normalize_max_one(x, ids),
         simplex_point=x / x.sum(),
-        objective=float(solution.objective_value),
+        objective=objective,
     )
 
 
@@ -299,9 +311,4 @@ def worst_case_upper_bound(
         raise ParameterError(f"candidate of length {x.size}, expected {p.size + m}")
     if np.any(x < -SIMPLEX_INPUT_TOL) or abs(x.sum() - 1.0) > SIMPLEX_INPUT_TOL:
         raise ParameterError("candidate must lie on the probability simplex")
-    x1, x2 = x[: p.size], x[p.size :]
-    value = float(np.abs(p.values @ x1 - x1).sum())
-    value += box_l1_support(x1, budget.box()).value
-    if m:
-        value += box_l1_support(x2, growth.box()).value
-    return value
+    return _bound(p, budget, x[: p.size], growth, x[p.size :])

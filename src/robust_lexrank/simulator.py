@@ -75,23 +75,18 @@ class PerturbationSample:
 
     def within_budgets(self, uset: UncertaintySet, tol: float = BUDGET_TOL) -> bool:
         """Recheck every column and block budget of the uncertainty set."""
-        xi, psi = self.existing_delta, self.new_rows
-        zeta, chi = self.new_cols, self.new_corner
-        checks = [
-            (np.abs(xi).sum(axis=0) <= uset.existing.eps_col + tol).all(),
-            np.abs(xi).sum() <= uset.existing.eps_total + tol,
-            (np.abs(psi).sum(axis=0) <= uset.new_rows.eps_col + tol).all() if psi.size else True,
-            np.abs(psi).sum() <= uset.new_rows.eps_total + tol,
-            (np.abs(zeta).sum(axis=0) <= uset.growth.to_existing_col + tol).all()
-            if zeta.size
-            else True,
-            np.abs(zeta).sum() <= uset.growth.to_existing_total + tol,
-            (np.abs(chi).sum(axis=0) <= uset.growth.among_new_col + tol).all()
-            if chi.size
-            else True,
-            np.abs(chi).sum() <= uset.growth.among_new_total + tol,
-        ]
-        return all(bool(c) for c in checks)
+        growth = uset.growth
+        blocks = (
+            (self.existing_delta, uset.existing.eps_total, uset.existing.eps_col),
+            (self.new_rows, uset.new_rows.eps_total, uset.new_rows.eps_col),
+            (self.new_cols, growth.to_existing_total, growth.to_existing_col),
+            (self.new_corner, growth.among_new_total, growth.among_new_col),
+        )
+        return all(
+            np.abs(block).sum() <= total + tol
+            and (np.abs(block).sum(axis=0) <= caps + tol).all()
+            for block, total, caps in blocks
+        )
 
 
 @dataclass(frozen=True)
@@ -150,6 +145,10 @@ def sample_perturbation(p: TransitionMatrix, uset: UncertaintySet, seed=None) ->
     new-row caps) spread proportionally to their entries, and the same
     mass lands in the new rows, so the column sum change is zero. With no
     new sentences there is nowhere to send mass and the draw is exact.
+
+    Each block is drawn whole, but the generator is consumed in the same
+    order as one draw per column, so a seed reproduces earlier samples
+    bit for bit.
     """
     if uset.n != p.size:
         raise ParameterError("uncertainty set width does not match the matrix")
@@ -160,24 +159,18 @@ def sample_perturbation(p: TransitionMatrix, uset: UncertaintySet, seed=None) ->
     xi = np.zeros((n, n))
     psi = np.zeros((m, n))
     if m:
-        masses = np.empty(n)
-        for j in range(n):
-            cap = min(uset.existing.eps_col[j], uset.new_rows.eps_col[j]) / 2.0
-            masses[j] = rng.uniform(0.0, min(cap, 1.0))
+        caps = np.minimum(uset.existing.eps_col, uset.new_rows.eps_col) / 2.0
+        masses = rng.uniform(0.0, np.minimum(caps, 1.0))
         total = masses.sum()
-        scale = 1.0
         if total > 0:
-            scale = min(
+            masses *= min(
                 1.0,
                 uset.existing.eps_total / total,
                 uset.new_rows.eps_total / total,
             )
-        masses *= scale
-        for j in range(n):
-            if masses[j] == 0.0:
-                continue
-            xi[:, j] = -masses[j] * p.values[:, j]
-            psi[:, j] = masses[j] * rng.dirichlet(np.ones(m))
+        live = masses != 0.0
+        xi[:, live] = -masses[live] * p.values[:, live]
+        psi[:, live] = masses[live] * rng.dirichlet(np.ones(m), size=int(live.sum())).T
 
     zeta = np.zeros((n, m))
     chi = np.zeros((m, m))

@@ -218,3 +218,38 @@ def decomposition_rank_optimum(p, eps1, eps_col, growth=None, pinned=None):
     if result.status != 0:
         raise RuntimeError(f"HiGHS ended with status {result.status}: {result.message}")
     return float(result.fun)
+
+
+def reference_perturbation(p, uset, rng):
+    """The sampler drawn one column at a time: ``(xi, psi, zeta, chi, grown)``.
+
+    ``p`` is the transition matrix as an array and ``uset`` an uncertainty
+    set whose budget fields are read directly; ``rng`` is a numpy
+    ``Generator``. Each existing column draws its mass, and each live
+    column its new-row split, with a call of its own, in column order.
+    """
+    n, m = p.shape[0], uset.growth.m
+    xi = np.zeros((n, n))
+    psi = np.zeros((m, n))
+    if m:
+        masses = np.empty(n)
+        for j in range(n):
+            cap = min(uset.existing.eps_col[j], uset.new_rows.eps_col[j]) / 2.0
+            masses[j] = rng.uniform(0.0, min(cap, 1.0))
+        total = masses.sum()
+        scale = 1.0
+        if total > 0:
+            scale = min(1.0, uset.existing.eps_total / total, uset.new_rows.eps_total / total)
+        masses *= scale
+        for j in range(n):
+            if masses[j] == 0.0:
+                continue
+            xi[:, j] = -masses[j] * p[:, j]
+            psi[:, j] = masses[j] * rng.dirichlet(np.ones(m))
+    zeta = np.zeros((n, m))
+    chi = np.zeros((m, m))
+    for j in range(m):
+        zeta[:, j] = uset.growth.to_existing_col[j] * rng.dirichlet(np.ones(n))
+        chi[:, j] = uset.growth.among_new_col[j] * rng.dirichlet(np.ones(m))
+    grown = np.block([[p + xi, zeta], [psi, chi]])
+    return xi, psi, zeta, chi, grown

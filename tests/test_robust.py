@@ -1,5 +1,7 @@
 """Robust ranking programs: structure, reductions, and cross-solver checks."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -17,12 +19,14 @@ from robust_lexrank import (
     comparative_rank,
     power_iteration,
     simplex_decomposition_min,
+    solve,
     solve_growth,
     solve_robust,
     to_transition,
     worst_case_upper_bound,
 )
-from robust_lexrank.errors import ParameterError
+from robust_lexrank import robust
+from robust_lexrank.errors import NumericError, ParameterError, SolverError
 
 
 def uniform_budget(n, eps):
@@ -175,7 +179,14 @@ class TestAgainstDecompositionForm:
         assert solve_robust(p, budget).objective == pytest.approx(reference, abs=1e-8)
 
         growth = GrowthModel.balanced(3)
-        grown = solve_growth(p, budget, growth).objective
+        if eps1 < 4 * (n - 1):
+            grown = solve_growth(p, budget, growth).objective
+        else:
+            # The optimum leaves the existing block empty, so there are no
+            # ranks to report; the model itself still has its optimum.
+            with pytest.raises(SolverError):
+                solve_growth(p, budget, growth)
+            grown = solve(build_growth_program(p, budget, growth)).objective_value
         grown_reference = decomposition_rank_optimum(
             p.values, eps1, eps_col, growth=(growth.m, growth.ball_total, growth.ball_col)
         )
@@ -267,6 +278,15 @@ class TestComparativeRank:
         assert scores[:8] == pytest.approx(np.ones(8), abs=1e-12)
         assert np.all(scores[8:] <= 1.0 + 1e-12)
         assert np.all(scores[8:] >= -1e-12)
+
+    def test_objective_identity_failure_raises(self, transition_01, monkeypatch):
+        def off_by_one(program):
+            solution = solve(program)
+            return dataclasses.replace(solution, objective_value=solution.objective_value + 1.0)
+
+        monkeypatch.setattr(robust, "solve", off_by_one)
+        with pytest.raises(NumericError):
+            comparative_rank(transition_01, 8, uniform_budget(11, 0.01))
 
     def test_verified_count_validated(self, transition_01):
         with pytest.raises(ParameterError):

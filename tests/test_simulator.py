@@ -1,15 +1,18 @@
 """Perturbation sampling, set membership, and empirical bound domination."""
 
+import dataclasses
 import itertools
 
 import numpy as np
 import pytest
 
 from conftest import random_stochastic
+from oracles import reference_perturbation
 
 from robust_lexrank import (
     BudgetedBox,
     GrowthModel,
+    PerturbationSample,
     TransitionMatrix,
     UncertaintySet,
     empirical_max_residual,
@@ -79,6 +82,43 @@ class TestSamplePerturbation:
         second = sample_perturbation(p, uset, seed=99)
         assert np.array_equal(first.grown, second.grown)
 
+    @pytest.mark.parametrize(
+        "n, m, eps_total, eps_col",
+        [
+            pytest.param(4, 0, 0.3, np.full(4, 0.2), id="no-growth"),
+            pytest.param(4, 1, 0.3, np.full(4, 0.2), id="one-new"),
+            pytest.param(5, 3, 0.3, np.full(5, 0.2), id="three-new"),
+            pytest.param(4, 2, 0.3, np.array([0.0, 0.2, 0.0, 0.3]), id="zero-caps"),
+            pytest.param(5, 2, 0.05, np.full(5, 0.4), id="binding-total"),
+            pytest.param(4, 2, 50.0, np.full(4, 5.0), id="caps-above-2"),
+        ],
+    )
+    def test_matches_per_column_reference(self, n, m, eps_total, eps_col):
+        p = TransitionMatrix(random_stochastic(n, np.random.default_rng(n + m)))
+        box = BudgetedBox(eps_total, eps_col)
+        uset = UncertaintySet(existing=box, new_rows=box, growth=GrowthModel.balanced(m))
+        for seed in range(5):
+            sample = sample_perturbation(p, uset, seed=seed)
+            expected = reference_perturbation(p.values, uset, np.random.default_rng(seed))
+            actual = (
+                sample.existing_delta,
+                sample.new_rows,
+                sample.new_cols,
+                sample.new_corner,
+                sample.grown,
+            )
+            for got, want in zip(actual, expected):
+                assert np.array_equal(got, want)
+            # zero-cap columns are skipped, a binding total scales the masses
+            # down to it, and caps above 2 clip at a unit mass per column
+            skipped = eps_col == 0.0
+            assert not sample.existing_delta[:, skipped].any()
+            assert not sample.new_rows[:, skipped].any()
+            if eps_total == 0.05:
+                assert np.abs(sample.existing_delta).sum() == pytest.approx(eps_total, abs=1e-12)
+            if eps_col.max() > 2.0:
+                assert np.abs(sample.existing_delta).sum(axis=0).max() <= 1.0
+
     def test_inconsistent_growth_split_rejected(self):
         growth = GrowthModel(2, 1.5, 0.5, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
         uset = UncertaintySet(
@@ -88,6 +128,65 @@ class TestSamplePerturbation:
         )
         with pytest.raises(SetDefinitionError):
             sample_perturbation(TransitionMatrix(np.eye(3)), uset, seed=0)
+
+
+def uneven_growth_uset(to_existing_total):
+    """Two new columns with caps of one half each and uneven block totals."""
+    half = np.full(2, 0.5)
+    growth = GrowthModel(2, to_existing_total, 2.0 - to_existing_total, half, half)
+    box = BudgetedBox.uniform(3, 0.3, 0.2)
+    return UncertaintySet(existing=box, new_rows=box, growth=growth)
+
+
+class TestWithinBudgets:
+    """Each block breaches its column cap, or its total, on its own."""
+
+    # (block, uncertainty set): every column cap is below the block total
+    # and the caps add up to more than it, so each breach comes alone.
+    CASES = [
+        ("existing_delta", make_uset(3, 2)),
+        ("new_rows", make_uset(3, 2)),
+        ("new_cols", uneven_growth_uset(0.8)),
+        ("new_corner", uneven_growth_uset(1.2)),
+    ]
+
+    @staticmethod
+    def quiet_sample(n, m):
+        zeros = np.zeros
+        grown = np.full((n + m, n + m), 1.0 / (n + m))
+        return PerturbationSample(zeros((n, n)), zeros((m, n)), zeros((n, m)), zeros((m, m)), grown)
+
+    @staticmethod
+    def caps_of(block, uset):
+        return {
+            "existing_delta": uset.existing.eps_col,
+            "new_rows": uset.new_rows.eps_col,
+            "new_cols": uset.growth.to_existing_col,
+            "new_corner": uset.growth.among_new_col,
+        }[block]
+
+    @pytest.mark.parametrize("block, uset", CASES, ids=[c[0] for c in CASES])
+    def test_column_cap_breach(self, block, uset):
+        quiet = self.quiet_sample(3, 2)
+        assert quiet.within_budgets(uset)
+        values = np.zeros_like(getattr(quiet, block))
+        values[0, 0] = self.caps_of(block, uset)[0] + 0.01
+        sign = -1.0 if block == "existing_delta" else 1.0
+        assert not dataclasses.replace(quiet, **{block: sign * values}).within_budgets(uset)
+
+    @pytest.mark.parametrize("block, uset", CASES, ids=[c[0] for c in CASES])
+    def test_total_breach(self, block, uset):
+        quiet = self.quiet_sample(3, 2)
+        values = np.zeros_like(getattr(quiet, block))
+        values[0, :] = 0.99 * self.caps_of(block, uset)
+        sign = -1.0 if block == "existing_delta" else 1.0
+        assert not dataclasses.replace(quiet, **{block: sign * values}).within_budgets(uset)
+
+    def test_no_growth_passes(self):
+        uset = make_uset(3, 0)
+        assert self.quiet_sample(3, 0).within_budgets(uset)
+        p = TransitionMatrix(random_stochastic(3, np.random.default_rng(3)))
+        assert sample_perturbation(p, uset, seed=0).within_budgets(uset)
 
 
 class TestResidual:
