@@ -186,14 +186,12 @@ def decomposition_norm(x, box: BudgetedBox) -> NormDecomposition:
 
 
 def weighted_decomposition_norm(y, weights) -> NormDecomposition:
-    """Unit-scale decomposition norm ``min ||lam||_inf + sum_j w_j |mu_j|``."""
-    y = np.asarray(y, dtype=float)
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != y.shape:
-        raise ParameterError("weights must match the vector length")
-    if np.any(weights < 0):
-        raise ParameterError("weights must be nonnegative")
-    return _solve_decomposition(y, 1.0, weights)
+    """Unit-scale decomposition norm ``min ||lam||_inf + sum_j w_j |mu_j|``.
+
+    This is ``decomposition_norm`` over the box of total one and caps
+    ``weights``, so it carries the same duality check.
+    """
+    return decomposition_norm(y, BudgetedBox(1.0, weights))
 
 
 def simplex_decomposition_min(m, weights) -> float:

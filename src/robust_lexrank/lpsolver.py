@@ -224,15 +224,6 @@ def solve(lp: LinearProgram) -> LinearProgramSolution:
         return LinearProgramSolution("infeasible", None, None)
     form = _StandardForm(lp)
     m, ny = form.A.shape
-
-    if m == 0:
-        # only bounds; cost minimized coordinatewise
-        y = np.zeros(ny)
-        if np.any(form.c < -PIVOT_TOL):
-            return LinearProgramSolution("unbounded", None, None)
-        x = form.recover(y)
-        return LinearProgramSolution("optimal", x, float(lp.objective @ x))
-
     A = np.hstack([form.A, np.eye(m)])
     b = form.b.copy()
     negative = b < 0

@@ -6,19 +6,21 @@ The target is the minimizer over the simplex of
 
 which bounds the worst-case eigenvector residual over every admissible
 perturbation of the transition matrix, including matrices grown by new
-sentences. The growth-aware model carries an extra block for the new
-coordinates. Both terms are positively homogeneous, so its optimum is the
-cheaper of the fixed optimum and the new block's own simplex minimum (2
-for balanced growth): below that, the optimum zeroes the new block and
-matches the fixed model, which the test suite verifies rather than
-assumes; beyond it, the optimum leaves the existing block empty and
-``solve_growth`` raises ``SolverError``.
+sentences. The growth-aware model carries an extra block ``x2`` for the
+new coordinates, whose norm term is exactly ``2 * sum(x2)`` (see
+``GrowthModel``). Both terms are positively homogeneous, so its optimum is
+the cheaper of the fixed optimum and 2: below that, the optimum zeroes the
+new block and matches the fixed model, which the test suite verifies
+rather than assumes; beyond it, the optimum leaves the existing block
+empty and ``solve_growth`` raises ``SolverError``.
 
 Every model here is one compact LP. The residual is bounded by ``s``
 (``-s <= P x - x <= s``) and, since ``x >= 0``, the norm term by its dual
 support form ``eps1 * t + sum_j eps_j * u_j`` with ``u_j >= x_j - t`` and
 ``t, u >= 0`` (``dualnorms._support_program``). The fixed model has
-variables ``(x, s, t, u)``: 3n+1 of them and 3n+1 rows.
+variables ``(x, s, t, u)``: 3n+1 of them and 3n+1 rows. The growth model
+adds only the m priced columns of ``x2``. Every solve goes through
+``_solve_rank``, which checks the objective against the certified bound.
 """
 
 from __future__ import annotations
@@ -30,41 +32,26 @@ import numpy as np
 from .dualnorms import BudgetedBox, _support_program, box_l1_support
 from .errors import NumericError, ParameterError, SolverError
 from .graph import TransitionMatrix
-from .lpsolver import LinearProgram, LinearProgramSolution, solve
+from .lpsolver import LinearProgram, solve
 from .ranking import RankVector, ReportedRanks, normalize_max_one
 
 OBJECTIVE_IDENTITY_TOL = 1e-7
 SIMPLEX_INPUT_TOL = 1e-8
 
 
-@dataclass(frozen=True)
-class RobustBudget:
-    """Combined perturbation budget: one total and one cap per existing column."""
+class RobustBudget(BudgetedBox):
+    """Combined perturbation budget: total ``eps1`` and one cap per existing column."""
 
-    eps1: float
-    eps_col: np.ndarray
-
-    def __post_init__(self):
-        col = np.asarray(self.eps_col, dtype=float)
-        object.__setattr__(self, "eps_col", col)
-        if not np.isfinite(self.eps1) or self.eps1 < 0:
-            raise ParameterError("total budget must be finite and nonnegative")
-        if col.ndim != 1 or not np.all(np.isfinite(col)) or np.any(col < 0):
-            raise ParameterError("per-column budgets must be finite and nonnegative")
+    @property
+    def eps1(self):
+        return self.eps_total
 
     @classmethod
     def broadcast(cls, n, eps1, eps_col_value):
-        return cls(float(eps1), np.full(n, float(eps_col_value)))
-
-    @property
-    def size(self):
-        return self.eps_col.size
-
-    def box(self) -> BudgetedBox:
-        return BudgetedBox(self.eps1, self.eps_col)
+        return cls.uniform(n, eps1, eps_col_value)
 
     def scaled(self, factor):
-        return RobustBudget(self.eps1 * factor, self.eps_col * factor)
+        return RobustBudget(self.eps_total * factor, self.eps_col * factor)
 
 
 @dataclass(frozen=True)
@@ -74,6 +61,11 @@ class GrowthModel:
     Each new column splits its unit mass between links into the existing
     sentences and links among the new ones, so the per-column budgets of
     the two blocks sum to one and the block totals sum to ``m``.
+
+    The new block's support set therefore has radius ``ball_total = 2m``,
+    which equals ``sum(ball_col)`` (each cap is 2): the radius never binds,
+    and at ``x2 >= 0`` the support is ``ball_col @ x2``. So ``x2`` costs 2
+    per unit of mass, and the growth optimum is min(fixed optimum, 2).
     """
 
     m: int
@@ -147,17 +139,18 @@ def _check_dims(p: TransitionMatrix, budget: RobustBudget):
 def _rank_program(p: TransitionMatrix, budget: RobustBudget, growth=None, pinned=None):
     """The one rank model behind the fixed, growth and comparative programs.
 
-    Head variables ``x1`` (n), ``x2`` (m, the growth block) and ``s`` (n);
-    rows ``-s <= P x1 - x1 <= s`` interleaved per sentence, then
+    Head variables ``x1`` (n), ``x2`` (m, the growth block, with cost
+    ``growth.ball_col``, its exact support; see ``GrowthModel``) and ``s``
+    (n); rows ``-s <= P x1 - x1 <= s`` interleaved per sentence, then
     ``sum(x1) + sum(x2) = 1`` unless ``pinned`` is given, in which case the
     first ``pinned`` coordinates of ``x1`` are fixed at one and the rest
     boxed into [0, 1]. Then ``(t, u)`` bounds the support of ``x1`` over
-    the budget and, with growth, ``(t2, u2)`` that of ``x2`` over the grown
-    columns' ball.
+    the budget.
     """
     _check_dims(p, budget)
     n = p.size
-    m = growth.m if growth is not None else 0
+    x2_cost = growth.ball_col if growth is not None else np.zeros(0)
+    m = x2_cost.size
     head = 2 * n + m
     shifted = p.values - np.eye(n)
     residual = np.zeros((n, 2, head))
@@ -175,11 +168,9 @@ def _rank_program(p: TransitionMatrix, budget: RobustBudget, growth=None, pinned
         rhs = np.append(rhs, 1.0)
     else:
         x_bounds = [(1.0, 1.0)] * pinned + [(0.0, 1.0)] * (n - pinned)
-    cost = np.concatenate([np.zeros(n + m), np.ones(n)])
+    cost = np.concatenate([np.zeros(n), x2_cost, np.ones(n)])
     bounds = x_bounds + [(0.0, None)] * (m + n)
-    blocks = [(np.eye(n, head), np.zeros(n), budget.box(), False)]
-    if m:
-        blocks.append((np.eye(m, head, k=n), np.zeros(m), growth.box(), False))
+    blocks = [(np.eye(n, head), np.zeros(n), budget, False)]
     return _support_program(cost, bounds, rows, relations, rhs, blocks)
 
 
@@ -199,25 +190,20 @@ def build_growth_program(
 ) -> LinearProgram:
     """Growth-aware model over the enlarged simplex.
 
-    Variable layout: ``x1`` (n), ``x2`` (m), ``s`` (n), ``t`` and ``u``
-    (n) for the existing block, ``t2`` and ``u2`` (m) for the new block,
-    weighted by ``growth.ball_total`` and ``growth.ball_col``: 3n+2m+2
-    variables and 3n+m+1 rows. With zero growth the model coincides with
-    the fixed one.
+    Variable layout: ``x1`` (n), ``x2`` (m, cost ``growth.ball_col``), ``s``
+    (n), ``t`` and ``u`` (n) for the existing block: 3n+m+1 variables and
+    the fixed model's 3n+1 rows, with ``x2`` entering only the simplex row.
+    Pricing ``x2`` is exact because the new block's l1 radius equals the
+    sum of its caps (see ``GrowthModel``). With zero growth the model
+    coincides with the fixed one.
     """
     return _rank_program(p, budget, growth)
-
-
-def _expect_optimal(solution: LinearProgramSolution) -> LinearProgramSolution:
-    if solution.status != "optimal":
-        raise SolverError(f"rank program ended {solution.status}")
-    return solution
 
 
 def _bound(p, budget, x1, growth=None, x2=None) -> float:
     """Residual at ``x1`` plus the support of ``x1`` and, with growth, of ``x2``."""
     value = float(np.abs(p.values @ x1 - x1).sum())
-    value += box_l1_support(x1, budget.box()).value
+    value += box_l1_support(x1, budget).value
     if growth is not None and growth.m:
         value += box_l1_support(x2, growth.box()).value
     return value
@@ -229,16 +215,29 @@ def _objective_identity(objective, bound, tol=OBJECTIVE_IDENTITY_TOL):
         raise NumericError("objective does not decompose into residual plus norm", gap=gap)
 
 
+def _solve_rank(program, p, budget, growth=None):
+    """Solve a rank model and check its objective against ``_bound``.
+
+    Returns ``(x1, x2, objective)``; a non-optimal end raises ``SolverError``.
+    """
+    solution = solve(program)
+    if solution.status != "optimal":
+        raise SolverError(f"rank program ended {solution.status}")
+    n = p.size
+    m = growth.m if growth is not None else 0
+    x1, x2 = solution.x[:n], solution.x[n : n + m]
+    objective = float(solution.objective_value)
+    _objective_identity(objective, _bound(p, budget, x1, growth, x2))
+    return x1, x2, objective
+
+
 def solve_robust(p: TransitionMatrix, budget: RobustBudget, ids=None) -> RobustRankResult:
     """Solve the fixed-size robust ranking model."""
-    solution = _expect_optimal(solve(build_robust_program(p, budget)))
-    x = solution.x[: p.size]
+    x, _, objective = _solve_rank(build_robust_program(p, budget), p, budget)
     total = x.sum()
     if abs(total - 1.0) > SIMPLEX_INPUT_TOL:
         raise SolverError("solution drifted off the simplex")
     x = x / total
-    objective = float(solution.objective_value)
-    _objective_identity(objective, _bound(p, budget, x))
     return RobustRankResult(
         x1=RankVector(x),
         x2=np.zeros(0),
@@ -253,15 +252,12 @@ def solve_growth(
     """Solve the growth-aware model; the new block of the optimum is returned raw.
 
     Raises ``SolverError`` when the optimum puts no mass on the existing
-    block, which happens once the fixed optimum exceeds the new block's
-    own simplex minimum.
+    block, which happens once the fixed optimum exceeds 2, the price of
+    unit mass on the new block.
     """
-    solution = _expect_optimal(solve(build_growth_program(p, budget, growth)))
-    n, m = p.size, growth.m
-    x1 = solution.x[:n]
-    x2 = solution.x[n : n + m]
-    objective = float(solution.objective_value)
-    _objective_identity(objective, _bound(p, budget, x1, growth, x2))
+    x1, x2, objective = _solve_rank(
+        build_growth_program(p, budget, growth), p, budget, growth
+    )
     total = x1.sum()
     if total <= SIMPLEX_INPUT_TOL:
         raise SolverError("growth optimum lies on the new block: existing block has no mass")
@@ -285,10 +281,7 @@ def comparative_rank(
     """
     if not 1 <= n_verified <= p.size:
         raise ParameterError(f"n_verified {n_verified} outside 1..{p.size}")
-    solution = _expect_optimal(solve(_rank_program(p, budget, pinned=n_verified)))
-    x = solution.x[: p.size]
-    objective = float(solution.objective_value)
-    _objective_identity(objective, _bound(p, budget, x))
+    x, _, objective = _solve_rank(_rank_program(p, budget, pinned=n_verified), p, budget)
     return ComparativeRankResult(
         reported=normalize_max_one(x, ids),
         simplex_point=x / x.sum(),

@@ -1,12 +1,16 @@
 """Command-line behaviour: outputs, provenance echo, determinism, exit codes."""
 
 import json
+import pathlib
+from importlib import resources
 
 import numpy as np
 import pytest
 
 from robust_lexrank import dualnorms
 from robust_lexrank.cli import main
+
+EXPECTED_SESSION = pathlib.Path(__file__).parents[1] / "perfbench" / "expected_session.json"
 
 
 def run_cli(capsys, *argv):
@@ -173,3 +177,70 @@ class TestVerifyCommand:
         assert code == 6
         assert "FAIL simplex minimum closed form vs LP: worst gap 5.000e-01" in stdout
         assert stdout.count("PASS") == 3
+
+
+class TestClusterSession:
+    """The benchmark's recorded cluster session, rerun at tier 1.
+
+    The argv mirror the ``cluster-session`` workload of the benchmark, and
+    the outputs must match the values it records in
+    ``perfbench/expected_session.json``, so a move to another LP vertex
+    fails here rather than only in the benchmark.
+    """
+
+    def test_outputs_match_recorded_session(self, tmp_path, capsys):
+        merged = tmp_path / "comparative.tsv"
+        data = resources.files("robust_lexrank.data")
+        merged.write_text(
+            "".join(
+                data.joinpath(name).read_text(encoding="utf-8")
+                for name in ("iraq_cluster.tsv", "generated_templates.tsv")
+            ),
+            encoding="utf-8",
+        )
+        budget = ["--eps1", "0.01", "--eps-col", "0.01"]
+        commands = {
+            "rank": ["rank", "--threshold", "0.2"],
+            "robust": ["robust", "--threshold", "0.1", *budget],
+            "comparative": ["comparative", "--input", str(merged), "--threshold", "0.1",
+                            "--n-verified", "11", *budget],
+            "simulate": ["simulate", "--threshold", "0.2", "--samples", "1000", "--seed", "7",
+                         "--growth", "2"],
+            "reproduce-tables": ["reproduce-tables"],
+        }
+        payloads = {}
+        for label, argv in commands.items():
+            code, stdout, _ = run_cli(capsys, *argv)
+            assert code == 0, label
+            payloads[label] = json.loads(stdout)
+
+        def ranks(payload):
+            return {
+                "score": [r["score"] for r in payload["ranks"]],
+                "normalized": [r["normalized"] for r in payload["ranks"]],
+            }
+
+        report = payloads["simulate"]["report"]
+        tables = payloads["reproduce-tables"]
+        got = {
+            "rank": ranks(payloads["rank"]),
+            "robust": dict(ranks(payloads["robust"]), objective=payloads["robust"]["objective"]),
+            "comparative": dict(
+                ranks(payloads["comparative"]),
+                objective=payloads["comparative"]["objective"],
+                simplex_point=payloads["comparative"]["simplex_point"],
+            ),
+            "simulate": {k: report[k] for k in ("samples", "bound_value", "violations")},
+            "reproduce-tables": {
+                "computed": [c["computed"] for c in tables["columns"]],
+                "max_deviation_overall": tables["max_deviation_overall"],
+            },
+        }
+        expected = json.loads(EXPECTED_SESSION.read_text(encoding="utf-8"))
+        assert got.keys() == expected.keys()
+        for label, fields in expected.items():
+            assert got[label].keys() == fields.keys(), label
+            for field, want in fields.items():
+                have = np.asarray(got[label][field], dtype=float)
+                assert have.shape == np.shape(want), (label, field)
+                assert np.allclose(have, want, rtol=0.0, atol=1e-9), (label, field)

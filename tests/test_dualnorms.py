@@ -1,5 +1,7 @@
 """Support functions, decomposition norms, and their duality identities."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -17,7 +19,8 @@ from robust_lexrank import (
     simplex_decomposition_min,
     weighted_decomposition_norm,
 )
-from robust_lexrank.errors import DegenerateBudgetError, ParameterError
+from robust_lexrank import dualnorms
+from robust_lexrank.errors import DegenerateBudgetError, NumericError, ParameterError
 
 
 def box(total, cols):
@@ -232,6 +235,17 @@ class TestWeightedDecompositionNorm:
     def test_negative_weights_rejected(self):
         with pytest.raises(ParameterError):
             weighted_decomposition_norm(np.ones(2), np.array([0.5, -0.5]))
+
+    def test_checked_against_support_dual(self, monkeypatch):
+        real = dualnorms.box_l1_support
+
+        def off_by_one(x, budget):
+            certificate = real(x, budget)
+            return dataclasses.replace(certificate, value=certificate.value + 1.0)
+
+        monkeypatch.setattr(dualnorms, "box_l1_support", off_by_one)
+        with pytest.raises(NumericError):
+            weighted_decomposition_norm(np.array([0.3, 0.7]), np.array([0.5, 0.2]))
 
 
 RECOVERY_CASES = [

@@ -26,6 +26,14 @@ class TestHandCases:
         model = lp([-1.0], [(0.0, None)], [])
         assert solve(model).status == "unbounded"
 
+    def test_bounds_only_optimum(self):
+        # no rows at all: each variable sits at its cheaper finite bound
+        model = lp([2.0, -1.0], [(1.5, None), (None, 2.5)], [])
+        result = solve(model)
+        assert result.status == "optimal"
+        assert result.x == pytest.approx([1.5, 2.5], abs=1e-12)
+        assert result.objective_value == pytest.approx(0.5, abs=1e-12)
+
     def test_infeasible(self):
         model = lp([1.0], [(0.0, None)], [([1.0], "<=", -1.0)])
         assert solve(model).status == "infeasible"

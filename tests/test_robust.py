@@ -29,6 +29,14 @@ from robust_lexrank import robust
 from robust_lexrank.errors import NumericError, ParameterError, SolverError
 
 
+# Every valid growth model has ball_col = 2 and ball_total = 2m; the
+# uneven one splits its new columns differently between the two blocks.
+GROWTH_MODELS = [
+    GrowthModel.balanced(3),
+    GrowthModel(3, 1.2, 1.8, [0.2, 0.5, 0.5], [0.8, 0.5, 0.5]),
+]
+
+
 def uniform_budget(n, eps):
     return RobustBudget.broadcast(n, eps, eps)
 
@@ -79,10 +87,26 @@ class TestProgramStructure:
         program = build_growth_program(
             TransitionMatrix(np.eye(n)), uniform_budget(n, 1.0), GrowthModel.balanced(m)
         )
-        # (x1, x2, s, t, u, t2, u2)
-        assert program.n_vars == 3 * n + 2 * m + 2
-        # residual rows, the simplex row, one support row per x1 and per x2 entry
-        assert program.n_rows == 3 * n + m + 1
+        # (x1, x2, s, t, u)
+        assert program.n_vars == 3 * n + m + 1
+        # residual rows, the simplex row, one support row per x1 entry
+        assert program.n_rows == 3 * n + 1
+
+    def test_growth_model_prices_new_block_on_fixed_rows(self):
+        rng = np.random.default_rng(5)
+        growth = GROWTH_MODELS[1]
+        n, m = 4, growth.m
+        p = TransitionMatrix(random_stochastic(n, rng))
+        budget = RobustBudget(0.7, rng.uniform(0.0, 0.5, size=n))
+        fixed = build_robust_program(p, budget)
+        grown = build_growth_program(p, budget, growth)
+        assert (grown.n_vars, grown.n_rows) == (3 * n + m + 1, 3 * n + 1)
+        new_block = np.arange(n, n + m)
+        assert np.array_equal(np.delete(grown.rows, new_block, axis=1), fixed.rows)
+        assert grown.relations == fixed.relations
+        assert np.array_equal(grown.rhs, fixed.rhs)
+        assert np.array_equal(grown.objective[new_block], growth.ball_col)
+        assert np.array_equal(np.delete(grown.objective, new_block), fixed.objective)
 
     def test_budget_dimension_mismatch(self):
         with pytest.raises(ParameterError):
@@ -110,7 +134,7 @@ class TestSolveRobust:
         n = 5
         result = solve_robust(TransitionMatrix(np.eye(n)), uniform_budget(n, 2.0))
         assert np.allclose(result.x1.values, 1 / n, atol=1e-9)
-        support = box_l1_support(result.x1.values, uniform_budget(n, 2.0).box()).value
+        support = box_l1_support(result.x1.values, uniform_budget(n, 2.0)).value
         assert result.objective == pytest.approx(support, abs=1e-9)
 
     def test_small_budget_solution_on_cluster(self, transition_01, cluster_corpus):
@@ -130,7 +154,7 @@ class TestSolveRobust:
         budget = uniform_budget(11, 0.7)
         result = solve_robust(transition_02, budget)
         residual = np.abs(transition_02.values @ result.x1.values - result.x1.values).sum()
-        support = box_l1_support(result.x1.values, budget.box()).value
+        support = box_l1_support(result.x1.values, budget).value
         assert result.objective == pytest.approx(residual + support, abs=1e-7)
 
 
@@ -178,29 +202,30 @@ class TestAgainstDecompositionForm:
         reference = decomposition_rank_optimum(p.values, eps1, eps_col)
         assert solve_robust(p, budget).objective == pytest.approx(reference, abs=1e-8)
 
-        growth = GrowthModel.balanced(3)
-        if eps1 < 4 * (n - 1):
-            grown = solve_growth(p, budget, growth).objective
-        else:
-            # The optimum leaves the existing block empty, so there are no
-            # ranks to report; the model itself still has its optimum.
-            with pytest.raises(SolverError):
-                solve_growth(p, budget, growth)
-            grown = solve(build_growth_program(p, budget, growth)).objective_value
-        grown_reference = decomposition_rank_optimum(
-            p.values, eps1, eps_col, growth=(growth.m, growth.ball_total, growth.ball_col)
-        )
-        assert grown == pytest.approx(grown_reference, abs=1e-8)
-        # Both terms are positively homogeneous, so the growth optimum is the
-        # cheaper of the fixed optimum and the new block's simplex minimum
-        # (2 for balanced growth): it equals the fixed objective in every
-        # case here but the budget above 4 (n - 1).
-        block_min = growth.ball_total * simplex_decomposition_min(
-            growth.m, growth.ball_col / growth.ball_total
-        )
-        assert grown == pytest.approx(min(reference, block_min), abs=1e-8)
-        if eps1 < 4 * (n - 1):
-            assert grown == pytest.approx(reference, abs=1e-8)
+        for growth in GROWTH_MODELS:
+            if eps1 < 4 * (n - 1):
+                grown = solve_growth(p, budget, growth).objective
+            else:
+                # The optimum leaves the existing block empty, so there are
+                # no ranks to report; the model itself still has its optimum.
+                with pytest.raises(SolverError):
+                    solve_growth(p, budget, growth)
+                grown = solve(build_growth_program(p, budget, growth)).objective_value
+            grown_reference = decomposition_rank_optimum(
+                p.values, eps1, eps_col, growth=(growth.m, growth.ball_total, growth.ball_col)
+            )
+            assert grown == pytest.approx(grown_reference, abs=1e-8)
+            # Both terms are positively homogeneous, so the growth optimum is
+            # the cheaper of the fixed optimum and the new block's simplex
+            # minimum, 2 for every growth model: it equals the fixed objective
+            # in every case here but the budget above 4 (n - 1).
+            block_min = growth.ball_total * simplex_decomposition_min(
+                growth.m, growth.ball_col / growth.ball_total
+            )
+            assert block_min == pytest.approx(2.0, abs=1e-12)
+            assert grown == pytest.approx(min(reference, block_min), abs=1e-8)
+            if eps1 < 4 * (n - 1):
+                assert grown == pytest.approx(reference, abs=1e-8)
 
         pinned = n // 2
         comparative = comparative_rank(p, pinned, budget).objective
@@ -313,7 +338,7 @@ class TestWorstCaseUpperBound:
         budget = uniform_budget(11, 0.9)
         ranks = power_iteration(transition_01)
         value = worst_case_upper_bound(ranks.values, transition_01, budget)
-        support = box_l1_support(ranks.values, budget.box()).value
+        support = box_l1_support(ranks.values, budget).value
         assert value == pytest.approx(support, abs=1e-10)
 
     def test_budget_scaling_is_affine(self, transition_02):
