@@ -276,8 +276,8 @@ def solve(lp: LinearProgram) -> LinearProgramSolution:
     y = np.zeros(tableau.shape[1] - 1)
     y[basis] = tableau[:, -1]
     x = form.recover(y[:ny])
-    x = np.clip(x, lp.lower, lp.upper)
     _check_solution(lp, x)
+    x = np.clip(x, lp.lower, lp.upper)
     return LinearProgramSolution("optimal", x, float(lp.objective @ x))
 
 

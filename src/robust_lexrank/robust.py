@@ -19,8 +19,11 @@ Every model here is one compact LP. The residual is bounded by ``s``
 support form ``eps1 * t + sum_j eps_j * u_j`` with ``u_j >= x_j - t`` and
 ``t, u >= 0`` (``dualnorms._support_program``). The fixed model has
 variables ``(x, s, t, u)``: 3n+1 of them and 3n+1 rows. The growth model
-adds only the m priced columns of ``x2``. Every solve goes through
-``_solve_rank``, which checks the objective against the certified bound.
+adds only the m priced columns of ``x2``. The comparative model pins v
+coordinates at one as constants, not columns: they enter the residual
+rows' right-hand sides and the support block's offset, leaving 3n rows
+and 3n - v + 1 variables. Every solve goes through ``_solve_rank``, which
+checks the objective against the certified bound.
 """
 
 from __future__ import annotations
@@ -142,35 +145,43 @@ def _rank_program(p: TransitionMatrix, budget: RobustBudget, growth=None, pinned
     Head variables ``x1`` (n), ``x2`` (m, the growth block, with cost
     ``growth.ball_col``, its exact support; see ``GrowthModel``) and ``s``
     (n); rows ``-s <= P x1 - x1 <= s`` interleaved per sentence, then
-    ``sum(x1) + sum(x2) = 1`` unless ``pinned`` is given, in which case the
-    first ``pinned`` coordinates of ``x1`` are fixed at one and the rest
-    boxed into [0, 1]. Then ``(t, u)`` bounds the support of ``x1`` over
-    the budget.
+    ``sum(x1) + sum(x2) = 1``. Then ``(t, u)`` bounds the support of ``x1``
+    over the budget.
+
+    With ``pinned = v`` the first v coordinates of ``x1`` are constants at
+    one: ``x1`` keeps only its n - v free coordinates, boxed into [0, 1],
+    the residual rows take ``-+(P - I)[:, :v] @ 1`` as right-hand sides,
+    the support block sees the pinned ones as its offset, and there is no
+    simplex row. That model has 3n rows and 3n - v + 1 variables.
     """
     _check_dims(p, budget)
     n = p.size
+    v = pinned or 0
+    free = n - v
     x2_cost = growth.ball_col if growth is not None else np.zeros(0)
     m = x2_cost.size
-    head = 2 * n + m
+    head = free + m + n
     shifted = p.values - np.eye(n)
     residual = np.zeros((n, 2, head))
-    residual[:, 0, :n] = shifted
-    residual[:, 1, :n] = -shifted
-    residual[:, :, n + m :] = -np.eye(n)[:, None, :]
+    residual[:, 0, :free] = shifted[:, v:]
+    residual[:, 1, :free] = -shifted[:, v:]
+    residual[:, :, free + m :] = -np.eye(n)[:, None, :]
     rows = residual.reshape(2 * n, head)
     relations = ["<="] * (2 * n)
-    rhs = np.zeros(2 * n)
     if pinned is None:
         x_bounds = [(0.0, None)] * n
         simplex = np.concatenate([np.ones(n + m), np.zeros(n)])
         rows = np.vstack([rows, simplex])
         relations.append("=")
-        rhs = np.append(rhs, 1.0)
+        rhs = np.append(np.zeros(2 * n), 1.0)
     else:
-        x_bounds = [(1.0, 1.0)] * pinned + [(0.0, 1.0)] * (n - pinned)
-    cost = np.concatenate([np.zeros(n), x2_cost, np.ones(n)])
+        x_bounds = [(0.0, 1.0)] * free
+        rhs = np.outer(shifted[:, :v].sum(axis=1), [-1.0, 1.0]).ravel()
+    cost = np.concatenate([np.zeros(free), x2_cost, np.ones(n)])
     bounds = x_bounds + [(0.0, None)] * (m + n)
-    blocks = [(np.eye(n, head), np.zeros(n), budget, False)]
+    select = np.eye(n, head, -v)
+    offset = np.concatenate([np.ones(v), np.zeros(free)])
+    blocks = [(select, offset, budget, False)]
     return _support_program(cost, bounds, rows, relations, rhs, blocks)
 
 
@@ -215,17 +226,21 @@ def _objective_identity(objective, bound, tol=OBJECTIVE_IDENTITY_TOL):
         raise NumericError("objective does not decompose into residual plus norm", gap=gap)
 
 
-def _solve_rank(program, p, budget, growth=None):
+def _solve_rank(program, p, budget, growth=None, pinned=None):
     """Solve a rank model and check its objective against ``_bound``.
 
-    Returns ``(x1, x2, objective)``; a non-optimal end raises ``SolverError``.
+    ``growth`` and ``pinned`` are those the model was built with. Returns
+    ``(x1, x2, objective)``, with the pinned coordinates put back into
+    ``x1`` at one; a non-optimal end raises ``SolverError``.
     """
     solution = solve(program)
     if solution.status != "optimal":
         raise SolverError(f"rank program ended {solution.status}")
-    n = p.size
+    v = pinned or 0
+    free = p.size - v
     m = growth.m if growth is not None else 0
-    x1, x2 = solution.x[:n], solution.x[n : n + m]
+    x1 = np.concatenate([np.ones(v), solution.x[:free]])
+    x2 = solution.x[free : free + m]
     objective = float(solution.objective_value)
     _objective_identity(objective, _bound(p, budget, x1, growth, x2))
     return x1, x2, objective
@@ -276,12 +291,16 @@ def comparative_rank(
 
     Same objective as the robust model, but the simplex constraint is
     replaced by fixing the first ``n_verified`` coordinates to one and
-    boxing the rest into [0, 1]. The raw scores are reported; dividing by
-    their sum gives a feasible simplex point, also returned.
+    boxing the rest into [0, 1]. The fixed coordinates are constants of
+    the model, moved into the residual rows' right-hand sides and the
+    support offset, so it has 3n rows and 3n - n_verified + 1 variables.
+    The raw scores are reported; dividing by their sum gives a feasible
+    simplex point, also returned.
     """
     if not 1 <= n_verified <= p.size:
         raise ParameterError(f"n_verified {n_verified} outside 1..{p.size}")
-    x, _, objective = _solve_rank(_rank_program(p, budget, pinned=n_verified), p, budget)
+    program = _rank_program(p, budget, pinned=n_verified)
+    x, _, objective = _solve_rank(program, p, budget, pinned=n_verified)
     return ComparativeRankResult(
         reported=normalize_max_one(x, ids),
         simplex_point=x / x.sum(),

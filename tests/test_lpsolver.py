@@ -6,7 +6,7 @@ import pytest
 from oracles import enumerate_lp_optimum
 
 from robust_lexrank import LinearProgram, solve
-from robust_lexrank.errors import ModelError
+from robust_lexrank.errors import ModelError, NumericError
 from robust_lexrank.lpsolver import _StandardForm
 
 
@@ -104,6 +104,24 @@ class TestHandCases:
         result = solve(model)
         assert result.status == "optimal"
         assert result.objective_value == pytest.approx(-0.05, abs=1e-9)
+
+
+class TestSolutionCheck:
+    """The bound check sees the recovered point before any clipping."""
+
+    def model(self):
+        return lp([-1.0], [(0.0, 1.0)], [([1.0], "<=", 5.0)])
+
+    def test_out_of_bounds_point_raises(self, monkeypatch):
+        monkeypatch.setattr(_StandardForm, "recover", lambda self, y: np.array([2.0]))
+        with pytest.raises(NumericError, match="variable bounds"):
+            solve(self.model())
+
+    def test_residue_within_tolerance_is_clipped(self, monkeypatch):
+        monkeypatch.setattr(_StandardForm, "recover", lambda self, y: np.array([1.0 + 5e-10]))
+        result = solve(self.model())
+        assert result.x[0] == 1.0
+        assert result.objective_value == -1.0
 
 
 class TestValidation:

@@ -27,6 +27,7 @@ from robust_lexrank import (
 )
 from robust_lexrank import robust
 from robust_lexrank.errors import NumericError, ParameterError, SolverError
+from robust_lexrank.lpsolver import _StandardForm
 
 
 # Every valid growth model has ball_col = 2 and ball_total = 2m; the
@@ -107,6 +108,20 @@ class TestProgramStructure:
         assert np.array_equal(grown.rhs, fixed.rhs)
         assert np.array_equal(grown.objective[new_block], growth.ball_col)
         assert np.array_equal(np.delete(grown.objective, new_block), fixed.objective)
+
+    def test_comparative_model_shape(self):
+        rng = np.random.default_rng(8)
+        n = 5
+        p = TransitionMatrix(random_stochastic(n, rng))
+        for pinned in (1, 3, n):
+            program = robust._rank_program(p, uniform_budget(n, 0.5), pinned=pinned)
+            # (x free, s, t, u): the pinned coordinates have no column
+            assert program.n_vars == 3 * n - pinned + 1
+            # residual rows in both directions and one support row per x
+            assert program.n_rows == 3 * n
+            assert np.all(program.lower < program.upper)
+            # only the free coordinates' [0, 1] boxes add cap rows
+            assert _StandardForm(program).A.shape[0] == 3 * n + n - pinned
 
     def test_budget_dimension_mismatch(self):
         with pytest.raises(ParameterError):
@@ -227,11 +242,16 @@ class TestAgainstDecompositionForm:
             if eps1 < 4 * (n - 1):
                 assert grown == pytest.approx(reference, abs=1e-8)
 
-        pinned = n // 2
-        comparative = comparative_rank(p, pinned, budget).objective
-        assert comparative == pytest.approx(
-            decomposition_rank_optimum(p.values, eps1, eps_col, pinned=pinned), abs=1e-8
-        )
+        # the pinned coordinates are constants of the model; with all n
+        # pinned no free coordinate is left
+        for pinned in (1, n // 2, n - 1, n):
+            comparative = comparative_rank(p, pinned, budget)
+            assert comparative.objective == pytest.approx(
+                decomposition_rank_optimum(p.values, eps1, eps_col, pinned=pinned), abs=1e-8
+            ), pinned
+            scores = comparative.reported.scores
+            assert np.all(scores[:pinned] == 1.0), pinned
+            assert np.all((scores[pinned:] >= 0.0) & (scores[pinned:] <= 1.0)), pinned
 
 
 class TestGrowthIndependence:
