@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -21,7 +22,7 @@ import numpy as np
 from . import dualnorms
 from .corpus import Corpus, Sentence, build_similarity_matrix, read_corpus, write_matrix_csv
 from .dualnorms import BudgetedBox
-from .errors import RobustLexRankError, SetupError
+from .errors import ParameterError, ParseError, RobustLexRankError, SetupError
 from .graph import threshold_adjacency, to_transition
 from .ranking import normalize_max_one, power_iteration
 from .robust import GrowthModel, RobustBudget, comparative_rank, solve_robust
@@ -61,10 +62,23 @@ def _corpus_from(args) -> Corpus:
     return read_corpus(args.input)
 
 
+def _read_eps_col(path):
+    """Per-column budgets from a CSV file; unreadable or missing numbers are a ParseError."""
+    with warnings.catch_warnings():
+        # an empty file only warns; it is rejected below
+        warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+        try:
+            col = np.loadtxt(path, delimiter=",").reshape(-1)
+        except ValueError as exc:
+            raise ParseError(f"{path}: {exc}") from exc
+    if col.size == 0:
+        raise ParseError(f"{path}: no per-column budgets found")
+    return col
+
+
 def _budget_for(n, args) -> RobustBudget:
     if getattr(args, "eps_col_file", None):
-        col = np.loadtxt(args.eps_col_file, delimiter=",").reshape(-1)
-        return RobustBudget(args.eps1, col)
+        return RobustBudget(args.eps1, _read_eps_col(args.eps_col_file))
     return RobustBudget.broadcast(n, args.eps1, args.eps_col)
 
 
@@ -91,11 +105,20 @@ def _emit(payload, args, csv_rows=None, csv_header=None):
         print(text)
 
 
-def _rank_payload(config, reported, extra=None):
-    payload = {"config": config, "ranks": reported.as_dicts()}
-    if extra:
-        payload.update(extra)
-    return payload
+def _config(args, **extra):
+    """Provenance echo of a rank-style command: command, input, threshold, then ``extra``."""
+    return {
+        "command": args.command,
+        "input": args.input or "<packaged>",
+        "threshold": args.threshold,
+        **extra,
+    }
+
+
+def _emit_ranks(args, config, reported, **extra):
+    """Emit ``config``, the ranks and ``extra`` as JSON, or the rank rows as CSV."""
+    payload = {"config": config, "ranks": reported.as_dicts(), **extra}
+    _emit(payload, args, csv_rows=reported.rows())
 
 
 def cmd_similarity(args):
@@ -116,13 +139,7 @@ def cmd_rank(args):
     corpus = _corpus_from(args)
     transition = _transition_for(corpus, args.threshold)
     ranks = power_iteration(transition, tol=args.tol, max_iter=args.max_iter)
-    reported = normalize_max_one(ranks, corpus.ids)
-    config = {"command": "rank", "input": args.input or "<packaged>", "threshold": args.threshold}
-    _emit(
-        _rank_payload(config, reported),
-        args,
-        csv_rows=reported.rows(),
-    )
+    _emit_ranks(args, _config(args), normalize_max_one(ranks, corpus.ids))
     return 0
 
 
@@ -131,18 +148,8 @@ def cmd_robust(args):
     transition = _transition_for(corpus, args.threshold)
     budget = _budget_for(len(corpus), args)
     result = solve_robust(transition, budget, corpus.ids)
-    config = {
-        "command": "robust",
-        "input": args.input or "<packaged>",
-        "threshold": args.threshold,
-        "eps1": budget.eps1,
-        "eps_col": budget.eps_col.tolist(),
-    }
-    _emit(
-        _rank_payload(config, result.reported, {"objective": result.objective}),
-        args,
-        csv_rows=result.reported.rows(),
-    )
+    config = _config(args, eps1=budget.eps1, eps_col=budget.eps_col.tolist())
+    _emit_ranks(args, config, result.reported, objective=result.objective)
     return 0
 
 
@@ -152,22 +159,15 @@ def cmd_comparative(args):
     budget = _budget_for(len(corpus), args)
     n_verified = args.n_verified if args.n_verified is not None else corpus.n_verified
     result = comparative_rank(transition, n_verified, budget, corpus.ids)
-    config = {
-        "command": "comparative",
-        "input": args.input or "<packaged>",
-        "threshold": args.threshold,
-        "eps1": budget.eps1,
-        "eps_col": budget.eps_col.tolist(),
-        "n_verified": n_verified,
-    }
-    _emit(
-        _rank_payload(
-            config,
-            result.reported,
-            {"objective": result.objective, "simplex_point": result.simplex_point.tolist()},
-        ),
+    config = _config(
+        args, eps1=budget.eps1, eps_col=budget.eps_col.tolist(), n_verified=n_verified
+    )
+    _emit_ranks(
         args,
-        csv_rows=result.reported.rows(),
+        config,
+        result.reported,
+        objective=result.objective,
+        simplex_point=result.simplex_point.tolist(),
     )
     return 0
 
@@ -186,18 +186,16 @@ def cmd_simulate(args):
     report = empirical_max_residual(
         transition, result.x1.values, uset, args.samples, args.seed
     )
-    config = {
-        "command": "simulate",
-        "input": args.input or "<packaged>",
-        "threshold": args.threshold,
-        "eps_xi": args.eps_xi,
-        "eps_xi_col": args.eps_xi_col,
-        "eps_psi": args.eps_psi,
-        "eps_psi_col": args.eps_psi_col,
-        "growth": args.growth,
-        "samples": args.samples,
-        "seed": args.seed,
-    }
+    config = _config(
+        args,
+        eps_xi=args.eps_xi,
+        eps_xi_col=args.eps_xi_col,
+        eps_psi=args.eps_psi,
+        eps_psi_col=args.eps_psi_col,
+        growth=args.growth,
+        samples=args.samples,
+        seed=args.seed,
+    )
     payload = {"config": config, "report": report.as_dict()}
     _emit(payload, args, csv_rows=[list(report.as_dict().values())])
     return 0 if report.violations == 0 else 6
@@ -257,6 +255,8 @@ def cmd_reproduce_tables(args):
 
 def cmd_verify(args):
     """Run the dual-norm identity suite on random instances; exit 0 iff clean."""
+    if args.instances < 1:
+        raise ParameterError("need at least one instance per identity")
     rng = np.random.default_rng(args.seed)
     failures = 0
 

@@ -169,23 +169,27 @@ def build_similarity_matrix(corpus: Corpus) -> SimilarityMatrix:
 
 
 def read_corpus(path) -> Corpus:
-    """One sentence per line, optionally prefixed ``id<TAB>``; blank lines skipped."""
+    """One sentence per UTF-8 line, optionally prefixed ``id<TAB>``; blank lines skipped."""
     sentences = []
     auto = 0
-    with open(path, encoding="utf-8") as handle:
-        for lineno, raw in enumerate(handle, start=1):
-            line = raw.rstrip("\n").rstrip("\r")
-            if not line.strip():
-                continue
-            if "\t" in line:
-                sid, body = line.split("\t", 1)
-                sid, body = sid.strip(), body.strip()
-            else:
-                auto += 1
-                sid, body = f"s{auto}", line.strip()
-            if not sid or not body:
-                raise ParseError(f"{path}:{lineno}: empty id or sentence")
-            sentences.append(Sentence(sid, body))
+    try:
+        with open(path, encoding="utf-8") as handle:
+            lines = list(handle)
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n").rstrip("\r")
+        if not line.strip():
+            continue
+        if "\t" in line:
+            sid, body = line.split("\t", 1)
+            sid, body = sid.strip(), body.strip()
+        else:
+            auto += 1
+            sid, body = f"s{auto}", line.strip()
+        if not sid or not body:
+            raise ParseError(f"{path}:{lineno}: empty id or sentence")
+        sentences.append(Sentence(sid, body))
     if not sentences:
         raise ParseError(f"{path}: no sentences found")
     try:

@@ -100,68 +100,46 @@ def _check_certificate(z, box, ball):
         raise NumericError("certificate leaves the box", gap=float(excess.max()))
 
 
-def _support_program(cost, bounds, rows, relations, rhs, blocks) -> LinearProgram:
-    """Build a head model plus one compact support block per entry of ``blocks``.
+def _support_program(cost, bounds, rows, relations, rhs, select, offset, box) -> LinearProgram:
+    """Build a head model plus one compact support block.
 
     The head has variables ``v`` with ``cost``, ``bounds`` (one ``(low,
-    high)`` pair each) and constraints ``rows @ v (relations) rhs``. A block
-    ``(select, offset, box, signed)`` names ``x = select @ v + offset`` and
-    appends variables ``(t, u)`` (``1 + box.size``) with cost
-    ``box.eps_total * t + box.eps_col @ u``, bounds ``t, u >= 0`` and rows
+    high)`` pair each) and constraints ``rows @ v (relations) rhs``. The
+    block names ``x = select @ v + offset`` and appends variables ``(t, u)``
+    (``1 + box.size``) with cost ``box.eps_total * t + box.eps_col @ u``,
+    bounds ``t, u >= 0`` and rows ``x_j - t - u_j <= 0``, after the head's.
 
-        x_j - t - u_j <= 0          and, when ``signed``,  -x_j - t - u_j <= 0.
-
-    For fixed ``x`` the minimum over ``(t, u)`` is ``box_l1_support(x, box)``
-    (its LP dual), for ``x >= 0`` or, with ``signed``, for any ``x``. Block
-    variables follow the head variables and block rows follow the head
-    rows, both in block order.
+    For fixed ``x >= 0`` the minimum over ``(t, u)`` is
+    ``box_l1_support(x, box)`` (its LP dual).
     """
-    head = len(cost)
-    width = head + sum(1 + box.size for _, _, box, _ in blocks)
-    matrix = [np.hstack([rows, np.zeros((len(rhs), width - head))])]
-    right = [np.asarray(rhs, dtype=float)]
-    costs = [np.asarray(cost, dtype=float)]
-    bounds = list(bounds)
-    start = head
-    for select, offset, box, signed in blocks:
-        n = box.size
-        sign = np.array([1.0, -1.0]) if signed else np.ones(1)
-        block = np.zeros((sign.size, n, width))
-        block[:, :, :head] = sign[:, None, None] * select
-        block[:, :, start] = -1.0
-        block[:, np.arange(n), start + 1 + np.arange(n)] = -1.0
-        matrix.append(block.reshape(-1, width))
-        right.append(np.outer(-sign, offset).ravel())
-        costs += [[box.eps_total], box.eps_col]
-        bounds += [(0.0, None)] * (1 + n)
-        start += 1 + n
-    matrix = np.vstack(matrix)
-    relations = list(relations) + ["<="] * (matrix.shape[0] - len(rhs))
+    n = box.size
+    block = np.hstack([select, -np.ones((n, 1)), -np.eye(n)])
+    matrix = np.vstack([np.hstack([rows, np.zeros((len(rhs), 1 + n))]), block])
     return LinearProgram.build(
-        np.concatenate(costs), bounds, zip(matrix, relations, np.concatenate(right))
+        np.concatenate([cost, [box.eps_total], box.eps_col]),
+        list(bounds) + [(0.0, None)] * (1 + n),
+        zip(matrix, list(relations) + ["<="] * n, np.concatenate([rhs, -offset])),
     )
 
 
-def _decomposition_program(x, inf_weight, l1_weights):
-    """Model ``min inf_weight * max_j |x_j - mu_j| + sum_j w_j |mu_j|`` over ``mu``.
+def _solve_decomposition(x, weights):
+    """Minimize ``max_j |x_j - mu_j| + sum_j w_j |mu_j|`` over ``mu``.
 
-    Variables are laid out as ``(t, u)``: ``min inf_weight * t + w @ u``
-    subject to ``u_j >= +-x_j - t`` and ``t, u >= 0``. At a given ``t`` the
-    best split is ``mu_j = sign(x_j) * (|x_j| - t)_+``, whose magnitude is
-    the least feasible ``u_j``, so both models share their minimum.
+    The LP is the support block of ``|x|`` alone: ``min t + w @ u`` subject
+    to ``u_j >= |x_j| - t`` and ``t, u >= 0``. At a given ``t`` the best
+    split is ``mu_j = sign(x_j) * (|x_j| - t)_+``, whose magnitude is the
+    least feasible ``u_j``, so both models share their minimum.
     """
-    return _support_program(
+    absx = np.abs(x)
+    program = _support_program(
         np.zeros(0), [], np.zeros((0, 0)), [], np.zeros(0),
-        [(np.zeros((x.size, 0)), x, BudgetedBox(inf_weight, l1_weights), True)],
+        np.zeros((x.size, 0)), absx, BudgetedBox(1.0, weights),
     )
-
-
-def _solve_decomposition(x, inf_weight, l1_weights):
-    solution = solve(_decomposition_program(x, inf_weight, l1_weights))
+    solution = solve(program)
     if solution.status != "optimal":
         raise NumericError(f"decomposition program ended {solution.status}")
     t = solution.x[0]
-    mu = np.sign(x) * np.clip(np.abs(x) - t, 0.0, None)
+    mu = np.sign(x) * np.clip(absx - t, 0.0, None)
     return NormDecomposition(lam=x - mu, mu=mu, value=float(solution.objective_value))
 
 
@@ -177,7 +155,7 @@ def decomposition_norm(x, box: BudgetedBox) -> NormDecomposition:
         raise DegenerateBudgetError("decomposition norm undefined for zero total budget")
     if x.shape != (box.size,):
         raise ParameterError(f"vector of length {x.size} against box of size {box.size}")
-    result = _solve_decomposition(x, 1.0, box.eps_col / box.eps_total)
+    result = _solve_decomposition(x, box.eps_col / box.eps_total)
     support = box_l1_support(x, box).value
     gap = abs(box.eps_total * result.value - support)
     if gap > DUALITY_TOL_L1 * max(1.0, abs(support)):
@@ -224,7 +202,7 @@ def _simplex_minimum_routes(m, weights):
     # joint LP over (y, t, u) with y on the simplex
     program = _support_program(
         np.zeros(m), [(0.0, None)] * m, np.ones((1, m)), ["="], np.ones(1),
-        [(np.eye(m), np.zeros(m), BudgetedBox(1.0, weights), False)],
+        np.eye(m), np.zeros(m), BudgetedBox(1.0, weights),
     )
     solution = solve(program)
     if solution.status != "optimal":
@@ -298,7 +276,7 @@ def decomposition_norm_l2(x, box: BudgetedBox) -> float:
             if caps[j] >= eps:
                 mu_j = 0.0
             elif others <= 0:
-                mu_j = xj if caps[j] < eps else 0.0
+                mu_j = xj
             else:
                 ratio = caps[j] / eps
                 if eps * abs(xj) <= caps[j] * np.sqrt(others + xj * xj):

@@ -17,13 +17,15 @@ empty and ``solve_growth`` raises ``SolverError``.
 Every model here is one compact LP. The residual is bounded by ``s``
 (``-s <= P x - x <= s``) and, since ``x >= 0``, the norm term by its dual
 support form ``eps1 * t + sum_j eps_j * u_j`` with ``u_j >= x_j - t`` and
-``t, u >= 0`` (``dualnorms._support_program``). The fixed model has
+``t, u >= 0``: the one support block of ``dualnorms._support_program``,
+with ``x`` as its selected head variables. The fixed model has
 variables ``(x, s, t, u)``: 3n+1 of them and 3n+1 rows. The growth model
 adds only the m priced columns of ``x2``. The comparative model pins v
 coordinates at one as constants, not columns: they enter the residual
 rows' right-hand sides and the support block's offset, leaving 3n rows
 and 3n - v + 1 variables. Every solve goes through ``_solve_rank``, which
-checks the objective against the certified bound.
+builds the model with ``_rank_program`` and checks the objective against
+the certified bound.
 """
 
 from __future__ import annotations
@@ -96,6 +98,8 @@ class GrowthModel:
     @classmethod
     def balanced(cls, m):
         """Even split of every new column between existing and new sentences."""
+        if m < 0:
+            raise ParameterError("growth rate must be nonnegative")
         half = np.full(m, 0.5)
         return cls(m, m / 2.0, m / 2.0, half, half)
 
@@ -181,8 +185,7 @@ def _rank_program(p: TransitionMatrix, budget: RobustBudget, growth=None, pinned
     bounds = x_bounds + [(0.0, None)] * (m + n)
     select = np.eye(n, head, -v)
     offset = np.concatenate([np.ones(v), np.zeros(free)])
-    blocks = [(select, offset, budget, False)]
-    return _support_program(cost, bounds, rows, relations, rhs, blocks)
+    return _support_program(cost, bounds, rows, relations, rhs, select, offset, budget)
 
 
 def build_robust_program(p: TransitionMatrix, budget: RobustBudget) -> LinearProgram:
@@ -226,14 +229,14 @@ def _objective_identity(objective, bound, tol=OBJECTIVE_IDENTITY_TOL):
         raise NumericError("objective does not decompose into residual plus norm", gap=gap)
 
 
-def _solve_rank(program, p, budget, growth=None, pinned=None):
-    """Solve a rank model and check its objective against ``_bound``.
+def _solve_rank(p, budget, growth=None, pinned=None):
+    """Build and solve a rank model, checking its objective against ``_bound``.
 
-    ``growth`` and ``pinned`` are those the model was built with. Returns
+    ``growth`` and ``pinned`` are passed to ``_rank_program``. Returns
     ``(x1, x2, objective)``, with the pinned coordinates put back into
     ``x1`` at one; a non-optimal end raises ``SolverError``.
     """
-    solution = solve(program)
+    solution = solve(_rank_program(p, budget, growth, pinned))
     if solution.status != "optimal":
         raise SolverError(f"rank program ended {solution.status}")
     v = pinned or 0
@@ -248,7 +251,7 @@ def _solve_rank(program, p, budget, growth=None, pinned=None):
 
 def solve_robust(p: TransitionMatrix, budget: RobustBudget, ids=None) -> RobustRankResult:
     """Solve the fixed-size robust ranking model."""
-    x, _, objective = _solve_rank(build_robust_program(p, budget), p, budget)
+    x, _, objective = _solve_rank(p, budget)
     total = x.sum()
     if abs(total - 1.0) > SIMPLEX_INPUT_TOL:
         raise SolverError("solution drifted off the simplex")
@@ -270,9 +273,7 @@ def solve_growth(
     block, which happens once the fixed optimum exceeds 2, the price of
     unit mass on the new block.
     """
-    x1, x2, objective = _solve_rank(
-        build_growth_program(p, budget, growth), p, budget, growth
-    )
+    x1, x2, objective = _solve_rank(p, budget, growth)
     total = x1.sum()
     if total <= SIMPLEX_INPUT_TOL:
         raise SolverError("growth optimum lies on the new block: existing block has no mass")
@@ -299,8 +300,7 @@ def comparative_rank(
     """
     if not 1 <= n_verified <= p.size:
         raise ParameterError(f"n_verified {n_verified} outside 1..{p.size}")
-    program = _rank_program(p, budget, pinned=n_verified)
-    x, _, objective = _solve_rank(program, p, budget, pinned=n_verified)
+    x, _, objective = _solve_rank(p, budget, pinned=n_verified)
     return ComparativeRankResult(
         reported=normalize_max_one(x, ids),
         simplex_point=x / x.sum(),

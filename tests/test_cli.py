@@ -19,6 +19,12 @@ def run_cli(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def assert_one_error_line(stderr, path):
+    assert stderr.startswith("error: ")
+    assert str(path) in stderr
+    assert stderr.count("\n") == 1
+
+
 class TestSimilarityCommand:
     def test_cluster_matrix_written(self, tmp_path, capsys, fixture_similarity):
         out = tmp_path / "sim.csv"
@@ -42,6 +48,15 @@ class TestSimilarityCommand:
         code, _, stderr = run_cli(capsys, "similarity", "--input", str(source))
         assert code == 4
         assert "error" in stderr
+
+    @pytest.mark.parametrize("command", [["similarity"], ["rank", "--threshold", "0.1"]])
+    def test_non_utf8_file_is_parse_error(self, tmp_path, capsys, command):
+        source = tmp_path / "utf16.txt"
+        source.write_bytes(b"\xff\xfea\x00 \x00b\x00\n\x00")
+        code, stdout, stderr = run_cli(capsys, *command, "--input", str(source))
+        assert code == 4
+        assert stdout == ""
+        assert_one_error_line(stderr, source)
 
 
 class TestRankCommand:
@@ -91,6 +106,24 @@ class TestRobustCommand:
         assert code == 0
         assert json.loads(stdout)["config"]["eps_col"] == [0.01] * 11
 
+    @pytest.mark.parametrize("content", ["0.1,abc,0.2", ""], ids=["non-numeric", "empty"])
+    def test_malformed_eps_col_file_is_parse_error(self, tmp_path, capsys, content):
+        budget_file = tmp_path / "cols.csv"
+        budget_file.write_text(content, encoding="utf-8")
+        code, stdout, stderr = run_cli(
+            capsys,
+            "robust",
+            "--threshold",
+            "0.1",
+            "--eps1",
+            "0.01",
+            "--eps-col-file",
+            str(budget_file),
+        )
+        assert code == 4
+        assert stdout == ""
+        assert_one_error_line(stderr, budget_file)
+
 
 class TestComparativeCommand:
     def test_runs_with_explicit_split(self, capsys):
@@ -134,6 +167,12 @@ class TestSimulateCommand:
         assert payload["report"]["violations"] == 0
         assert payload["config"]["seed"] == 7
 
+    def test_negative_growth_rejected(self, capsys):
+        code, stdout, stderr = run_cli(capsys, "simulate", "--threshold", "0.2", "--growth", "-1")
+        assert code == 5
+        assert stdout == ""
+        assert stderr == "error: growth rate must be nonnegative\n"
+
 
 class TestReproduceTables:
     def test_report_shape_and_exact_high_threshold(self, capsys):
@@ -167,6 +206,12 @@ class TestVerifyCommand:
         assert code == 0
         assert stdout.count("PASS") == 4
         assert "FAIL" not in stdout
+
+    def test_zero_instances_rejected(self, capsys):
+        code, stdout, stderr = run_cli(capsys, "verify", "--instances", "0")
+        assert code == 5
+        assert stdout == ""
+        assert stderr.startswith("error: ")
 
     def test_simplex_minimum_disagreement_fails(self, capsys, monkeypatch):
         def disagreeing(m, weights):

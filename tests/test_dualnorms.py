@@ -105,6 +105,23 @@ class TestDecompositionNorm:
         with pytest.raises(DegenerateBudgetError):
             decomposition_norm(np.ones(2), box(0.0, [1.0, 1.0]))
 
+    def test_model_has_one_row_per_coordinate(self, monkeypatch):
+        programs = []
+        original = dualnorms.solve
+
+        def capture(program):
+            programs.append(program)
+            return original(program)
+
+        monkeypatch.setattr(dualnorms, "solve", capture)
+        for x in ([-2.0, 0.0, 1.5], [0.0], [0.5, -3.0, 0.0, 0.0, 1.0]):
+            x = np.asarray(x)
+            decomposition_norm(x, box(1.5, np.linspace(0.5, 2.0, x.size)))
+            program = programs.pop()
+            assert program.rows.shape == (x.size, x.size + 1)
+            assert program.objective.size == x.size + 1
+        assert programs == []
+
     def test_split_reconstructs_input(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=5)
