@@ -26,7 +26,7 @@ from .errors import ParameterError, ParseError, RobustLexRankError, SetupError
 from .graph import threshold_adjacency, to_transition
 from .ranking import normalize_max_one, power_iteration
 from .robust import GrowthModel, RobustBudget, comparative_rank, solve_robust
-from .simulator import UncertaintySet, empirical_max_residual
+from .simulator import UncertaintySet, _rng, empirical_max_residual
 
 DATA_PACKAGE = "robust_lexrank.data"
 DEFAULT_CLUSTER = "iraq_cluster.tsv"
@@ -257,7 +257,7 @@ def cmd_verify(args):
     """Run the dual-norm identity suite on random instances; exit 0 iff clean."""
     if args.instances < 1:
         raise ParameterError("need at least one instance per identity")
-    rng = np.random.default_rng(args.seed)
+    rng = _rng(args.seed)
     failures = 0
 
     def report(label, worst, tolerance):

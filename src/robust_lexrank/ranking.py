@@ -68,7 +68,7 @@ def power_iteration(
     (carrying the last residual) if the budget runs out, which happens
     only for periodic chains that the uniform start does not quotient out.
     """
-    if tol <= 0:
+    if not tol > 0:
         raise ParameterError("tolerance must be positive")
     if max_iter < 1:
         raise ParameterError("need at least one iteration")

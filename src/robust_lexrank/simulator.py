@@ -22,6 +22,10 @@ from .robust import GrowthModel, RobustBudget, worst_case_upper_bound
 STOCHASTIC_TOL = 1e-12
 VIOLATION_TOL = 1e-9
 BUDGET_TOL = 1e-9
+# Stacked matrix entries per chunk of samples: the batched checks and
+# residuals hold one chunk at a time, so transient memory stays flat at any
+# sample count or width.
+CHUNK_ELEMENTS = 2**13
 
 
 @dataclass(frozen=True)
@@ -62,31 +66,54 @@ class PerturbationSample:
     grown: np.ndarray  # (n + m) x (n + m), column-stochastic
 
     def __post_init__(self):
-        for name in ("new_rows", "new_cols", "new_corner"):
-            block = getattr(self, name)
-            if block.size and block.min() < 0:
-                raise SetDefinitionError(f"{name} block must be nonnegative")
-        if self.grown.size:
-            if self.grown.min() < 0:
-                raise SetDefinitionError("grown matrix must be nonnegative")
-            sums = self.grown.sum(axis=0)
-            if np.abs(sums - 1.0).max() > STOCHASTIC_TOL:
-                raise SetDefinitionError("grown matrix columns must sum to one")
+        _check_stochastic(self.new_rows, self.new_cols, self.new_corner, self.grown)
 
     def within_budgets(self, uset: UncertaintySet, tol: float = BUDGET_TOL) -> bool:
         """Recheck every column and block budget of the uncertainty set."""
-        growth = uset.growth
-        blocks = (
-            (self.existing_delta, uset.existing.eps_total, uset.existing.eps_col),
-            (self.new_rows, uset.new_rows.eps_total, uset.new_rows.eps_col),
-            (self.new_cols, growth.to_existing_total, growth.to_existing_col),
-            (self.new_corner, growth.among_new_total, growth.among_new_col),
+        blocks = (self.existing_delta, self.new_rows, self.new_cols, self.new_corner)
+        return bool(_within_budgets(blocks, uset, tol))
+
+
+def _check_stochastic(new_rows, new_cols, new_corner, grown):
+    """Raise unless the new blocks and grown matrices are nonnegative and
+    every grown column sums to one.
+
+    Each array is one sample's block or a stack of them (samples along the
+    leading axis).
+    """
+    for name, block in (("new_rows", new_rows), ("new_cols", new_cols), ("new_corner", new_corner)):
+        if block.size and block.min() < 0:
+            raise SetDefinitionError(f"{name} block must be nonnegative")
+    if grown.size:
+        if grown.min() < 0:
+            raise SetDefinitionError("grown matrix must be nonnegative")
+        if np.abs(grown.sum(axis=-2) - 1.0).max() > STOCHASTIC_TOL:
+            raise SetDefinitionError("grown matrix columns must sum to one")
+
+
+def _within_budgets(blocks, uset: UncertaintySet, tol: float):
+    """Budget membership of ``(xi, psi, zeta, chi)``, one flag per sample.
+
+    Blocks are matrices or stacks of them (samples along the leading axis);
+    every block keeps its total and each of its column caps within ``tol``.
+    An empty block passes on its own.
+    """
+    growth = uset.growth
+    limits = (
+        (uset.existing.eps_total, uset.existing.eps_col),
+        (uset.new_rows.eps_total, uset.new_rows.eps_col),
+        (growth.to_existing_total, growth.to_existing_col),
+        (growth.among_new_total, growth.among_new_col),
+    )
+    ok = True
+    for block, (total, caps) in zip(blocks, limits):
+        magnitude = np.abs(block)
+        ok = (
+            ok
+            & (magnitude.sum(axis=(-2, -1)) <= total + tol)
+            & (magnitude.sum(axis=-2) <= caps + tol).all(axis=-1)
         )
-        return all(
-            np.abs(block).sum() <= total + tol
-            and (np.abs(block).sum(axis=0) <= caps + tol).all()
-            for block, total, caps in blocks
-        )
+    return ok
 
 
 @dataclass(frozen=True)
@@ -120,15 +147,20 @@ class FixedSizeReport:
 
 
 def _rng(seed):
+    """The generator a ``seed`` names; a ``Generator`` is used as it is."""
     if isinstance(seed, np.random.Generator):
         return seed
+    if isinstance(seed, (int, np.integer)) and seed < 0:
+        raise ParameterError("seed must be nonnegative")
     return np.random.default_rng(seed)
 
 
-def _growth_split_consistent(growth: GrowthModel):
-    if growth.m == 0:
-        return
-    if (
+def _check_set(p: TransitionMatrix, uset: UncertaintySet):
+    """Raise unless ``uset`` fits ``p`` and its growth budgets can be met."""
+    if uset.n != p.size:
+        raise ParameterError("uncertainty set width does not match the matrix")
+    growth = uset.growth
+    if growth.m and (
         abs(growth.to_existing_col.sum() - growth.to_existing_total) > BUDGET_TOL
         or abs(growth.among_new_col.sum() - growth.among_new_total) > BUDGET_TOL
     ):
@@ -138,55 +170,81 @@ def _growth_split_consistent(growth: GrowthModel):
         )
 
 
-def sample_perturbation(p: TransitionMatrix, uset: UncertaintySet, seed=None) -> PerturbationSample:
-    """Draw one feasible grown matrix; deterministic for a fixed seed.
+def _chunks(n_samples: int, width: int):
+    """Sample counts of consecutive chunks of about ``CHUNK_ELEMENTS`` entries."""
+    size = max(1, CHUNK_ELEMENTS // width**2)
+    for start in range(0, n_samples, size):
+        yield min(size, n_samples - start)
+
+
+def _draw_blocks(p: TransitionMatrix, uset: UncertaintySet, rng, count: int):
+    """Draw ``count`` perturbations as stacks ``(xi, psi, zeta, chi)``.
 
     Existing columns lose a random mass (within caps and the paired
     new-row caps) spread proportionally to their entries, and the same
     mass lands in the new rows, so the column sum change is zero. With no
     new sentences there is nowhere to send mass and the draw is exact.
 
-    Each block is drawn whole, but the generator is consumed in the same
-    order as one draw per column, so a seed reproduces earlier samples
-    bit for bit.
+    The loop makes only the generator calls, plus the scaling that sizes
+    each sample's new-row split; the generator is consumed in the same
+    order as one draw per column, so a seed reproduces earlier samples bit
+    for bit. The blocks are formed from the draws afterwards, all at once.
     """
-    if uset.n != p.size:
-        raise ParameterError("uncertainty set width does not match the matrix")
-    _growth_split_consistent(uset.growth)
-    rng = _rng(seed)
     n, m = p.size, uset.m
-
-    xi = np.zeros((n, n))
-    psi = np.zeros((m, n))
-    if m:
-        caps = np.minimum(uset.existing.eps_col, uset.new_rows.eps_col) / 2.0
-        masses = rng.uniform(0.0, np.minimum(caps, 1.0))
-        total = masses.sum()
+    high = np.minimum(np.minimum(uset.existing.eps_col, uset.new_rows.eps_col) / 2.0, 1.0)
+    ones_n, ones_m = np.ones(n), np.ones(m)
+    masses = np.zeros((count, n))
+    split_draws = []
+    to_existing = np.empty((count, m, n))
+    among_new = np.empty((count, m, m))
+    for k in range(count if m else 0):
+        drawn = rng.uniform(0.0, high)
+        total = drawn.sum()
         if total > 0:
-            masses *= min(
-                1.0,
-                uset.existing.eps_total / total,
-                uset.new_rows.eps_total / total,
-            )
-        live = masses != 0.0
-        xi[:, live] = -masses[live] * p.values[:, live]
-        psi[:, live] = masses[live] * rng.dirichlet(np.ones(m), size=int(live.sum())).T
+            drawn *= min(1.0, uset.existing.eps_total / total, uset.new_rows.eps_total / total)
+        masses[k] = drawn
+        split_draws.append(rng.dirichlet(ones_m, size=np.count_nonzero(drawn)))
+        for j in range(m):
+            to_existing[k, j] = rng.dirichlet(ones_n)
+            among_new[k, j] = rng.dirichlet(ones_m)
 
-    zeta = np.zeros((n, m))
-    chi = np.zeros((m, m))
-    for j in range(m):
-        zeta[:, j] = uset.growth.to_existing_col[j] * rng.dirichlet(np.ones(n))
-        chi[:, j] = uset.growth.among_new_col[j] * rng.dirichlet(np.ones(m))
+    live = masses != 0.0
+    xi = np.zeros((count, n, n))
+    np.multiply(-masses[:, None, :], p.values, out=xi, where=live[:, None, :])
+    split = np.zeros((count, n, m))
+    if m:
+        split[live] = np.concatenate(split_draws)
+    psi = masses[:, None, :] * split.transpose(0, 2, 1)
+    zeta = to_existing.transpose(0, 2, 1) * uset.growth.to_existing_col
+    chi = among_new.transpose(0, 2, 1) * uset.growth.among_new_col
+    return xi, psi, zeta, chi
 
-    grown = np.zeros((n + m, n + m))
-    grown[:n, :n] = p.values + xi
-    grown[:n, n:] = zeta
-    grown[n:, :n] = psi
-    grown[n:, n:] = chi
-    sample = PerturbationSample(xi, psi, zeta, chi, grown)
-    if not sample.within_budgets(uset):
+
+def _draw_checked(p: TransitionMatrix, uset: UncertaintySet, rng, count: int):
+    """Draw ``count`` perturbations and check them all: ``(blocks, grown)``."""
+    blocks = _draw_blocks(p, uset, rng, count)
+    xi, psi, zeta, chi = blocks
+    grown = np.block([[p.values + xi, zeta], [psi, chi]])
+    _check_stochastic(psi, zeta, chi, grown)
+    if not _within_budgets(blocks, uset, BUDGET_TOL).all():
         raise SetDefinitionError("sampler produced an out-of-budget perturbation")
-    return sample
+    return blocks, grown
+
+
+def sample_perturbation(p: TransitionMatrix, uset: UncertaintySet, seed=None) -> PerturbationSample:
+    """Draw one feasible grown matrix; deterministic for a fixed seed.
+
+    The draw is the first of ``empirical_max_residual``'s for the same
+    seed; see ``_draw_blocks`` for how the blocks are made.
+    """
+    _check_set(p, uset)
+    blocks, grown = _draw_checked(p, uset, _rng(seed), 1)
+    return PerturbationSample(*(block[0] for block in blocks), grown[0])
+
+
+def _residuals(q, x):
+    """l1 distances between ``q @ x`` and ``x``, one per matrix of a stack."""
+    return np.abs(q @ x - x).sum(axis=-1)
 
 
 def residual(q, x) -> float:
@@ -195,7 +253,7 @@ def residual(q, x) -> float:
     x = np.asarray(x, dtype=float)
     if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[1] != x.size:
         raise ParameterError("matrix and vector dimensions do not match")
-    return float(np.abs(q @ x - x).sum())
+    return float(_residuals(q, x))
 
 
 def _extended(x, n, m):
@@ -215,20 +273,21 @@ def empirical_max_residual(
     A candidate of existing-block length is extended with zeros for the
     new sentences. Violations count samples whose residual exceeds the
     bound beyond tolerance; a correct implementation reports zero.
+    Samples are drawn, checked and scored a chunk at a time.
     """
     if n_samples < 1:
         raise ParameterError("need at least one sample")
+    _check_set(p, uset)
     x_full = _extended(x, p.size, uset.m)
     bound = worst_case_upper_bound(x_full, p, uset.to_robust_budget(), uset.growth)
     rng = _rng(seed)
     worst = 0.0
     violations = 0
-    for _ in range(n_samples):
-        sample = sample_perturbation(p, uset, rng)
-        value = residual(sample.grown, x_full)
-        worst = max(worst, value)
-        if value > bound + VIOLATION_TOL:
-            violations += 1
+    for count in _chunks(n_samples, x_full.size):
+        _, grown = _draw_checked(p, uset, rng, count)
+        values = _residuals(grown, x_full)
+        worst = max(worst, float(values.max()))
+        violations += int(np.count_nonzero(values > bound + VIOLATION_TOL))
     return SimulationReport(
         samples=n_samples,
         max_residual=worst,
@@ -285,11 +344,13 @@ def fixed_size_residual_check(
     if x1.shape != (p.size,):
         raise ParameterError("candidate must match the existing block")
     rng = _rng(seed)
-    fixed_residuals = []
-    for _ in range(n_samples):
-        xi = sample_fixed_size_shift(p, box, rng)
-        fixed_residuals.append(residual(p.values + xi, x1))
-    max_fixed = float(max(fixed_residuals))
+    chunk_maxima = []
+    for count in _chunks(n_samples, p.size):
+        shifted = np.empty((count, p.size, p.size))
+        for k in range(count):
+            np.add(p.values, sample_fixed_size_shift(p, box, rng), out=shifted[k])
+        chunk_maxima.append(_residuals(shifted, x1).max())
+    max_fixed = float(max(chunk_maxima))
 
     if uset is None:
         uset = UncertaintySet(

@@ -78,6 +78,12 @@ class TestRankCommand:
         assert code == 5
         assert "error" in stderr
 
+    def test_nan_tolerance_rejected(self, capsys):
+        code, stdout, stderr = run_cli(capsys, "rank", "--threshold", "0.2", "--tol", "nan")
+        assert code == 5
+        assert stdout == ""
+        assert stderr == "error: tolerance must be positive\n"
+
 
 class TestRobustCommand:
     def test_saturated_budget_all_ones_low_threshold(self, capsys):
@@ -173,6 +179,12 @@ class TestSimulateCommand:
         assert stdout == ""
         assert stderr == "error: growth rate must be nonnegative\n"
 
+    def test_negative_seed_rejected(self, capsys):
+        code, stdout, stderr = run_cli(capsys, "simulate", "--threshold", "0.2", "--seed", "-1")
+        assert code == 5
+        assert stdout == ""
+        assert stderr == "error: seed must be nonnegative\n"
+
 
 class TestReproduceTables:
     def test_report_shape_and_exact_high_threshold(self, capsys):
@@ -212,6 +224,12 @@ class TestVerifyCommand:
         assert code == 5
         assert stdout == ""
         assert stderr.startswith("error: ")
+
+    def test_negative_seed_rejected(self, capsys):
+        code, stdout, stderr = run_cli(capsys, "verify", "--seed", "-2")
+        assert code == 5
+        assert stdout == ""
+        assert stderr == "error: seed must be nonnegative\n"
 
     def test_simplex_minimum_disagreement_fails(self, capsys, monkeypatch):
         def disagreeing(m, weights):

@@ -57,6 +57,10 @@ class TestPowerIteration:
         with pytest.raises(ParameterError):
             power_iteration(matrix, max_iter=0)
 
+    def test_nan_tolerance_rejected(self):
+        with pytest.raises(ParameterError, match="tolerance must be positive"):
+            power_iteration(TransitionMatrix(np.eye(2)), tol=float("nan"))
+
 
 class TestNormalizeMaxOne:
     def test_basic(self):

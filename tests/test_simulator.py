@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from robust_lexrank import (
     solve_robust,
     worst_case_upper_bound,
 )
+from robust_lexrank import simulator
 from robust_lexrank.errors import ParameterError, SetDefinitionError
 
 
@@ -128,6 +130,21 @@ class TestSamplePerturbation:
         )
         with pytest.raises(SetDefinitionError):
             sample_perturbation(TransitionMatrix(np.eye(3)), uset, seed=0)
+        with pytest.raises(SetDefinitionError):
+            empirical_max_residual(TransitionMatrix(np.eye(3)), np.full(3, 1 / 3), uset, 5, seed=0)
+
+    def test_width_mismatch_rejected(self):
+        p = TransitionMatrix(np.eye(3))
+        uset = make_uset(4, 1)
+        with pytest.raises(ParameterError, match="width"):
+            sample_perturbation(p, uset, seed=0)
+        with pytest.raises(ParameterError, match="width"):
+            empirical_max_residual(p, np.full(3, 1 / 3), uset, 5, seed=0)
+
+    def test_negative_seed_rejected(self):
+        p = TransitionMatrix(np.eye(3))
+        with pytest.raises(ParameterError, match="seed"):
+            sample_perturbation(p, make_uset(3, 1), seed=-1)
 
 
 def uneven_growth_uset(to_existing_total):
@@ -236,6 +253,143 @@ class TestEmpiricalMaxResidual:
         assert report.bound_value == pytest.approx(
             worst_case_upper_bound(padded, p, uset.to_robust_budget(), uset.growth), abs=1e-12
         )
+
+
+def chunk_of(n, m):
+    """Samples per chunk of the batched simulator at width ``n + m``."""
+    return max(1, simulator.CHUNK_ELEMENTS // (n + m) ** 2)
+
+
+def reference_residuals(p, uset, x, rng, count):
+    """Per-sample residuals of ``count`` reference draws, one matrix at a time."""
+    values = []
+    for _ in range(count):
+        q = reference_perturbation(p.values, uset, rng)[4]
+        values.append(np.abs(q @ x - x).sum())
+    return values
+
+
+class TestBatchedAgainstReference:
+    """The chunked draw-check-score path equals a loop over single samples."""
+
+    N = 10
+
+    @staticmethod
+    def binding_uset(n, m):
+        # a block total below the sum of the caps, and two zero-cap columns
+        caps = np.full(n, 0.4)
+        caps[[1, 4]] = 0.0
+        box = BudgetedBox(0.05, caps)
+        return UncertaintySet(existing=box, new_rows=box, growth=GrowthModel.balanced(m))
+
+    @pytest.mark.parametrize("m", [0, 1, 3])
+    @pytest.mark.parametrize("offset", ["one", "chunk-1", "chunk", "chunk+1", "3chunk+7"])
+    def test_matches_per_sample_loop(self, monkeypatch, m, offset):
+        n = self.N
+        chunk = chunk_of(n, m)
+        n_samples = {
+            "one": 1,
+            "chunk-1": chunk - 1,
+            "chunk": chunk,
+            "chunk+1": chunk + 1,
+            "3chunk+7": 3 * chunk + 7,
+        }[offset]
+        p = TransitionMatrix(random_stochastic(n, np.random.default_rng(40 + m)))
+        uset = self.binding_uset(n, m)
+        x = np.full(n + m, 1.0 / (n + m))
+        expected = reference_residuals(p, uset, x, np.random.default_rng(12), n_samples)
+        # a bound at the median residual makes the violation count informative
+        bound = float(np.median(expected))
+        monkeypatch.setattr(simulator, "worst_case_upper_bound", lambda *args: bound)
+        report = empirical_max_residual(p, x, uset, n_samples, seed=12)
+        assert report.max_residual == max(expected)
+        assert report.violations == sum(v > bound + simulator.VIOLATION_TOL for v in expected)
+        if n_samples > 2 and m:
+            assert 0 < report.violations < n_samples
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_shared_generator_continues_stream(self, m):
+        n = self.N
+        chunk = chunk_of(n, m)
+        p = TransitionMatrix(random_stochastic(n, np.random.default_rng(50)))
+        uset = self.binding_uset(n, m)
+        x = np.full(n, 1.0 / n)
+        x_full = np.concatenate([x, np.zeros(m)])
+        rng = np.random.default_rng(21)
+        first = empirical_max_residual(p, x, uset, chunk + 3, rng)
+        second = empirical_max_residual(p, x, uset, 5, rng)
+        reference = np.random.default_rng(21)
+        assert first.max_residual == max(reference_residuals(p, uset, x_full, reference, chunk + 3))
+        assert second.max_residual == max(reference_residuals(p, uset, x_full, reference, 5))
+        assert rng.bit_generator.state == reference.bit_generator.state
+
+
+class TestBatchedChecks:
+    """A bad sample in the middle of a chunk still stops the simulation."""
+
+    @staticmethod
+    def setup_case():
+        n, m = 5, 2
+        p = TransitionMatrix(np.full((n, n), 1.0 / n))
+        box = BudgetedBox.uniform(n, 10.0, 0.1)
+        uset = UncertaintySet(existing=box, new_rows=box, growth=GrowthModel.balanced(m))
+        return p, uset, np.full(n, 1.0 / n), chunk_of(n, m)
+
+    @staticmethod
+    def break_second_chunk(monkeypatch, spoil):
+        """Let ``spoil`` edit the middle sample of the second drawn chunk."""
+        draw = simulator._draw_blocks
+        chunks = []
+
+        def spoiled(p, uset, rng, count):
+            blocks = [block.copy() for block in draw(p, uset, rng, count)]
+            chunks.append(count)
+            if len(chunks) == 2:
+                spoil(*(block[count // 2] for block in blocks))
+            return tuple(blocks)
+
+        monkeypatch.setattr(simulator, "_draw_blocks", spoiled)
+        return chunks
+
+    def test_column_cap_breach_raises(self, monkeypatch):
+        p, uset, x, chunk = self.setup_case()
+
+        def widen(xi, psi, zeta, chi):
+            # a zero-sum shift inside column 0: sums hold, its cap does not
+            xi[0, 0] -= 0.1
+            xi[1, 0] += 0.1
+
+        chunks = self.break_second_chunk(monkeypatch, widen)
+        with pytest.raises(SetDefinitionError, match="out-of-budget"):
+            empirical_max_residual(p, x, uset, 3 * chunk, seed=1)
+        assert chunks == [chunk, chunk]
+
+    def test_column_sum_breach_raises(self, monkeypatch):
+        p, uset, x, chunk = self.setup_case()
+
+        def shrink(xi, psi, zeta, chi):
+            zeta[:, 0] *= 0.5
+
+        chunks = self.break_second_chunk(monkeypatch, shrink)
+        with pytest.raises(SetDefinitionError, match="sum to one"):
+            empirical_max_residual(p, x, uset, 3 * chunk, seed=1)
+        assert chunks == [chunk, chunk]
+
+    def test_transient_memory_bounded_by_chunks(self):
+        n, m, n_samples = 200, 5, 200
+        p = TransitionMatrix(random_stochastic(n, np.random.default_rng(60)))
+        uset = make_uset(n, m)
+        x = np.full(n, 1.0 / n)
+        chunk_bytes = chunk_of(n, m) * (n + m) ** 2 * 8
+        tracemalloc.start()
+        try:
+            report = empirical_max_residual(p, x, uset, n_samples, seed=2)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert report.violations == 0
+        # all samples at once would take n_samples * (n + m)**2 doubles
+        assert peak < 10 * chunk_bytes < n_samples * (n + m) ** 2 * 8 / 10
 
 
 class TestFixedSizeShifts:
