@@ -88,6 +88,9 @@ class GrowthModel:
             raise ParameterError("growth rate must be nonnegative")
         if to_col.shape != (self.m,) or among_col.shape != (self.m,):
             raise ParameterError("need one budget pair per new sentence")
+        totals = [self.to_existing_total, self.among_new_total]
+        if not np.isfinite(np.concatenate([totals, to_col, among_col])).all():
+            raise ParameterError("growth budgets must be finite")
         if np.any(to_col < 0) or np.any(among_col < 0):
             raise ParameterError("growth budgets must be nonnegative")
         if self.m and np.abs(to_col + among_col - 1.0).max() > 1e-9:

@@ -155,6 +155,16 @@ def _rng(seed):
     return np.random.default_rng(seed)
 
 
+def _report_seed(seed):
+    """The ``seed`` a report records: a plain ``int`` for an integer seed, and
+    ``None`` for a ``Generator``, whose seed is not known."""
+    if isinstance(seed, np.random.Generator):
+        return None
+    if isinstance(seed, np.integer):
+        return int(seed)
+    return seed
+
+
 def _check_set(p: TransitionMatrix, uset: UncertaintySet):
     """Raise unless ``uset`` fits ``p`` and its growth budgets can be met."""
     if uset.n != p.size:
@@ -177,6 +187,20 @@ def _chunks(n_samples: int, width: int):
         yield min(size, n_samples - start)
 
 
+def _dirichlet_rows(draws):
+    """Rows of standard exponential ``draws`` scaled to sum to one.
+
+    This is numpy's Dirichlet with all-ones ``alpha``, bit for bit: each
+    row sum is accumulated left to right from zero, and the row is
+    multiplied by its reciprocal. ``np.sum`` would not do: it sums rows
+    of eight or more pairwise, which rounds differently.
+    """
+    acc = np.zeros(draws.shape[:-1])
+    for j in range(draws.shape[-1]):
+        acc += draws[..., j]
+    return draws * (1.0 / acc)[..., None]
+
+
 def _draw_blocks(p: TransitionMatrix, uset: UncertaintySet, rng, count: int):
     """Draw ``count`` perturbations as stacks ``(xi, psi, zeta, chi)``.
 
@@ -185,35 +209,39 @@ def _draw_blocks(p: TransitionMatrix, uset: UncertaintySet, rng, count: int):
     mass lands in the new rows, so the column sum change is zero. With no
     new sentences there is nowhere to send mass and the draw is exact.
 
-    The loop makes only the generator calls, plus the scaling that sizes
-    each sample's new-row split; the generator is consumed in the same
-    order as one draw per column, so a seed reproduces earlier samples bit
-    for bit. The blocks are formed from the draws afterwards, all at once.
+    Each sample makes two generator calls: its column masses, then every
+    exponential its Dirichlet splits need, in one block. The blocks are
+    formed from the draws afterwards, all at once. The stream, and every
+    value, is that of one ``uniform`` call for the masses and one
+    all-ones ``dirichlet`` call per live column's new-row split and per
+    new column's two halves, so a seed reproduces earlier samples bit for
+    bit.
     """
     n, m = p.size, uset.m
     high = np.minimum(np.minimum(uset.existing.eps_col, uset.new_rows.eps_col) / 2.0, 1.0)
-    ones_n, ones_m = np.ones(n), np.ones(m)
     masses = np.zeros((count, n))
     split_draws = []
-    to_existing = np.empty((count, m, n))
-    among_new = np.empty((count, m, m))
+    growth_draws = np.empty((count, m * (n + m)))
     for k in range(count if m else 0):
-        drawn = rng.uniform(0.0, high)
+        drawn = rng.random(n) * high
         total = drawn.sum()
         if total > 0:
             drawn *= min(1.0, uset.existing.eps_total / total, uset.new_rows.eps_total / total)
         masses[k] = drawn
-        split_draws.append(rng.dirichlet(ones_m, size=np.count_nonzero(drawn)))
-        for j in range(m):
-            to_existing[k, j] = rng.dirichlet(ones_n)
-            among_new[k, j] = rng.dirichlet(ones_m)
+        live_splits = np.count_nonzero(drawn) * m
+        draws = rng.standard_exponential(live_splits + growth_draws.shape[1])
+        split_draws.append(draws[:live_splits])
+        growth_draws[k] = draws[live_splits:]
 
     live = masses != 0.0
     xi = np.zeros((count, n, n))
     np.multiply(-masses[:, None, :], p.values, out=xi, where=live[:, None, :])
     split = np.zeros((count, n, m))
     if m:
-        split[live] = np.concatenate(split_draws)
+        split[live] = _dirichlet_rows(np.concatenate(split_draws).reshape(-1, m))
+    growth_draws = growth_draws.reshape(count, m, n + m)
+    to_existing = _dirichlet_rows(growth_draws[:, :, :n])
+    among_new = _dirichlet_rows(growth_draws[:, :, n:])
     psi = masses[:, None, :] * split.transpose(0, 2, 1)
     zeta = to_existing.transpose(0, 2, 1) * uset.growth.to_existing_col
     chi = among_new.transpose(0, 2, 1) * uset.growth.among_new_col
@@ -293,7 +321,7 @@ def empirical_max_residual(
         max_residual=worst,
         bound_value=bound,
         violations=violations,
-        seed=seed if not isinstance(seed, np.random.Generator) else None,
+        seed=_report_seed(seed),
     )
 
 
@@ -366,5 +394,5 @@ def fixed_size_residual_check(
         grown_max_residual=grown_max,
         bound_value=grown.bound_value,
         passed=grown_max <= grown.bound_value + VIOLATION_TOL,
-        seed=seed if not isinstance(seed, np.random.Generator) else None,
+        seed=_report_seed(seed),
     )

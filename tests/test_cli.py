@@ -173,6 +173,14 @@ class TestSimulateCommand:
         assert payload["report"]["violations"] == 0
         assert payload["config"]["seed"] == 7
 
+    def test_sampled_maximum_pinned(self, capsys):
+        # the seeded stream end to end: any change to the draws moves it
+        code, stdout, _ = run_cli(
+            capsys, "simulate", "--threshold", "0.2", "--samples", "1000", "--seed", "7", "--growth", "2"
+        )
+        assert code == 0
+        assert json.loads(stdout)["report"]["max_residual"] == 0.08216449001961942
+
     def test_negative_growth_rejected(self, capsys):
         code, stdout, stderr = run_cli(capsys, "simulate", "--threshold", "0.2", "--growth", "-1")
         assert code == 5

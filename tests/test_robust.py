@@ -279,6 +279,22 @@ class TestGrowthIndependence:
         with pytest.raises(ParameterError):
             GrowthModel(1, 1.0, 1.0, np.array([0.5]), np.array([0.5]))
 
+    @pytest.mark.parametrize(
+        "totals, caps",
+        [
+            pytest.param((np.nan, np.nan), (np.nan, np.nan), id="nan"),
+            pytest.param((0.5, np.nan), (0.5, 0.5), id="nan-total"),
+            pytest.param((0.5, 0.5), (0.5, np.nan), id="nan-cap"),
+            pytest.param((np.inf, -np.inf), (0.5, 0.5), id="opposite-inf-totals"),
+            pytest.param((0.5, 0.5), (np.inf, 0.5), id="inf-cap"),
+            pytest.param((0.5, 0.5), (-np.inf, 0.5), id="minus-inf-cap"),
+        ],
+    )
+    def test_non_finite_growth_budgets_rejected(self, totals, caps):
+        to_cap, among_cap = caps
+        with pytest.raises(ParameterError, match="finite"):
+            GrowthModel(1, *totals, np.array([to_cap]), np.array([among_cap]))
+
 
 class TestComparativeRank:
     def test_all_verified_pins_everything(self):

@@ -2,6 +2,7 @@
 
 import dataclasses
 import itertools
+import json
 import tracemalloc
 
 import numpy as np
@@ -27,6 +28,23 @@ from robust_lexrank import (
 )
 from robust_lexrank import simulator
 from robust_lexrank.errors import ParameterError, SetDefinitionError
+
+
+class CountingGenerator:
+    """A ``Generator`` that counts the calls made to its methods."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.calls = 0
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls += 1
+            return method(*args, **kwargs)
+
+        return counted
 
 
 def make_uset(n, m, eps_xi=0.3, eps_xi_col=0.2, eps_psi=0.3, eps_psi_col=0.2):
@@ -93,6 +111,10 @@ class TestSamplePerturbation:
             pytest.param(4, 2, 0.3, np.array([0.0, 0.2, 0.0, 0.3]), id="zero-caps"),
             pytest.param(5, 2, 0.05, np.full(5, 0.4), id="binding-total"),
             pytest.param(4, 2, 50.0, np.full(4, 5.0), id="caps-above-2"),
+            # rows of eight or more entries, where a pairwise row sum would
+            # round differently from numpy's sequential Dirichlet
+            pytest.param(11, 9, 0.3, np.r_[0.0, np.full(10, 0.2)], id="wide"),
+            pytest.param(20, 17, 0.3, np.r_[np.full(19, 0.2), 0.0], id="wider"),
         ],
     )
     def test_matches_per_column_reference(self, n, m, eps_total, eps_col):
@@ -100,8 +122,10 @@ class TestSamplePerturbation:
         box = BudgetedBox(eps_total, eps_col)
         uset = UncertaintySet(existing=box, new_rows=box, growth=GrowthModel.balanced(m))
         for seed in range(5):
-            sample = sample_perturbation(p, uset, seed=seed)
-            expected = reference_perturbation(p.values, uset, np.random.default_rng(seed))
+            rng, oracle_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            sample = sample_perturbation(p, uset, seed=rng)
+            expected = reference_perturbation(p.values, uset, oracle_rng)
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
             actual = (
                 sample.existing_delta,
                 sample.new_rows,
@@ -120,6 +144,13 @@ class TestSamplePerturbation:
                 assert np.abs(sample.existing_delta).sum() == pytest.approx(eps_total, abs=1e-12)
             if eps_col.max() > 2.0:
                 assert np.abs(sample.existing_delta).sum(axis=0).max() <= 1.0
+
+    @pytest.mark.parametrize("m, calls", [(0, 0), (2, 2)])
+    def test_two_generator_calls_per_sample(self, m, calls):
+        p = TransitionMatrix(random_stochastic(5, np.random.default_rng(1)))
+        rng = CountingGenerator(np.random.default_rng(0))
+        simulator._draw_blocks(p, make_uset(5, m), rng, 10)
+        assert rng.calls == 10 * calls
 
     def test_inconsistent_growth_split_rejected(self):
         growth = GrowthModel(2, 1.5, 0.5, np.array([0.5, 0.5]), np.array([0.5, 0.5]))
@@ -242,6 +273,17 @@ class TestEmpiricalMaxResidual:
         uset = make_uset(11, 3)
         report = empirical_max_residual(transition_02, np.full(11, 1 / 11), uset, 1000, seed=5)
         assert report.violations == 0
+
+    def test_numpy_integer_seed_reports_plain_int(self, transition_01):
+        uset = make_uset(11, 1)
+        x = np.full(11, 1 / 11)
+        report = empirical_max_residual(transition_01, x, uset, 5, seed=np.int64(3))
+        assert type(report.seed) is int and report.seed == 3
+        json.dumps(report.as_dict())
+        box = BudgetedBox.uniform(11, 0.4, 0.2)
+        fixed = fixed_size_residual_check(transition_01, x, box, 5, seed=np.int64(3))
+        assert type(fixed.seed) is int and fixed.seed == 3
+        json.dumps(dataclasses.asdict(fixed))
 
     def test_shorter_candidate_is_zero_extended(self):
         rng = np.random.default_rng(20)
