@@ -157,10 +157,9 @@ def cmd_comparative(args):
     corpus = _corpus_from(args)
     transition = _transition_for(corpus, args.threshold)
     budget = _budget_for(len(corpus), args)
-    n_verified = args.n_verified if args.n_verified is not None else corpus.n_verified
-    result = comparative_rank(transition, n_verified, budget, corpus.ids)
+    result = comparative_rank(transition, args.n_verified, budget, corpus.ids)
     config = _config(
-        args, eps1=budget.eps1, eps_col=budget.eps_col.tolist(), n_verified=n_verified
+        args, eps1=budget.eps1, eps_col=budget.eps_col.tolist(), n_verified=args.n_verified
     )
     _emit_ranks(
         args,
@@ -274,7 +273,7 @@ def cmd_verify(args):
         support = dualnorms.box_l1_support(x, box).value
         value = dualnorms.decomposition_norm(x, box).value
         worst = max(worst, abs(box.eps_total * value - support))
-    report("l1 support vs decomposition duality", worst, 1e-8)
+    report("l1 support vs decomposition duality", worst, dualnorms.DUALITY_TOL_L1)
 
     worst = 0.0
     for _ in range(args.instances):
@@ -284,7 +283,7 @@ def cmd_verify(args):
         support = dualnorms.box_l2_support(x, box).value
         value = dualnorms.decomposition_norm_l2(x, box)
         worst = max(worst, abs(value - support))
-    report("l2 support vs decomposition duality", worst, 1e-6)
+    report("l2 support vs decomposition duality", worst, dualnorms.DUALITY_TOL_L2)
 
     worst = 0.0
     for _ in range(args.instances):
@@ -297,7 +296,7 @@ def cmd_verify(args):
         for xi, a in zip(best.maximizers, directions):
             attained = attained + xi @ a
         worst = max(worst, abs(np.linalg.norm(attained) - best.value))
-    report("frobenius worst case attainment", worst, 1e-9)
+    report("frobenius worst case attainment", worst, dualnorms.ATTAINMENT_TOL)
 
     worst = 0.0
     for _ in range(args.instances):
@@ -305,7 +304,7 @@ def cmd_verify(args):
         weights = rng.uniform(0.0, 2.0, size=m)
         closed, direct = dualnorms._simplex_minimum_routes(m, weights)
         worst = max(worst, abs(closed - direct))
-    report("simplex minimum closed form vs LP", worst, 1e-9)
+    report("simplex minimum closed form vs LP", worst, dualnorms.SIMPLEX_MIN_TOL)
 
     return 0 if failures == 0 else 6
 
@@ -360,7 +359,7 @@ def build_parser():
     p = commands.add_parser("comparative", help="score generated sentences against verified ones")
     _add_io_flags(p)
     p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--n-verified", dest="n_verified", type=int)
+    p.add_argument("--n-verified", dest="n_verified", type=int, required=True)
     _add_budget_flags(p)
     p.set_defaults(handler=cmd_comparative)
 

@@ -21,7 +21,6 @@ DUALITY_TOL_L1 = 1e-8
 DUALITY_TOL_L2 = 1e-6
 ATTAINMENT_TOL = 1e-9
 SIMPLEX_MIN_TOL = 1e-9
-KAPPA_TOL = 1e-12
 COORDINATE_DESCENT_TOL = 1e-8
 
 
@@ -74,9 +73,7 @@ def box_l1_support(x, box: BudgetedBox) -> DualCertificate:
     decreasing ``|x_j|``, capping each at its box bound. Ties take the
     lower index, so certificates are reproducible.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (box.size,):
-        raise ParameterError(f"vector of length {x.size} against box of size {box.size}")
+    x = _finite(x, "vector", (box.size,))
     z = np.zeros_like(x)
     remaining = box.eps_total
     order = np.lexsort((np.arange(x.size), -np.abs(x)))
@@ -89,6 +86,17 @@ def box_l1_support(x, box: BudgetedBox) -> DualCertificate:
     value = float(z @ x)
     _check_certificate(z, box, ball="l1")
     return DualCertificate(z=z, value=value, ball="l1")
+
+
+def _finite(values, what, shape=None):
+    """``values`` as a float array; ``ParameterError`` unless every entry is
+    finite and, when ``shape`` is given, the array has that shape."""
+    values = np.asarray(values, dtype=float)
+    if shape is not None and values.shape != shape:
+        raise ParameterError(f"{what} of shape {values.shape} where {shape} is needed")
+    if not np.all(np.isfinite(values)):
+        raise ParameterError(f"{what} entries must be finite")
+    return values
 
 
 def _check_certificate(z, box, ball):
@@ -150,11 +158,9 @@ def decomposition_norm(x, box: BudgetedBox) -> NormDecomposition:
     budget; the identity ``eps_total * value == box_l1_support(x).value``
     is asserted here, so every evaluation doubles as a duality check.
     """
-    x = np.asarray(x, dtype=float)
     if box.eps_total <= 0:
         raise DegenerateBudgetError("decomposition norm undefined for zero total budget")
-    if x.shape != (box.size,):
-        raise ParameterError(f"vector of length {x.size} against box of size {box.size}")
+    x = _finite(x, "vector", (box.size,))
     result = _solve_decomposition(x, box.eps_col / box.eps_total)
     support = box_l1_support(x, box).value
     gap = abs(box.eps_total * result.value - support)
@@ -213,35 +219,31 @@ def _simplex_minimum_routes(m, weights):
 def box_l2_support(x, box: BudgetedBox) -> DualCertificate:
     """Maximize ``z @ x`` over ``||z||_2 <= eps_total, |z_j| <= eps_col[j]``.
 
-    The maximizer has the clamped-ray form ``z_j = sign(x_j) * min(eps_j,
-    kappa |x_j|)``; bisection finds the scaling ``kappa`` at which the ball
-    becomes active, unless the fully clamped point already fits inside it.
+    Exact water-fill. The maximizer is ``z_j = sign(x_j) * min(eps_j, kappa
+    |x_j|)``, unless the fully clamped point already fits inside the ball.
+    Coordinates clamp in increasing order of ``eps_j / |x_j|``; while the
+    first ``k`` are clamped, ``||z||^2 = C_k + kappa^2 S_k`` (``C_k`` their
+    squared caps, ``S_k`` the squares of the other entries). At every
+    ``kappa`` each ``C_k + kappa^2 S_k`` is at least ``||z||^2``, so the
+    scaling at which the ball becomes active is the largest of the roots
+    ``sqrt((eps^2 - C_k) / S_k)``.
     """
-    x = np.asarray(x, dtype=float)
-    if x.shape != (box.size,):
-        raise ParameterError(f"vector of length {x.size} against box of size {box.size}")
+    x = _finite(x, "vector", (box.size,))
     signs = np.sign(x)
     absx = np.abs(x)
     clamped = signs * box.eps_col
     if np.linalg.norm(clamped) <= box.eps_total:
         z = clamped
-    elif box.eps_total == 0:
-        z = np.zeros_like(x)
     else:
-        active = absx > 0
-
-        def point(kappa):
-            return signs * np.minimum(box.eps_col, kappa * absx)
-
-        hi = float(np.max(box.eps_col[active] / absx[active]))
-        lo = 0.0
-        while hi - lo > KAPPA_TOL * max(1.0, hi):
-            mid = 0.5 * (lo + hi)
-            if np.linalg.norm(point(mid)) <= box.eps_total:
-                lo = mid
-            else:
-                hi = mid
-        z = point(lo)
+        # zero entries never clamp and add nothing to S_k: they sort last and are cut off
+        ratio = np.divide(box.eps_col, absx, out=np.full(x.size, np.inf), where=absx > 0)
+        order = np.argsort(ratio, kind="stable")[: np.count_nonzero(absx)]
+        caps_sq = box.eps_col[order] ** 2
+        clamped_sq = np.concatenate(([0.0], np.cumsum(caps_sq[:-1])))
+        free_sq = np.cumsum((absx[order] ** 2)[::-1])[::-1]
+        room = np.clip(box.eps_total**2 - clamped_sq, 0.0, None)
+        kappa = np.sqrt(np.max(room / free_sq))
+        z = signs * np.minimum(box.eps_col, kappa * absx)
     value = float(z @ x)
     _check_certificate(z, box, ball="l2")
     return DualCertificate(z=z, value=value, ball="l2")
@@ -255,11 +257,9 @@ def decomposition_norm_l2(x, box: BudgetedBox) -> float:
     weighted l1 norm of ``mu``. Agreement with the l2 support value is
     asserted before returning.
     """
-    x = np.asarray(x, dtype=float)
     if box.eps_total <= 0:
         raise DegenerateBudgetError("l2 decomposition undefined for zero total budget")
-    if x.shape != (box.size,):
-        raise ParameterError(f"vector of length {x.size} against box of size {box.size}")
+    x = _finite(x, "vector", (box.size,))
     eps = box.eps_total
     caps = box.eps_col
     mu = np.zeros_like(x)
@@ -317,11 +317,11 @@ def frobenius_worst_case(a0, directions, radii) -> FrobeniusWorstCase:
     any unit direction serves; the first basis vector is used for
     determinism. Attainment is asserted to ``1e-9``.
     """
-    a0 = np.asarray(a0, dtype=float)
-    directions = [np.asarray(a, dtype=float) for a in directions]
-    radii = np.asarray(radii, dtype=float)
-    if radii.shape != (len(directions),):
-        raise ParameterError("need one radius per direction")
+    a0 = _finite(a0, "a0")
+    if a0.size == 0:
+        raise ParameterError("a0 must be nonempty")
+    directions = [_finite(a, "direction") for a in directions]
+    radii = _finite(radii, "radii", (len(directions),))
     if np.any(radii < 0):
         raise ParameterError("radii must be nonnegative")
     norm0 = float(np.linalg.norm(a0))

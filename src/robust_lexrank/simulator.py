@@ -156,13 +156,10 @@ def _rng(seed):
 
 
 def _report_seed(seed):
-    """The ``seed`` a report records: a plain ``int`` for an integer seed, and
-    ``None`` for a ``Generator``, whose seed is not known."""
-    if isinstance(seed, np.random.Generator):
-        return None
-    if isinstance(seed, np.integer):
-        return int(seed)
-    return seed
+    """The ``seed`` a report records: a plain ``int`` for an integer seed and
+    ``None`` for any other (``Generator``, ``SeedSequence``, ``BitGenerator``),
+    so every report encodes as JSON."""
+    return int(seed) if isinstance(seed, (int, np.integer)) else None
 
 
 def _check_set(p: TransitionMatrix, uset: UncertaintySet):

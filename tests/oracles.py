@@ -139,20 +139,22 @@ def enumerated_box_l1_max(x, eps_total, eps_col):
 
 
 def sampled_box_l2_max(x, eps_total, eps_col, n_samples, rng):
-    """Feasible sampling of the l2-ball/box intersection; clipping keeps both."""
+    """Feasible sampling of the l2-ball/box intersection; clipping keeps both.
+
+    Each sample is a normal direction scaled to a uniform radius in
+    ``[0, eps_total]``; the samples are drawn as one array.
+    """
     x = np.asarray(x, dtype=float)
-    best = 0.0
-    best_z = np.zeros_like(x)
-    for _ in range(n_samples):
-        z = rng.normal(size=x.size)
-        norm = np.linalg.norm(z)
-        if norm > 0:
-            z *= rng.uniform(0.0, eps_total) / norm
-        z = np.clip(z, -eps_col, eps_col)
-        value = float(z @ x)
-        if value > best:
-            best, best_z = value, z
-    return best, best_z
+    z = rng.normal(size=(n_samples, x.size))
+    radius = rng.uniform(0.0, eps_total, size=n_samples)
+    norm = np.linalg.norm(z, axis=1)
+    z *= np.divide(radius, norm, out=np.zeros(n_samples), where=norm > 0)[:, None]
+    z = np.clip(z, -eps_col, eps_col)
+    values = z @ x
+    k = int(np.argmax(values))
+    if values[k] > 0:
+        return float(values[k]), z[k]
+    return 0.0, np.zeros_like(x)
 
 
 def decomposition_rank_optimum(p, eps1, eps_col, growth=None, pinned=None):

@@ -151,6 +151,15 @@ class TestComparativeCommand:
         assert scores[:8] == pytest.approx([1.0] * 8)
         assert all(s <= 1.0 + 1e-12 for s in scores[8:])
 
+    def test_split_is_required(self, capsys):
+        # every sentence of a sentence file reads as verified, so no default split exists
+        with pytest.raises(SystemExit) as exit_info:
+            main(["comparative", "--threshold", "0.1", "--eps1", "0.01", "--eps-col", "0.01"])
+        assert exit_info.value.code == 2
+        stderr = capsys.readouterr().err
+        assert stderr.startswith("usage: ")
+        assert "the following arguments are required: --n-verified" in stderr
+
 
 class TestSimulateCommand:
     def test_deterministic_given_seed(self, capsys):

@@ -148,6 +148,27 @@ class TestBoxL2Support:
     def test_box_binds(self):
         certificate = box_l2_support(np.array([1.0, 1.0]), box(10.0, [1.0, 1.0]))
         assert certificate.value == pytest.approx(2.0, abs=1e-12)
+        # the fully clamped point lies strictly inside the ball
+        certificate = box_l2_support(np.array([1.0, -2.0]), box(1.0, [0.5, 0.5]))
+        assert certificate.value == pytest.approx(1.5, abs=1e-14)
+        assert certificate.z == pytest.approx([0.5, -0.5], abs=1e-14)
+
+    def test_one_clamped_coordinate_exact(self):
+        # z = (1, sqrt(3)): the first coordinate clamps, the second takes the rest of the ball
+        certificate = box_l2_support(np.array([3.0, 4.0]), box(2.0, [1.0, 10.0]))
+        assert certificate.value == pytest.approx(3.0 + 4.0 * np.sqrt(3.0), abs=1e-14)
+        assert certificate.z == pytest.approx([1.0, np.sqrt(3.0)], abs=1e-14)
+
+    def test_zero_total_budget(self):
+        certificate = box_l2_support(np.array([1.0, -2.0, 0.5]), box(0.0, [1.0, 1.0, 1.0]))
+        assert certificate.value == 0.0
+        assert np.all(certificate.z == 0.0)
+
+    def test_zero_entry_gets_no_budget(self):
+        # the ray through (0, 3, 4) meets the sphere of radius 5 before any cap
+        certificate = box_l2_support(np.array([0.0, 3.0, 4.0]), box(5.0, [2.0, 10.0, 10.0]))
+        assert certificate.value == pytest.approx(25.0, abs=1e-14)
+        assert certificate.z == pytest.approx([0.0, 3.0, 4.0], abs=1e-14)
 
     def test_matches_sampling_and_refinement_oracle(self):
         scipy_optimize = pytest.importorskip("scipy.optimize")
@@ -233,6 +254,36 @@ class TestFrobeniusWorstCase:
     def test_negative_radius_rejected(self):
         with pytest.raises(ParameterError):
             frobenius_worst_case(np.ones(2), [np.ones(2)], [-1.0])
+
+
+BAD_ENTRIES = [pytest.param(np.nan, id="nan"), pytest.param(np.inf, id="inf")]
+VECTOR_EVALUATORS = [
+    pytest.param(box_l1_support, id="l1-support"),
+    pytest.param(box_l2_support, id="l2-support"),
+    pytest.param(decomposition_norm, id="decomposition"),
+    pytest.param(decomposition_norm_l2, id="l2-decomposition"),
+]
+
+
+class TestNonFiniteInputs:
+    @pytest.mark.parametrize("bad", BAD_ENTRIES)
+    @pytest.mark.parametrize("evaluate", VECTOR_EVALUATORS)
+    def test_vector_entry_rejected(self, evaluate, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            evaluate(np.array([1.0, bad, -0.5]), box(1.0, [0.5, 0.5, 0.5]))
+
+    @pytest.mark.parametrize(
+        "a0, directions, radii",
+        [
+            pytest.param(np.array([1.0, np.nan]), [np.ones(2)], [1.0], id="nan-in-a0"),
+            pytest.param(np.ones(2), [np.array([np.inf, 1.0])], [1.0], id="inf-in-direction"),
+            pytest.param(np.ones(2), [np.ones(2)], [np.nan], id="nan-radius"),
+            pytest.param(np.zeros(0), [np.ones(2)], [1.0], id="empty-a0"),
+        ],
+    )
+    def test_frobenius_inputs_rejected(self, a0, directions, radii):
+        with pytest.raises(ParameterError):
+            frobenius_worst_case(a0, directions, radii)
 
 
 class TestWeightedDecompositionNorm:

@@ -285,6 +285,22 @@ class TestEmpiricalMaxResidual:
         assert type(fixed.seed) is int and fixed.seed == 3
         json.dumps(dataclasses.asdict(fixed))
 
+    @pytest.mark.parametrize(
+        "seed",
+        [np.random.SeedSequence(3), np.random.PCG64(3)],
+        ids=["seed-sequence", "bit-generator"],
+    )
+    def test_non_integer_seed_reports_none(self, transition_01, seed):
+        uset = make_uset(11, 1)
+        x = np.full(11, 1 / 11)
+        report = empirical_max_residual(transition_01, x, uset, 5, seed=seed)
+        assert report.seed is None
+        json.dumps(report.as_dict())
+        box = BudgetedBox.uniform(11, 0.4, 0.2)
+        fixed = fixed_size_residual_check(transition_01, x, box, 5, seed=seed)
+        assert fixed.seed is None
+        json.dumps(dataclasses.asdict(fixed))
+
     def test_shorter_candidate_is_zero_extended(self):
         rng = np.random.default_rng(20)
         p = TransitionMatrix(random_stochastic(3, rng))
