@@ -3,9 +3,13 @@
 The recurring object is the polytope ``{z : ||z||_1 <= eps, |z_j| <= eps_j}``
 (an l1 ball intersected with a box). Its support function ``max z @ x`` has
 an exact greedy solution, and by conic duality it equals a minimal
-decomposition of ``x`` into an inf-norm part and a weighted l1 part. Both
-routes are implemented so each can certify the other; the l2-ball variant
-and a Frobenius worst-case identity round out the toolkit.
+decomposition of ``x`` into an inf-norm part and a weighted l1 part; the
+l2-ball variant pairs a water-fill support with an l2 decomposition. Both
+decompositions have closed forms, and every evaluation certifies itself by
+weak duality: its split ``x = lam + mu`` bounds the norm from above, the
+support of a feasible ``z`` bounds it from below, and the two must meet. A
+Frobenius worst-case identity and the simplex minimum of the weighted
+decomposition norm round out the toolkit.
 """
 
 from __future__ import annotations
@@ -17,11 +21,9 @@ import numpy as np
 from .errors import DegenerateBudgetError, NumericError, ParameterError
 from .lpsolver import LinearProgram, solve
 
-DUALITY_TOL_L1 = 1e-8
-DUALITY_TOL_L2 = 1e-6
+DUALITY_TOL = 1e-8
 ATTAINMENT_TOL = 1e-9
 SIMPLEX_MIN_TOL = 1e-9
-COORDINATE_DESCENT_TOL = 1e-8
 
 
 @dataclass(frozen=True)
@@ -59,11 +61,13 @@ class DualCertificate:
 
 @dataclass(frozen=True)
 class NormDecomposition:
-    """Split ``x = lam + mu`` achieving the decomposition-norm minimum."""
+    """Split ``x = lam + mu`` achieving the decomposition-norm minimum,
+    with the support certificate its value was checked against."""
 
     lam: np.ndarray
     mu: np.ndarray
     value: float
+    certificate: DualCertificate
 
 
 def box_l1_support(x, box: BudgetedBox) -> DualCertificate:
@@ -130,43 +134,50 @@ def _support_program(cost, bounds, rows, relations, rhs, select, offset, box) ->
     )
 
 
-def _solve_decomposition(x, weights):
-    """Minimize ``max_j |x_j - mu_j| + sum_j w_j |mu_j|`` over ``mu``.
-
-    The LP is the support block of ``|x|`` alone: ``min t + w @ u`` subject
-    to ``u_j >= |x_j| - t`` and ``t, u >= 0``. At a given ``t`` the best
-    split is ``mu_j = sign(x_j) * (|x_j| - t)_+``, whose magnitude is the
-    least feasible ``u_j``, so both models share their minimum.
-    """
-    absx = np.abs(x)
-    program = _support_program(
-        np.zeros(0), [], np.zeros((0, 0)), [], np.zeros(0),
-        np.zeros((x.size, 0)), absx, BudgetedBox(1.0, weights),
-    )
-    solution = solve(program)
-    if solution.status != "optimal":
-        raise NumericError(f"decomposition program ended {solution.status}")
-    t = solution.x[0]
-    mu = np.sign(x) * np.clip(absx - t, 0.0, None)
-    return NormDecomposition(lam=x - mu, mu=mu, value=float(solution.objective_value))
-
-
 def decomposition_norm(x, box: BudgetedBox) -> NormDecomposition:
     """Evaluate ``min over lam + mu = x`` of ``||lam||_inf + sum_j (eps_j/eps) |mu_j|``.
 
     This is the norm dual to the l1-ball/box support scaled by the total
-    budget; the identity ``eps_total * value == box_l1_support(x).value``
-    is asserted here, so every evaluation doubles as a duality check.
+    budget. With ``t`` bounding ``|lam_j|`` the best split is ``mu_j =
+    sign(x_j) * (|x_j| - t)_+``, so the norm is the minimum over ``t >= 0``
+    of ``t + sum_j w_j (|x_j| - t)_+`` (``w = eps_col / eps``): convex and
+    piecewise linear, with its minimum at zero or at some ``|x_j|``. One
+    descending sort of ``|x|`` and prefix sums of ``w`` and ``w |x|``
+    evaluate every breakpoint. The value of the split is checked against
+    ``box_l1_support`` (see ``_certified``).
     """
     if box.eps_total <= 0:
         raise DegenerateBudgetError("decomposition norm undefined for zero total budget")
     x = _finite(x, "vector", (box.size,))
-    result = _solve_decomposition(x, box.eps_col / box.eps_total)
-    support = box_l1_support(x, box).value
-    gap = abs(box.eps_total * result.value - support)
-    if gap > DUALITY_TOL_L1 * max(1.0, abs(support)):
-        raise NumericError("decomposition norm disagrees with its support dual", gap=gap)
-    return result
+    weights = box.eps_col / box.eps_total
+    absx = np.abs(x)
+    order = np.argsort(-absx, kind="stable")
+    # breakpoint k is the k-th largest |x_j|, then zero; above it lie the first k entries
+    breaks = np.append(absx[order], 0.0)
+    w = weights[order]
+    above = np.concatenate(([0.0], np.cumsum(w)))
+    excess = np.concatenate(([0.0], np.cumsum(w * breaks[:-1])))
+    t = breaks[np.argmin(breaks * (1.0 - above) + excess)]
+    mu = np.sign(x) * np.clip(absx - t, 0.0, None)
+    lam = x - mu
+    value = float(np.abs(lam).max(initial=0.0) + weights @ np.abs(mu))
+    return _certified(lam, mu, value, box_l1_support(x, box), box.eps_total)
+
+
+def _certified(lam, mu, value, certificate, scale) -> NormDecomposition:
+    """The split ``x = lam + mu`` with its value, checked by weak duality.
+
+    Any split bounds the norm from above and any feasible ``z`` bounds the
+    support ``z @ x`` from below, so ``scale * value`` and the support of
+    ``certificate`` must meet within ``DUALITY_TOL`` (relative to the
+    support once it exceeds one).
+    """
+    gap = abs(scale * value - certificate.value)
+    if gap > DUALITY_TOL * max(1.0, abs(certificate.value)):
+        raise NumericError(
+            f"{certificate.ball} decomposition norm disagrees with its support dual", gap=gap
+        )
+    return NormDecomposition(lam=lam, mu=mu, value=value, certificate=certificate)
 
 
 def weighted_decomposition_norm(y, weights) -> NormDecomposition:
@@ -249,56 +260,27 @@ def box_l2_support(x, box: BudgetedBox) -> DualCertificate:
     return DualCertificate(z=z, value=value, ball="l2")
 
 
-def decomposition_norm_l2(x, box: BudgetedBox) -> float:
+def decomposition_norm_l2(x, box: BudgetedBox) -> NormDecomposition:
     """Evaluate ``min over lam + mu = x`` of ``eps ||lam||_2 + sum_j eps_j |mu_j|``.
 
-    Coordinate descent with exact one-dimensional updates; the smooth part
-    is the scaled l2 norm of ``lam = x - mu`` and the separable part is the
-    weighted l1 norm of ``mu``. Agreement with the l2 support value is
-    asserted before returning.
+    The split is read off the water-fill of ``box_l2_support``: ``lam = z /
+    kappa`` (the largest ``|z_j| / |x_j|`` is the scaling ``kappa``, taken by
+    every coordinate that does not clamp), or ``lam = 0`` when the fully
+    clamped point fits inside the ball. Its value is checked against the
+    support (see ``_certified``).
     """
     if box.eps_total <= 0:
         raise DegenerateBudgetError("l2 decomposition undefined for zero total budget")
     x = _finite(x, "vector", (box.size,))
-    eps = box.eps_total
-    caps = box.eps_col
-    mu = np.zeros_like(x)
-    lam = x.copy()
-
-    def objective():
-        return eps * float(np.linalg.norm(lam)) + float(caps @ np.abs(mu))
-
-    previous = objective()
-    for _ in range(10_000):
-        for j in range(x.size):
-            others = float(lam @ lam - lam[j] ** 2)
-            xj = x[j]
-            if caps[j] >= eps:
-                mu_j = 0.0
-            elif others <= 0:
-                mu_j = xj
-            else:
-                ratio = caps[j] / eps
-                if eps * abs(xj) <= caps[j] * np.sqrt(others + xj * xj):
-                    mu_j = 0.0
-                else:
-                    lam_star = ratio * np.sqrt(others / (1.0 - ratio * ratio))
-                    mu_j = np.sign(xj) * (abs(xj) - lam_star)
-            mu[j] = mu_j
-            lam[j] = xj - mu_j
-        current = objective()
-        if previous - current < 1e-12 * max(1.0, abs(current)):
-            break
-        previous = current
+    certificate = box_l2_support(x, box)
+    if np.linalg.norm(np.sign(x) * box.eps_col) <= box.eps_total:
+        lam = np.zeros_like(x)
     else:
-        raise NumericError("coordinate descent failed to settle", gap=previous - current)
-
-    value = objective()
-    support = box_l2_support(x, box).value
-    gap = abs(value - support)
-    if gap > DUALITY_TOL_L2 * max(1.0, abs(support)):
-        raise NumericError("l2 decomposition disagrees with its support dual", gap=gap)
-    return value
+        nonzero = x != 0
+        lam = certificate.z / np.max(np.abs(certificate.z[nonzero] / x[nonzero]))
+    mu = x - lam
+    value = box.eps_total * float(np.linalg.norm(lam)) + float(box.eps_col @ np.abs(mu))
+    return _certified(lam, mu, value, certificate, 1.0)
 
 
 @dataclass(frozen=True)

@@ -2,8 +2,10 @@
 
 Everything here deliberately avoids the package's own code paths:
 similarity is recomputed with plain dicts and ``math``, and linear
-programs are solved by enumerating basic solutions. Slow and simple on
-purpose.
+programs are solved by enumerating basic solutions or by HiGHS. Slow and
+simple on purpose. The one exception is ``decomposition_lp``, which keeps
+the package's LP route to the decomposition norm as a differential check
+on its closed form.
 """
 
 from __future__ import annotations
@@ -155,6 +157,36 @@ def sampled_box_l2_max(x, eps_total, eps_col, n_samples, rng):
     if values[k] > 0:
         return float(values[k]), z[k]
     return 0.0, np.zeros_like(x)
+
+
+def decomposition_lp(x, box):
+    """The decomposition norm of ``x`` as an LP, solved by the package's simplex and by HiGHS.
+
+    The model is the support block of ``|x|`` alone, built by
+    ``dualnorms._support_program``: ``min t + w @ u`` subject to ``u_j >=
+    |x_j| - t`` and ``t, u >= 0``, with ``w = eps_col / eps_total``. It has
+    one row per coordinate and ``n + 1`` variables. Returns both optima.
+    """
+    from scipy.optimize import linprog
+
+    from robust_lexrank import dualnorms, lpsolver
+
+    x = np.asarray(x, dtype=float)
+    n = x.size
+    program = dualnorms._support_program(
+        np.zeros(0), [], np.zeros((0, 0)), [], np.zeros(0), np.zeros((n, 0)), np.abs(x),
+        dualnorms.BudgetedBox(1.0, box.eps_col / box.eps_total),
+    )
+    assert program.rows.shape == (n, n + 1)
+    assert program.objective.size == n + 1
+    assert set(program.relations) == {"<="}
+    ours = lpsolver.solve(program)
+    assert ours.status == "optimal"
+    highs = linprog(program.objective, A_ub=program.rows, b_ub=program.rhs,
+                    bounds=list(zip(program.lower, program.upper)), method="highs")
+    if highs.status != 0:
+        raise RuntimeError(f"HiGHS ended with status {highs.status}: {highs.message}")
+    return float(ours.objective_value), float(highs.fun)
 
 
 def decomposition_rank_optimum(p, eps1, eps_col, growth=None, pinned=None):

@@ -236,6 +236,28 @@ class TestVerifyCommand:
         assert stdout.count("PASS") == 4
         assert "FAIL" not in stdout
 
+    def test_seed_237_clean(self, capsys):
+        # an l2 instance of this seed once stopped a capped coordinate descent (exit 6)
+        code, stdout, _ = run_cli(capsys, "verify", "--seed", "237", "--instances", "50")
+        assert code == 0
+        assert stdout.count("PASS") == 4
+        assert "l2 support vs decomposition duality" in stdout
+        assert "(tolerance 1e-08)" in stdout.splitlines()[1]
+
+    def test_each_support_evaluated_once(self, capsys, monkeypatch):
+        calls = {"box_l1_support": 0, "box_l2_support": 0}
+        for name in calls:
+            real = getattr(dualnorms, name)
+
+            def counted(x, budget, name=name, real=real):
+                calls[name] += 1
+                return real(x, budget)
+
+            monkeypatch.setattr(dualnorms, name, counted)
+        code, _, _ = run_cli(capsys, "verify", "--seed", "4", "--instances", "5")
+        assert code == 0
+        assert calls == {"box_l1_support": 5, "box_l2_support": 5}
+
     def test_zero_instances_rejected(self, capsys):
         code, stdout, stderr = run_cli(capsys, "verify", "--instances", "0")
         assert code == 5

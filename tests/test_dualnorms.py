@@ -7,7 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import enumerated_box_l1_max, sampled_box_l1_max, sampled_box_l2_max
+from oracles import (
+    decomposition_lp,
+    enumerated_box_l1_max,
+    sampled_box_l1_max,
+    sampled_box_l2_max,
+)
 
 from robust_lexrank import (
     BudgetedBox,
@@ -105,23 +110,6 @@ class TestDecompositionNorm:
         with pytest.raises(DegenerateBudgetError):
             decomposition_norm(np.ones(2), box(0.0, [1.0, 1.0]))
 
-    def test_model_has_one_row_per_coordinate(self, monkeypatch):
-        programs = []
-        original = dualnorms.solve
-
-        def capture(program):
-            programs.append(program)
-            return original(program)
-
-        monkeypatch.setattr(dualnorms, "solve", capture)
-        for x in ([-2.0, 0.0, 1.5], [0.0], [0.5, -3.0, 0.0, 0.0, 1.0]):
-            x = np.asarray(x)
-            decomposition_norm(x, box(1.5, np.linspace(0.5, 2.0, x.size)))
-            program = programs.pop()
-            assert program.rows.shape == (x.size, x.size + 1)
-            assert program.objective.size == x.size + 1
-        assert programs == []
-
     def test_split_reconstructs_input(self):
         rng = np.random.default_rng(8)
         x = rng.normal(size=5)
@@ -202,10 +190,10 @@ class TestBoxL2Support:
 
 class TestDecompositionNormL2:
     def test_zero_vector(self):
-        assert decomposition_norm_l2(np.zeros(3), box(1.0, [1.0] * 3)) == 0.0
+        assert decomposition_norm_l2(np.zeros(3), box(1.0, [1.0] * 3)).value == 0.0
 
     def test_single_axis_case(self):
-        value = decomposition_norm_l2(np.array([1.0, 0.0]), box(0.5, [2.0, 2.0]))
+        value = decomposition_norm_l2(np.array([1.0, 0.0]), box(0.5, [2.0, 2.0])).value
         assert value == pytest.approx(0.5, abs=1e-9)
 
     def test_duality_random_instances(self):
@@ -214,9 +202,49 @@ class TestDecompositionNormL2:
             n = int(rng.integers(1, 7))
             x = rng.normal(size=n) * rng.uniform(0.3, 2)
             b = box(rng.uniform(0.05, 2.5), rng.uniform(0.0, 2.5, size=n))
-            value = decomposition_norm_l2(x, b)
+            value = decomposition_norm_l2(x, b).value
             support = box_l2_support(x, b).value
             assert value == pytest.approx(support, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "x, total, caps, expected",
+        [
+            # an ordinary instance on which a capped coordinate descent never settled
+            pytest.param(
+                [1.0504331194603869, 0.8668281763733094, -2.9306559071081226,
+                 2.49033255600089, -0.24881021003907974, -1.1091043775295955],
+                2.9981121739234613,
+                [1.614172288609879, 0.9776563819668163, 0.35391060573368693,
+                 0.5618868762735005, 0.6686709680439824, 2.1301688145539237],
+                7.50846724033104,
+                id="six-entries",
+            ),
+            # the third l2 instance of `verify --seed 237`
+            pytest.param(
+                [-0.1135746293638891, 0.4155284539542566, -1.2553846169107012,
+                 0.4362307498929178, -1.471303063374547],
+                1.503544626318012,
+                [0.6278644566667592, 0.1289704025914581, 0.4286018427873095,
+                 1.1282976436158147, 0.625910586176142],
+                2.0760627951825956,
+                id="verify-seed-237",
+            ),
+        ],
+    )
+    def test_slowly_converging_instances(self, x, total, caps, expected):
+        result = decomposition_norm_l2(np.array(x), box(total, caps))
+        assert result.value == pytest.approx(expected, rel=1e-14)
+
+    def test_checked_against_support_dual(self, monkeypatch):
+        real = dualnorms.box_l2_support
+
+        def off_by_one(x, budget):
+            certificate = real(x, budget)
+            return dataclasses.replace(certificate, value=certificate.value + 1.0)
+
+        monkeypatch.setattr(dualnorms, "box_l2_support", off_by_one)
+        with pytest.raises(NumericError):
+            decomposition_norm_l2(np.array([0.3, -0.7, 1.2]), box(0.8, [0.5, 0.2, 0.4]))
 
 
 class TestFrobeniusWorstCase:
@@ -330,25 +358,95 @@ class TestDecompositionRecovery:
     """The split returned with each norm value: sum, value, and support duality."""
 
     @staticmethod
-    def assert_split(result, x, weights):
+    def assert_split(result, x, split_value, budget):
         np.testing.assert_allclose(result.lam + result.mu, x, rtol=0, atol=1e-12)
-        split_value = np.abs(result.lam).max(initial=0.0) + weights @ np.abs(result.mu)
         assert split_value == pytest.approx(result.value, abs=1e-9)
+        z = result.certificate.z
+        radius = np.abs(z).sum() if result.certificate.ball == "l1" else np.linalg.norm(z)
+        assert radius <= budget.eps_total + 1e-12
+        assert np.all(np.abs(z) <= budget.eps_col + 1e-12)
+
+    @staticmethod
+    def l1_split_value(result, weights):
+        return np.abs(result.lam).max(initial=0.0) + weights @ np.abs(result.mu)
 
     @pytest.mark.parametrize("x, total, caps", RECOVERY_CASES)
     def test_decomposition_norm_split(self, x, total, caps):
         budget = box(total, caps)
         result = decomposition_norm(x, budget)
-        self.assert_split(result, x, caps / total)
+        self.assert_split(result, x, self.l1_split_value(result, caps / total), budget)
         support = box_l1_support(x, budget).value
         assert total * result.value == pytest.approx(support, abs=1e-9)
 
     @pytest.mark.parametrize("x, total, caps", RECOVERY_CASES)
     def test_weighted_decomposition_norm_split(self, x, total, caps):
+        budget = box(1.0, caps)
         result = weighted_decomposition_norm(x, caps)
-        self.assert_split(result, x, caps)
-        support = box_l1_support(x, box(1.0, caps)).value
+        self.assert_split(result, x, self.l1_split_value(result, caps), budget)
+        support = box_l1_support(x, budget).value
         assert result.value == pytest.approx(support, abs=1e-9)
+
+    @pytest.mark.parametrize("x, total, caps", RECOVERY_CASES)
+    def test_decomposition_norm_l2_split(self, x, total, caps):
+        budget = box(total, caps)
+        result = decomposition_norm_l2(x, budget)
+        split_value = total * np.linalg.norm(result.lam) + caps @ np.abs(result.mu)
+        self.assert_split(result, x, split_value, budget)
+        support = box_l2_support(x, budget).value
+        assert result.value == pytest.approx(support, abs=1e-9)
+
+
+ORACLE_CASES = [
+    pytest.param([1.5, 0.0, -2.0, 0.0], 1.0, [0.4, 0.9, 0.3, 0.2], id="zero-entries"),
+    pytest.param([0.0, 0.0, 0.0], 1.3, [0.5, 1.0, 2.0], id="all-zero-x"),
+    pytest.param([0.7, -1.2, 2.5], 0.8, [0.0, 0.6, 0.0], id="zero-caps"),
+    pytest.param([0.7, -1.2, 2.5], 0.8, [0.0, 0.0, 0.0], id="all-caps-zero"),
+    pytest.param([1.0, -1.0, 0.5, 1.0], 1.0, [0.3, 0.2, 0.9, 0.1], id="ties"),
+    # cumulative weight reaches exactly one after two entries: a flat minimum
+    pytest.param([3.0, -2.0, 1.0], 1.0, [0.5, 0.5, 0.25], id="flat-minimum"),
+    pytest.param([0.4, -1.1, 0.9], 1e-9, [0.5, 1.0, 2.0], id="tiny-total"),
+    pytest.param([-1.7], 0.6, [0.4], id="one-entry"),
+]
+
+
+class TestDecompositionOracle:
+    """The closed forms against the decomposition LP that they replaced."""
+
+    @pytest.mark.parametrize("x, total, caps", ORACLE_CASES)
+    def test_closed_form_matches_lp(self, x, total, caps):
+        pytest.importorskip("scipy.optimize")
+        x, budget = np.array(x), box(total, caps)
+        value = decomposition_norm(x, budget).value
+        for optimum in decomposition_lp(x, budget):
+            assert abs(optimum - value) <= 1e-12 * max(1.0, abs(value))
+
+    def test_random_instances_match_lp(self):
+        pytest.importorskip("scipy.optimize")
+        rng = np.random.default_rng(5)
+        for _ in range(40):
+            n = int(rng.integers(1, 9))
+            x = rng.normal(size=n) * rng.uniform(0.5, 2.0)
+            x[rng.random(n) < 0.3] = 0.0
+            caps = rng.uniform(0.0, 3.0, size=n)
+            caps[rng.random(n) < 0.3] = 0.0
+            budget = box(rng.uniform(0.0, 3.0) + 1e-9, caps)
+            value = decomposition_norm(x, budget).value
+            for optimum in decomposition_lp(x, budget):
+                assert abs(optimum - value) <= 1e-12 * max(1.0, abs(value))
+
+    def test_no_solver_call(self, monkeypatch):
+        def refuse(program):
+            raise AssertionError("decomposition evaluators must not call the LP solver")
+
+        monkeypatch.setattr(dualnorms, "solve", refuse)
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            n = int(rng.integers(1, 9))
+            x = rng.normal(size=n)
+            budget = box(rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0, size=n))
+            decomposition_norm(x, budget)
+            weighted_decomposition_norm(x, budget.eps_col)
+            decomposition_norm_l2(x, budget)
 
 
 class TestSimplexDecompositionMin:
