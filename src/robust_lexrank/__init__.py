@@ -44,7 +44,6 @@ from .robust import (
     worst_case_upper_bound,
 )
 from .simulator import (
-    FixedSizeReport,
     PerturbationSample,
     SimulationReport,
     UncertaintySet,
@@ -63,7 +62,6 @@ __all__ = [
     "ComparativeRankResult",
     "Corpus",
     "DualCertificate",
-    "FixedSizeReport",
     "FrobeniusWorstCase",
     "GrowthModel",
     "LinearProgram",

@@ -300,9 +300,9 @@ def cmd_verify(args):
     for _ in range(args.instances):
         m = int(rng.integers(1, 7))
         weights = rng.uniform(0.0, 2.0, size=m)
-        closed, direct = dualnorms._simplex_minimum_routes(m, weights)
-        worst = max(worst, abs(closed - direct))
-    report("simplex minimum closed form vs LP", worst, dualnorms.SIMPLEX_MIN_TOL)
+        value, bound = dualnorms._simplex_minimum_routes(m, weights)
+        worst = max(worst, abs(value - bound))
+    report("simplex minimum primal vs dual bound", worst, dualnorms.SIMPLEX_MIN_TOL)
 
     return 0 if failures == 0 else 6
 

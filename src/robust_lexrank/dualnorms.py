@@ -9,7 +9,8 @@ decompositions have closed forms, and every evaluation certifies itself by
 weak duality: its split ``x = lam + mu`` bounds the norm from above, the
 support of a feasible ``z`` bounds it from below, and the two must meet. A
 Frobenius worst-case identity and the simplex minimum of the weighted
-decomposition norm round out the toolkit.
+decomposition norm, certified the same way, round out the toolkit. Nothing
+here calls the LP solver.
 """
 
 from __future__ import annotations
@@ -19,7 +20,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DegenerateBudgetError, NumericError, ParameterError
-from .lpsolver import LinearProgram, solve
 
 DUALITY_TOL = 1e-8
 ATTAINMENT_TOL = 1e-9
@@ -112,28 +112,6 @@ def _check_certificate(z, box, ball):
         raise NumericError("certificate leaves the box", gap=float(excess.max()))
 
 
-def _support_program(cost, bounds, rows, relations, rhs, select, offset, box) -> LinearProgram:
-    """Build a head model plus one compact support block.
-
-    The head has variables ``v`` with ``cost``, ``bounds`` (one ``(low,
-    high)`` pair each) and constraints ``rows @ v (relations) rhs``. The
-    block names ``x = select @ v + offset`` and appends variables ``(t, u)``
-    (``1 + box.size``) with cost ``box.eps_total * t + box.eps_col @ u``,
-    bounds ``t, u >= 0`` and rows ``x_j - t - u_j <= 0``, after the head's.
-
-    For fixed ``x >= 0`` the minimum over ``(t, u)`` is
-    ``box_l1_support(x, box)`` (its LP dual).
-    """
-    n = box.size
-    block = np.hstack([select, -np.ones((n, 1)), -np.eye(n)])
-    matrix = np.vstack([np.hstack([rows, np.zeros((len(rhs), 1 + n))]), block])
-    return LinearProgram.build(
-        np.concatenate([cost, [box.eps_total], box.eps_col]),
-        list(bounds) + [(0.0, None)] * (1 + n),
-        zip(matrix, list(relations) + ["<="] * n, np.concatenate([rhs, -offset])),
-    )
-
-
 def decomposition_norm(x, box: BudgetedBox) -> NormDecomposition:
     """Evaluate ``min over lam + mu = x`` of ``||lam||_inf + sum_j (eps_j/eps) |mu_j|``.
 
@@ -193,18 +171,28 @@ def simplex_decomposition_min(m, weights) -> float:
     """Exact minimum of the weighted decomposition norm over the probability simplex.
 
     Closed form: ``1/m`` when every weight is at least ``1/m``, otherwise the
-    smallest weight. The value is cross-checked against a direct joint
-    minimization before being returned; ``m = 0`` is zero by convention.
+    smallest weight. The value is certified by weak duality (see
+    ``_simplex_minimum_routes``) before being returned; ``m = 0`` is zero by
+    convention.
     """
-    closed, direct = _simplex_minimum_routes(m, weights)
-    gap = abs(direct - closed)
+    value, bound = _simplex_minimum_routes(m, weights)
+    gap = abs(value - bound)
     if gap > SIMPLEX_MIN_TOL:
-        raise NumericError("closed-form simplex minimum disagrees with direct LP", gap=gap)
-    return closed
+        raise NumericError("simplex minimum disagrees with its dual bound", gap=gap)
+    return value
 
 
 def _simplex_minimum_routes(m, weights):
-    """The simplex minimum as ``(closed form, direct LP optimum)``, unchecked."""
+    """The simplex minimum as ``(primal value, dual bound)``, unchecked.
+
+    Primal: a simplex point with an explicit split ``y = lam + mu``, either
+    the uniform point with ``lam = y`` (value ``1/m``) or the vertex of the
+    smallest weight with ``mu = y`` (value ``w_k``), whichever is cheaper;
+    its value bounds the minimum from above. Dual: the constant ``z`` at that
+    level, checked to lie in the unit l1 ball and the box of ``weights``.
+    The norm of every ``y`` is at least ``z @ y``, which on the simplex is at
+    least ``min_j z_j``: a lower bound.
+    """
     if m < 0:
         raise ParameterError("simplex dimension must be nonnegative")
     if m == 0:
@@ -214,17 +202,16 @@ def _simplex_minimum_routes(m, weights):
         raise ParameterError("need one weight per simplex coordinate")
     if np.any(weights < 0):
         raise ParameterError("weights must be nonnegative")
-    closed = 1.0 / m if np.all(weights >= 1.0 / m) else float(weights.min())
-
-    # joint LP over (y, t, u) with y on the simplex
-    program = _support_program(
-        np.zeros(m), [(0.0, None)] * m, np.ones((1, m)), ["="], np.ones(1),
-        np.eye(m), np.zeros(m), BudgetedBox(1.0, weights),
-    )
-    solution = solve(program)
-    if solution.status != "optimal":
-        raise NumericError(f"simplex minimization ended {solution.status}")
-    return closed, float(solution.objective_value)
+    box = BudgetedBox(1.0, weights)
+    k = int(np.argmin(weights))
+    if weights[k] >= 1.0 / m:
+        lam, mu = np.full(m, 1.0 / m), np.zeros(m)
+    else:
+        lam, mu = np.zeros(m), np.eye(m)[k]
+    value = float(lam.max() + weights @ mu)
+    z = np.full(m, value)
+    _check_certificate(z, box, ball="l1")
+    return value, float(z.min())
 
 
 def box_l2_support(x, box: BudgetedBox) -> DualCertificate:

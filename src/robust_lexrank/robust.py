@@ -17,8 +17,8 @@ empty and ``solve_growth`` raises ``SolverError``.
 Every model here is one compact LP. The residual is bounded by ``s``
 (``-s <= P x - x <= s``) and, since ``x >= 0``, the norm term by its dual
 support form ``eps1 * t + sum_j eps_j * u_j`` with ``u_j >= x_j - t`` and
-``t, u >= 0``: the one support block of ``dualnorms._support_program``,
-with ``x`` as its selected head variables. The fixed model has
+``t, u >= 0``: the one support block of ``_support_program``, with ``x``
+as its selected head variables. The fixed model has
 variables ``(x, s, t, u)``: 3n+1 of them and 3n+1 rows. The growth model
 adds only the m priced columns of ``x2``. The comparative model pins v
 coordinates at one as constants, not columns: they enter the residual
@@ -34,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dualnorms import BudgetedBox, _support_program, box_l1_support
+from .dualnorms import BudgetedBox, box_l1_support
 from .errors import NumericError, ParameterError, SolverError
 from .graph import TransitionMatrix
 from .lpsolver import LinearProgram, solve
@@ -144,6 +144,28 @@ def _check_dims(p: TransitionMatrix, budget: RobustBudget):
         raise ParameterError(
             f"budget for {budget.size} columns against a {p.size}-sentence matrix"
         )
+
+
+def _support_program(cost, bounds, rows, relations, rhs, select, offset, box) -> LinearProgram:
+    """Build a head model plus one compact support block.
+
+    The head has variables ``v`` with ``cost``, ``bounds`` (one ``(low,
+    high)`` pair each) and constraints ``rows @ v (relations) rhs``. The
+    block names ``x = select @ v + offset`` and appends variables ``(t, u)``
+    (``1 + box.size``) with cost ``box.eps_total * t + box.eps_col @ u``,
+    bounds ``t, u >= 0`` and rows ``x_j - t - u_j <= 0``, after the head's.
+
+    For fixed ``x >= 0`` the minimum over ``(t, u)`` is
+    ``box_l1_support(x, box)`` (its LP dual).
+    """
+    n = box.size
+    block = np.hstack([select, -np.ones((n, 1)), -np.eye(n)])
+    matrix = np.vstack([np.hstack([rows, np.zeros((len(rhs), 1 + n))]), block])
+    return LinearProgram.build(
+        np.concatenate([cost, [box.eps_total], box.eps_col]),
+        list(bounds) + [(0.0, None)] * (1 + n),
+        zip(matrix, list(relations) + ["<="] * n, np.concatenate([rhs, -offset])),
+    )
 
 
 def _rank_program(p: TransitionMatrix, budget: RobustBudget, growth=None, pinned=None):

@@ -5,7 +5,10 @@ of the uncertainty set by construction, which is all the domination
 inequalities need. Mass removed from an existing column goes to the new
 rows so column sums stay at one; new columns split their unit mass
 between the existing block and the new corner exactly at their caps,
-the only split the per-column budgets admit.
+the only split the per-column budgets admit. With no new sentences each
+column moves mass from one row to another instead (the fixed-size
+family), so every growth rate is sampled, checked and scored by the one
+path of ``empirical_max_residual``.
 """
 
 from __future__ import annotations
@@ -134,18 +137,6 @@ class SimulationReport:
         }
 
 
-@dataclass(frozen=True)
-class FixedSizeReport:
-    """Comparison of fixed-size shift residuals against the grown-set evidence."""
-
-    samples: int
-    max_fixed_residual: float
-    grown_max_residual: float
-    bound_value: float
-    passed: bool
-    seed: int | None
-
-
 def _rng(seed):
     """The generator a ``seed`` names; a ``Generator`` is used as it is."""
     if isinstance(seed, np.random.Generator):
@@ -204,22 +195,26 @@ def _draw_blocks(p: TransitionMatrix, uset: UncertaintySet, rng, count: int):
     Existing columns lose a random mass (within caps and the paired
     new-row caps) spread proportionally to their entries, and the same
     mass lands in the new rows, so the column sum change is zero. With no
-    new sentences there is nowhere to send mass and the draw is exact.
+    new sentences the mass moves inside each column instead (see
+    ``_paired_shifts``), and the other blocks are empty.
 
-    Each sample makes two generator calls: its column masses, then every
-    exponential its Dirichlet splits need, in one block. The blocks are
-    formed from the draws afterwards, all at once. The stream, and every
-    value, is that of one ``uniform`` call for the masses and one
-    all-ones ``dirichlet`` call per live column's new-row split and per
-    new column's two halves, so a seed reproduces earlier samples bit for
-    bit.
+    With new sentences each sample makes two generator calls: its column
+    masses, then every exponential its Dirichlet splits need, in one
+    block. The blocks are formed from the draws afterwards, all at once.
+    The stream, and every value, is that of one ``uniform`` call for the
+    masses and one all-ones ``dirichlet`` call per live column's new-row
+    split and per new column's two halves, so a seed reproduces earlier
+    samples bit for bit.
     """
     n, m = p.size, uset.m
+    if not m:
+        xi = _paired_shifts(p, uset.existing, rng, count)
+        return xi, np.zeros((count, 0, n)), np.zeros((count, n, 0)), np.zeros((count, 0, 0))
     high = np.minimum(np.minimum(uset.existing.eps_col, uset.new_rows.eps_col) / 2.0, 1.0)
     masses = np.zeros((count, n))
     split_draws = []
     growth_draws = np.empty((count, m * (n + m)))
-    for k in range(count if m else 0):
+    for k in range(count):
         drawn = rng.random(n) * high
         total = drawn.sum()
         if total > 0:
@@ -234,8 +229,7 @@ def _draw_blocks(p: TransitionMatrix, uset: UncertaintySet, rng, count: int):
     xi = np.zeros((count, n, n))
     np.multiply(-masses[:, None, :], p.values, out=xi, where=live[:, None, :])
     split = np.zeros((count, n, m))
-    if m:
-        split[live] = _dirichlet_rows(np.concatenate(split_draws).reshape(-1, m))
+    split[live] = _dirichlet_rows(np.concatenate(split_draws).reshape(-1, m))
     growth_draws = growth_draws.reshape(count, m, n + m)
     to_existing = _dirichlet_rows(growth_draws[:, :, :n])
     among_new = _dirichlet_rows(growth_draws[:, :, n:])
@@ -243,6 +237,39 @@ def _draw_blocks(p: TransitionMatrix, uset: UncertaintySet, rng, count: int):
     zeta = to_existing.transpose(0, 2, 1) * uset.growth.to_existing_col
     chi = among_new.transpose(0, 2, 1) * uset.growth.among_new_col
     return xi, psi, zeta, chi
+
+
+def _paired_shifts(p: TransitionMatrix, box: BudgetedBox, rng, count: int):
+    """Draw ``count`` fixed-size shifts ``xi``: each column moves mass between two rows.
+
+    Each sample makes two generator calls: one ``integers`` call gives
+    every column a donor row and a different receiver row, and one
+    ``random`` call the fraction of its cap that the column moves. The cap
+    is the smaller of half the column's budget and the donor entry, so
+    ``p + xi`` stays nonnegative. A sample whose moved mass, counted in
+    both rows, exceeds the block total is scaled down to it. With one row
+    there is no pair: the shift is zero and nothing is drawn.
+    """
+    n = p.size
+    xi = np.zeros((count, n, n))
+    if n < 2:
+        return xi
+    pairs = np.empty((count, n), dtype=np.int64)
+    fractions = np.empty((count, n))
+    for k in range(count):
+        pairs[k] = rng.integers(n * (n - 1), size=n)
+        fractions[k] = rng.random(n)
+    donor, receiver = np.divmod(pairs, n - 1)
+    receiver += receiver >= donor
+    columns = np.arange(n)
+    masses = fractions * np.minimum(box.eps_col / 2.0, p.values[donor, columns])
+    moved = 2.0 * masses.sum(axis=1)
+    scale = np.divide(box.eps_total, moved, out=np.ones(count), where=moved > 0)
+    masses *= np.minimum(1.0, scale)[:, None]
+    samples = np.arange(count)[:, None]
+    xi[samples, donor, columns] = -masses
+    xi[samples, receiver, columns] = masses
+    return xi
 
 
 def _draw_checked(p: TransitionMatrix, uset: UncertaintySet, rng, count: int):
@@ -322,74 +349,26 @@ def empirical_max_residual(
     )
 
 
+def _fixed_size(box: BudgetedBox) -> UncertaintySet:
+    """The zero-growth uncertainty set of ``box``: shifts of the existing block only."""
+    return UncertaintySet(
+        existing=box,
+        new_rows=BudgetedBox(0.0, np.zeros(box.size)),
+        growth=GrowthModel.balanced(0),
+    )
+
+
 def sample_fixed_size_shift(p: TransitionMatrix, box: BudgetedBox, seed=None) -> np.ndarray:
     """Draw a zero-column-sum shift keeping ``p + shift`` column-stochastic.
 
-    Each column moves a random mass between two rows (a paired +/- entry),
-    capped by the per-column budget and by the donor entry; columns are
-    rescaled together if the block total would overflow.
+    This is the ``existing_delta`` of one checked ``sample_perturbation``
+    over the zero-growth set of ``box``.
     """
-    if box.size != p.size:
-        raise ParameterError("budget width does not match the matrix")
-    rng = _rng(seed)
-    n = p.size
-    xi = np.zeros((n, n))
-    if n < 2:
-        return xi
-    for j in range(n):
-        gain, lose = rng.choice(n, size=2, replace=False)
-        cap = min(box.eps_col[j] / 2.0, p.values[lose, j])
-        mass = rng.uniform(0.0, cap)
-        xi[gain, j] += mass
-        xi[lose, j] -= mass
-    total = np.abs(xi).sum()
-    if total > box.eps_total and total > 0:
-        xi *= box.eps_total / total
-    return xi
+    return sample_perturbation(p, _fixed_size(box), seed).existing_delta
 
 
 def fixed_size_residual_check(
-    p: TransitionMatrix,
-    x1,
-    box: BudgetedBox,
-    n_samples: int,
-    seed=None,
-    uset: UncertaintySet | None = None,
-) -> FixedSizeReport:
-    """Verify the certified bound dominates fixed-size and grown-set residuals.
-
-    Every fixed-size shift is a member of the grown set at zero growth, so
-    its residual joins the empirical maximum directly: ``grown_max`` is the
-    maximum over both families and covers ``max_fixed`` by construction.
-    The check passes when ``grown_max`` stays within the certified bound.
-    """
-    if n_samples < 1:
-        raise ParameterError("need at least one sample")
-    x1 = np.asarray(x1, dtype=float)
-    if x1.shape != (p.size,):
-        raise ParameterError("candidate must match the existing block")
-    rng = _rng(seed)
-    chunk_maxima = []
-    for count in _chunks(n_samples, p.size):
-        shifted = np.empty((count, p.size, p.size))
-        for k in range(count):
-            np.add(p.values, sample_fixed_size_shift(p, box, rng), out=shifted[k])
-        chunk_maxima.append(_residuals(shifted, x1).max())
-    max_fixed = float(max(chunk_maxima))
-
-    if uset is None:
-        uset = UncertaintySet(
-            existing=box,
-            new_rows=BudgetedBox(0.0, np.zeros(p.size)),
-            growth=GrowthModel.balanced(0),
-        )
-    grown = empirical_max_residual(p, x1, uset, n_samples, rng)
-    grown_max = max(grown.max_residual, max_fixed)
-    return FixedSizeReport(
-        samples=n_samples,
-        max_fixed_residual=max_fixed,
-        grown_max_residual=grown_max,
-        bound_value=grown.bound_value,
-        passed=grown_max <= grown.bound_value + VIOLATION_TOL,
-        seed=_report_seed(seed),
-    )
+    p: TransitionMatrix, x1, box: BudgetedBox, n_samples: int, seed=None
+) -> SimulationReport:
+    """``empirical_max_residual`` at ``x1`` over the zero-growth set of ``box``."""
+    return empirical_max_residual(p, x1, _fixed_size(box), n_samples, seed)

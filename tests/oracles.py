@@ -3,9 +3,10 @@
 Everything here deliberately avoids the package's own code paths:
 similarity is recomputed with plain dicts and ``math``, and linear
 programs are solved by enumerating basic solutions or by HiGHS. Slow and
-simple on purpose. The one exception is ``decomposition_lp``, which keeps
-the package's LP route to the decomposition norm as a differential check
-on its closed form.
+simple on purpose. The exceptions are ``decomposition_lp`` and
+``simplex_minimum_lp``, which keep the package's LP routes to the
+decomposition norm and its simplex minimum as differential checks on their
+closed forms.
 """
 
 from __future__ import annotations
@@ -163,27 +164,63 @@ def decomposition_lp(x, box):
     """The decomposition norm of ``x`` as an LP, solved by the package's simplex and by HiGHS.
 
     The model is the support block of ``|x|`` alone, built by
-    ``dualnorms._support_program``: ``min t + w @ u`` subject to ``u_j >=
+    ``robust._support_program``: ``min t + w @ u`` subject to ``u_j >=
     |x_j| - t`` and ``t, u >= 0``, with ``w = eps_col / eps_total``. It has
     one row per coordinate and ``n + 1`` variables. Returns both optima.
     """
-    from scipy.optimize import linprog
-
-    from robust_lexrank import dualnorms, lpsolver
+    from robust_lexrank import dualnorms, robust
 
     x = np.asarray(x, dtype=float)
     n = x.size
-    program = dualnorms._support_program(
+    program = robust._support_program(
         np.zeros(0), [], np.zeros((0, 0)), [], np.zeros(0), np.zeros((n, 0)), np.abs(x),
         dualnorms.BudgetedBox(1.0, box.eps_col / box.eps_total),
     )
     assert program.rows.shape == (n, n + 1)
     assert program.objective.size == n + 1
     assert set(program.relations) == {"<="}
+    return _both_optima(program)
+
+
+def simplex_minimum_lp(m, weights):
+    """The simplex minimum of the weighted decomposition norm as one joint LP.
+
+    Head variables ``y`` (m) on the probability simplex, then the support
+    block of ``y`` over the box of total one and caps ``weights`` (built by
+    ``robust._support_program``): ``min t + weights @ u`` subject to ``u_j >=
+    y_j - t``, ``sum(y) = 1`` and ``y, t, u >= 0``. Solved by the package's
+    simplex and by HiGHS; returns both optima.
+    """
+    from robust_lexrank import dualnorms, robust
+
+    program = robust._support_program(
+        np.zeros(m), [(0.0, None)] * m, np.ones((1, m)), ["="], np.ones(1),
+        np.eye(m), np.zeros(m), dualnorms.BudgetedBox(1.0, weights),
+    )
+    return _both_optima(program)
+
+
+def _both_optima(program):
+    """Optimal values of ``program`` from ``lpsolver.solve`` and from HiGHS."""
+    from scipy.optimize import linprog
+
+    from robust_lexrank import lpsolver
+
     ours = lpsolver.solve(program)
     assert ours.status == "optimal"
-    highs = linprog(program.objective, A_ub=program.rows, b_ub=program.rhs,
-                    bounds=list(zip(program.lower, program.upper)), method="highs")
+    rows = np.asarray(program.rows)
+    relations = np.asarray(program.relations)
+    upper = relations == "<="
+    equal = relations == "="
+    highs = linprog(
+        program.objective,
+        A_ub=rows[upper] if upper.any() else None,
+        b_ub=program.rhs[upper] if upper.any() else None,
+        A_eq=rows[equal] if equal.any() else None,
+        b_eq=program.rhs[equal] if equal.any() else None,
+        bounds=list(zip(program.lower, program.upper)),
+        method="highs",
+    )
     if highs.status != 0:
         raise RuntimeError(f"HiGHS ended with status {highs.status}: {highs.message}")
     return float(ours.objective_value), float(highs.fun)
@@ -261,10 +298,30 @@ def reference_perturbation(p, uset, rng):
     set whose budget fields are read directly; ``rng`` is a numpy
     ``Generator``. Each existing column draws its mass, and each live
     column its new-row split, with a call of its own, in column order.
+    With no new sentences (and at least two rows) the sample draws one
+    pair code and one fraction per column, in two calls, and each column
+    moves its mass from the donor row to the receiver row of its code.
     """
     n, m = p.shape[0], uset.growth.m
     xi = np.zeros((n, n))
     psi = np.zeros((m, n))
+    if not m and n > 1:
+        codes = rng.integers(n * (n - 1), size=n)
+        fractions = rng.random(n)
+        rows = []
+        masses = np.empty(n)
+        for j in range(n):
+            donor, receiver = divmod(int(codes[j]), n - 1)
+            if receiver >= donor:
+                receiver += 1
+            rows.append((donor, receiver))
+            masses[j] = fractions[j] * min(uset.existing.eps_col[j] / 2.0, p[donor, j])
+        moved = 2.0 * masses.sum()
+        if moved > 0:
+            masses *= min(1.0, uset.existing.eps_total / moved)
+        for j, (donor, receiver) in enumerate(rows):
+            xi[donor, j] = -masses[j]
+            xi[receiver, j] = masses[j]
     if m:
         masses = np.empty(n)
         for j in range(n):

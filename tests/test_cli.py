@@ -1,5 +1,7 @@
 """Command-line behaviour: outputs, provenance echo, determinism, exit codes."""
 
+import importlib
+import importlib.util
 import json
 import pathlib
 from importlib import resources
@@ -11,6 +13,7 @@ from robust_lexrank import dualnorms
 from robust_lexrank.cli import main
 
 EXPECTED_SESSION = pathlib.Path(__file__).parents[1] / "perfbench" / "expected_session.json"
+SPANS = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
 
 
 def run_cli(capsys, *argv):
@@ -190,6 +193,23 @@ class TestSimulateCommand:
         assert code == 0
         assert json.loads(stdout)["report"]["max_residual"] == 0.08216449001961942
 
+    @pytest.mark.parametrize("seed", ["0", "3", "7"])
+    def test_default_growth_shifts_existing_links(self, capsys, seed):
+        # at growth 0 each column moves mass between two rows; a sampler that
+        # moves nothing scores P itself and reports a residual of about 7e-17
+        code, stdout, _ = run_cli(capsys, "simulate", "--threshold", "0.2", "--seed", seed)
+        assert code == 0
+        report = json.loads(stdout)["report"]
+        assert report["max_residual"] > 0.01
+        assert report["violations"] == 0
+
+    def test_one_sentence_input(self, tmp_path, capsys):
+        source = tmp_path / "one.txt"
+        source.write_text("a single sentence\n", encoding="utf-8")
+        code, stdout, _ = run_cli(capsys, "simulate", "--input", str(source), "--threshold", "0.2")
+        assert code == 0
+        assert json.loads(stdout)["report"]["max_residual"] == 0.0
+
     def test_negative_growth_rejected(self, capsys):
         code, stdout, stderr = run_cli(capsys, "simulate", "--threshold", "0.2", "--growth", "-1")
         assert code == 5
@@ -277,7 +297,7 @@ class TestVerifyCommand:
         monkeypatch.setattr(dualnorms, "_simplex_minimum_routes", disagreeing)
         code, stdout, _ = run_cli(capsys, "verify", "--seed", "1", "--instances", "3")
         assert code == 6
-        assert "FAIL simplex minimum closed form vs LP: worst gap 5.000e-01" in stdout
+        assert "FAIL simplex minimum primal vs dual bound: worst gap 5.000e-01" in stdout
         assert stdout.count("PASS") == 3
 
 
@@ -346,3 +366,22 @@ class TestClusterSession:
                 have = np.asarray(got[label][field], dtype=float)
                 assert have.shape == np.shape(want), (label, field)
                 assert np.allclose(have, want, rtol=0.0, atol=1e-9), (label, field)
+
+
+class TestBenchmarkBindings:
+    """The traced benchmark run wraps package functions by name."""
+
+    def test_traced_functions_resolve(self):
+        # a renamed or deleted function makes the traced run raise AttributeError
+        spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+        spans = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(spans)
+        checked = 0
+        for name in spans.LAYER_OF:
+            module_name, _, attr = name.partition(".")
+            if module_name in ("bench", "trace") or "." in attr:
+                continue  # harness spans and the classmethod
+            module = importlib.import_module(f"robust_lexrank.{module_name}")
+            assert callable(getattr(module, attr, None)), name
+            checked += 1
+        assert checked > 20

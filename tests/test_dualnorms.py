@@ -12,6 +12,7 @@ from oracles import (
     enumerated_box_l1_max,
     sampled_box_l1_max,
     sampled_box_l2_max,
+    simplex_minimum_lp,
 )
 
 from robust_lexrank import (
@@ -24,7 +25,7 @@ from robust_lexrank import (
     simplex_decomposition_min,
     weighted_decomposition_norm,
 )
-from robust_lexrank import dualnorms
+from robust_lexrank import dualnorms, lpsolver, robust
 from robust_lexrank.errors import DegenerateBudgetError, NumericError, ParameterError
 
 
@@ -436,9 +437,11 @@ class TestDecompositionOracle:
 
     def test_no_solver_call(self, monkeypatch):
         def refuse(program):
-            raise AssertionError("decomposition evaluators must not call the LP solver")
+            raise AssertionError("dual-norm evaluators must not call the LP solver")
 
-        monkeypatch.setattr(dualnorms, "solve", refuse)
+        assert not hasattr(dualnorms, "solve")
+        for module in (lpsolver, robust):
+            monkeypatch.setattr(module, "solve", refuse)
         rng = np.random.default_rng(9)
         for _ in range(20):
             n = int(rng.integers(1, 9))
@@ -447,6 +450,7 @@ class TestDecompositionOracle:
             decomposition_norm(x, budget)
             weighted_decomposition_norm(x, budget.eps_col)
             decomposition_norm_l2(x, budget)
+            simplex_decomposition_min(n, budget.eps_col)
 
 
 class TestSimplexDecompositionMin:
@@ -464,7 +468,7 @@ class TestSimplexDecompositionMin:
         assert simplex_decomposition_min(0, np.zeros(0)) == 0.0
 
     def test_agrees_with_direct_minimization(self):
-        # the closed form is asserted against the joint LP inside the call
+        # the closed form against the joint LP, solved by the package and by HiGHS
         rng = np.random.default_rng(64)
         for m in range(1, 7):
             for _ in range(8):
@@ -472,3 +476,5 @@ class TestSimplexDecompositionMin:
                 value = simplex_decomposition_min(m, weights)
                 expected = 1 / m if np.all(weights >= 1 / m) else weights.min()
                 assert value == pytest.approx(expected, abs=1e-12)
+                for optimum in simplex_minimum_lp(m, weights):
+                    assert value == pytest.approx(optimum, abs=1e-12)
