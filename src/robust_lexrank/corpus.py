@@ -90,6 +90,8 @@ class SimilarityMatrix:
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ParameterError("similarity matrix must be square")
+        if not np.all(np.isfinite(values)):
+            raise ParameterError("similarities must be finite")
         if np.abs(values - values.T).max(initial=0.0) > SYMMETRY_TOL:
             raise ParameterError("similarity matrix must be symmetric")
         if np.any(values < -SYMMETRY_TOL) or np.any(values > 1 + SYMMETRY_TOL):

@@ -188,10 +188,11 @@ def _simplex_minimum_routes(m, weights):
     Primal: a simplex point with an explicit split ``y = lam + mu``, either
     the uniform point with ``lam = y`` (value ``1/m``) or the vertex of the
     smallest weight with ``mu = y`` (value ``w_k``), whichever is cheaper;
-    its value bounds the minimum from above. Dual: the constant ``z`` at that
-    level, checked to lie in the unit l1 ball and the box of ``weights``.
-    The norm of every ``y`` is at least ``z @ y``, which on the simplex is at
-    least ``min_j z_j``: a lower bound.
+    its value bounds the minimum from above. Dual: the constant ``z`` at
+    ``min(1/m, min_j w_j)``, built from the weights alone and checked to lie
+    in the unit l1 ball and the box of ``weights``. The norm of every ``y``
+    is at least ``z @ y``, which on the simplex is at least ``min_j z_j``: a
+    lower bound.
     """
     if m < 0:
         raise ParameterError("simplex dimension must be nonnegative")
@@ -209,7 +210,7 @@ def _simplex_minimum_routes(m, weights):
     else:
         lam, mu = np.zeros(m), np.eye(m)[k]
     value = float(lam.max() + weights @ mu)
-    z = np.full(m, value)
+    z = np.full(m, min(1.0 / m, weights.min()))
     _check_certificate(z, box, ball="l1")
     return value, float(z.min())
 

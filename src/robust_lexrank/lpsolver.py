@@ -34,9 +34,9 @@ class LinearProgram:
     """Minimization model: ``min c @ x`` under row constraints and variable bounds.
 
     Fields:
-        objective: cost vector ``c`` of length n.
-        lower / upper: per-variable bounds, ``-inf`` / ``+inf`` allowed.
-        rows: dense constraint matrix, one row per constraint.
+        objective: finite cost vector ``c`` of length n.
+        lower / upper: per-variable bounds, ``-inf`` / ``+inf`` allowed, NaN not.
+        rows: dense finite constraint matrix, one row per constraint.
         relations: per-row relation, each one of ``<=``, ``=``, ``>=``.
         rhs: finite right-hand sides.
     """
@@ -61,6 +61,8 @@ class LinearProgram:
         c = np.asarray(objective, dtype=float)
         if c.ndim != 1:
             raise ModelError("objective must be a vector")
+        if not np.all(np.isfinite(c)):
+            raise ModelError("objective must be finite")
         n = c.size
         bounds = list(var_bounds)
         if len(bounds) != n:
@@ -69,6 +71,8 @@ class LinearProgram:
         unset = np.equal(pairs, None)
         lo = np.where(unset[:, 0], -np.inf, pairs[:, 0]).astype(float)
         hi = np.where(unset[:, 1], np.inf, pairs[:, 1]).astype(float)
+        if np.isnan(lo).any() or np.isnan(hi).any():
+            raise ModelError("variable bounds must not be NaN")
         triples = list(constraints)
         if not triples:
             return cls(c, lo, hi, np.zeros((0, n)), (), np.zeros(0))
@@ -79,6 +83,8 @@ class LinearProgram:
             raise ModelError(f"constraint widths do not match {n} variables") from None
         if mat.shape != (len(triples), n):
             raise ModelError(f"constraint width {mat.shape[1:]} does not match {n} variables")
+        if not np.all(np.isfinite(mat)):
+            raise ModelError("constraint coefficients must be finite")
         unknown = set(rels) - set(RELATIONS)
         if unknown:
             raise ModelError(f"unknown relation {sorted(unknown)[0]!r}")

@@ -17,15 +17,13 @@ empty and ``solve_growth`` raises ``SolverError``.
 Every model here is one compact LP. The residual is bounded by ``s``
 (``-s <= P x - x <= s``) and, since ``x >= 0``, the norm term by its dual
 support form ``eps1 * t + sum_j eps_j * u_j`` with ``u_j >= x_j - t`` and
-``t, u >= 0``: the one support block of ``_support_program``, with ``x``
-as its selected head variables. The fixed model has
-variables ``(x, s, t, u)``: 3n+1 of them and 3n+1 rows. The growth model
-adds only the m priced columns of ``x2``. The comparative model pins v
-coordinates at one as constants, not columns: they enter the residual
-rows' right-hand sides and the support block's offset, leaving 3n rows
-and 3n - v + 1 variables. Every solve goes through ``_solve_rank``, which
-builds the model with ``_rank_program`` and checks the objective against
-the certified bound.
+``t, u >= 0``. The fixed model has variables ``(x, s, t, u)``: 3n+1 of
+them and 3n+1 rows. The growth model adds only the m priced columns of
+``x2``. The comparative model pins v coordinates at one as constants, not
+columns: they enter the right-hand sides of the residual and support rows,
+leaving 3n rows and 3n - v + 1 variables. Every solve goes through
+``_solve_rank``, which builds the model with ``_rank_program`` and checks
+the objective against the certified bound.
 """
 
 from __future__ import annotations
@@ -61,63 +59,48 @@ class RobustBudget(BudgetedBox):
 
 @dataclass(frozen=True)
 class GrowthModel:
-    """Budgets for the columns brought in by ``m`` future sentences.
+    """Budgets for the columns brought in by future sentences, one per column.
 
     Each new column splits its unit mass between links into the existing
-    sentences and links among the new ones, so the per-column budgets of
-    the two blocks sum to one and the block totals sum to ``m``.
-
-    The new block's support set therefore has radius ``ball_total = 2m``,
-    which equals ``sum(ball_col)`` (each cap is 2): the radius never binds,
-    and at ``x2 >= 0`` the support is ``ball_col @ x2``. So ``x2`` costs 2
-    per unit of mass, and the growth optimum is min(fixed optimum, 2).
+    sentences (``to_existing_col``) and links among the new ones, and its
+    column sum holds both parts at their caps. So every other budget is
+    derived: ``among_new_col = 1 - to_existing_col``, and each block total
+    is the sum of its caps. The new block's support set then has caps 2 and
+    radius 2m, the sum of the caps, so at ``x2 >= 0`` its support is ``2 *
+    sum(x2)``: ``x2`` costs 2 per unit of mass, and the growth optimum is
+    min(fixed optimum, 2).
     """
 
-    m: int
-    to_existing_total: float
-    among_new_total: float
     to_existing_col: np.ndarray
-    among_new_col: np.ndarray
 
     def __post_init__(self):
-        to_col = np.asarray(self.to_existing_col, dtype=float)
-        among_col = np.asarray(self.among_new_col, dtype=float)
-        object.__setattr__(self, "to_existing_col", to_col)
-        object.__setattr__(self, "among_new_col", among_col)
-        if self.m < 0:
-            raise ParameterError("growth rate must be nonnegative")
-        if to_col.shape != (self.m,) or among_col.shape != (self.m,):
-            raise ParameterError("need one budget pair per new sentence")
-        totals = [self.to_existing_total, self.among_new_total]
-        if not np.isfinite(np.concatenate([totals, to_col, among_col])).all():
-            raise ParameterError("growth budgets must be finite")
-        if np.any(to_col < 0) or np.any(among_col < 0):
-            raise ParameterError("growth budgets must be nonnegative")
-        if self.m and np.abs(to_col + among_col - 1.0).max() > 1e-9:
-            raise ParameterError("per-column growth budgets must sum to one")
-        if abs(self.to_existing_total + self.among_new_total - self.m) > 1e-9:
-            raise ParameterError("growth block totals must sum to the growth rate")
+        col = np.asarray(self.to_existing_col, dtype=float)
+        object.__setattr__(self, "to_existing_col", col)
+        if col.ndim != 1 or not np.all((col >= 0.0) & (col <= 1.0)):
+            raise ParameterError("growth budgets must be a vector of entries in [0, 1]")
 
     @classmethod
     def balanced(cls, m):
         """Even split of every new column between existing and new sentences."""
         if m < 0:
             raise ParameterError("growth rate must be nonnegative")
-        half = np.full(m, 0.5)
-        return cls(m, m / 2.0, m / 2.0, half, half)
+        return cls(np.full(m, 0.5))
 
     @property
-    def ball_total(self):
-        """l1 radius of the support set for the new block."""
-        return self.to_existing_total + self.among_new_total + self.m
+    def m(self):
+        return self.to_existing_col.size
 
     @property
-    def ball_col(self):
-        """Per-coordinate caps of the support set for the new block."""
-        return self.to_existing_col + self.among_new_col + 1.0
+    def among_new_col(self):
+        return 1.0 - self.to_existing_col
 
-    def box(self) -> BudgetedBox:
-        return BudgetedBox(self.ball_total, self.ball_col)
+    @property
+    def to_existing_total(self):
+        return float(self.to_existing_col.sum())
+
+    @property
+    def among_new_total(self):
+        return float(self.among_new_col.sum())
 
 
 @dataclass(frozen=True)
@@ -146,71 +129,55 @@ def _check_dims(p: TransitionMatrix, budget: RobustBudget):
         )
 
 
-def _support_program(cost, bounds, rows, relations, rhs, select, offset, box) -> LinearProgram:
-    """Build a head model plus one compact support block.
-
-    The head has variables ``v`` with ``cost``, ``bounds`` (one ``(low,
-    high)`` pair each) and constraints ``rows @ v (relations) rhs``. The
-    block names ``x = select @ v + offset`` and appends variables ``(t, u)``
-    (``1 + box.size``) with cost ``box.eps_total * t + box.eps_col @ u``,
-    bounds ``t, u >= 0`` and rows ``x_j - t - u_j <= 0``, after the head's.
-
-    For fixed ``x >= 0`` the minimum over ``(t, u)`` is
-    ``box_l1_support(x, box)`` (its LP dual).
-    """
-    n = box.size
-    block = np.hstack([select, -np.ones((n, 1)), -np.eye(n)])
-    matrix = np.vstack([np.hstack([rows, np.zeros((len(rhs), 1 + n))]), block])
-    return LinearProgram.build(
-        np.concatenate([cost, [box.eps_total], box.eps_col]),
-        list(bounds) + [(0.0, None)] * (1 + n),
-        zip(matrix, list(relations) + ["<="] * n, np.concatenate([rhs, -offset])),
-    )
-
-
 def _rank_program(p: TransitionMatrix, budget: RobustBudget, growth=None, pinned=None):
     """The one rank model behind the fixed, growth and comparative programs.
 
-    Head variables ``x1`` (n), ``x2`` (m, the growth block, with cost
-    ``growth.ball_col``, its exact support; see ``GrowthModel``) and ``s``
-    (n); rows ``-s <= P x1 - x1 <= s`` interleaved per sentence, then
-    ``sum(x1) + sum(x2) = 1``. Then ``(t, u)`` bounds the support of ``x1``
-    over the budget.
+    Variables ``x1`` (n), ``x2`` (m, the growth block, priced at the
+    constant 2, its exact support; see ``GrowthModel``), ``s`` (n), ``t``
+    and ``u`` (n). Rows ``-s <= P x1 - x1 <= s`` interleaved per sentence,
+    then ``sum(x1) + sum(x2) = 1``, then ``x1_j - t - u_j <= 0``. The cost
+    ``sum(s) + eps1 * t + eps_col @ u`` bounds residual plus the support of
+    ``x1`` over the budget: for fixed ``x1 >= 0`` the minimum over ``(t,
+    u) >= 0`` is ``box_l1_support(x1, budget)`` (its LP dual).
 
     With ``pinned = v`` the first v coordinates of ``x1`` are constants at
     one: ``x1`` keeps only its n - v free coordinates, boxed into [0, 1],
     the residual rows take ``-+(P - I)[:, :v] @ 1`` as right-hand sides,
-    the support block sees the pinned ones as its offset, and there is no
+    the support rows take ``-1`` for the pinned ones, and there is no
     simplex row. That model has 3n rows and 3n - v + 1 variables.
     """
     _check_dims(p, budget)
     n = p.size
     v = pinned or 0
     free = n - v
-    x2_cost = growth.ball_col if growth is not None else np.zeros(0)
-    m = x2_cost.size
+    m = growth.m if growth is not None else 0
     head = free + m + n
+    width = head + 1 + n
     shifted = p.values - np.eye(n)
-    residual = np.zeros((n, 2, head))
+    residual = np.zeros((n, 2, width))
     residual[:, 0, :free] = shifted[:, v:]
     residual[:, 1, :free] = -shifted[:, v:]
-    residual[:, :, free + m :] = -np.eye(n)[:, None, :]
-    rows = residual.reshape(2 * n, head)
+    residual[:, :, free + m : head] = -np.eye(n)[:, None, :]
+    support = np.hstack([np.eye(n, head, -v), -np.ones((n, 1)), -np.eye(n)])
+    rows = [residual.reshape(2 * n, width)]
     relations = ["<="] * (2 * n)
     if pinned is None:
         x_bounds = [(0.0, None)] * n
-        simplex = np.concatenate([np.ones(n + m), np.zeros(n)])
-        rows = np.vstack([rows, simplex])
+        rows.append(np.concatenate([np.ones(n + m), np.zeros(1 + 2 * n)]))
         relations.append("=")
         rhs = np.append(np.zeros(2 * n), 1.0)
     else:
         x_bounds = [(0.0, 1.0)] * free
         rhs = np.outer(shifted[:, :v].sum(axis=1), [-1.0, 1.0]).ravel()
-    cost = np.concatenate([np.zeros(free), x2_cost, np.ones(n)])
-    bounds = x_bounds + [(0.0, None)] * (m + n)
-    select = np.eye(n, head, -v)
     offset = np.concatenate([np.ones(v), np.zeros(free)])
-    return _support_program(cost, bounds, rows, relations, rhs, select, offset, budget)
+    cost = np.concatenate(
+        [np.zeros(free), np.full(m, 2.0), np.ones(n), [budget.eps_total], budget.eps_col]
+    )
+    return LinearProgram.build(
+        cost,
+        x_bounds + [(0.0, None)] * (m + 2 * n + 1),
+        zip(np.vstack(rows + [support]), relations + ["<="] * n, np.concatenate([rhs, -offset])),
+    )
 
 
 def build_robust_program(p: TransitionMatrix, budget: RobustBudget) -> LinearProgram:
@@ -229,23 +196,23 @@ def build_growth_program(
 ) -> LinearProgram:
     """Growth-aware model over the enlarged simplex.
 
-    Variable layout: ``x1`` (n), ``x2`` (m, cost ``growth.ball_col``), ``s``
-    (n), ``t`` and ``u`` (n) for the existing block: 3n+m+1 variables and
-    the fixed model's 3n+1 rows, with ``x2`` entering only the simplex row.
-    Pricing ``x2`` is exact because the new block's l1 radius equals the
-    sum of its caps (see ``GrowthModel``). With zero growth the model
-    coincides with the fixed one.
+    Variable layout: ``x1`` (n), ``x2`` (m, cost 2 each), ``s`` (n), ``t``
+    and ``u`` (n) for the existing block: 3n+m+1 variables and the fixed
+    model's 3n+1 rows, with ``x2`` entering only the simplex row. Pricing
+    ``x2`` is exact because the new block's l1 radius equals the sum of its
+    caps (see ``GrowthModel``). With zero growth the model coincides with
+    the fixed one.
     """
     return _rank_program(p, budget, growth)
 
 
-def _bound(p, budget, x1, growth=None, x2=None) -> float:
-    """Residual at ``x1`` plus the support of ``x1`` and, with growth, of ``x2``."""
+def _bound(p, budget, x1, x2) -> float:
+    """Residual at ``x1`` plus the supports of ``x1`` and of the new block ``x2``."""
     value = float(np.abs(p.values @ x1 - x1).sum())
     value += box_l1_support(x1, budget).value
-    if growth is not None and growth.m:
-        value += box_l1_support(x2, growth.box()).value
-    return value
+    # the new block's radius 2m equals the sum of its m caps of 2, so every
+    # coordinate takes its full cap: the support is 2 * ||x2||_1
+    return value + 2.0 * float(np.abs(x2).sum())
 
 
 def _objective_identity(objective, bound, tol=OBJECTIVE_IDENTITY_TOL):
@@ -270,7 +237,7 @@ def _solve_rank(p, budget, growth=None, pinned=None):
     x1 = np.concatenate([np.ones(v), solution.x[:free]])
     x2 = solution.x[free : free + m]
     objective = float(solution.objective_value)
-    _objective_identity(objective, _bound(p, budget, x1, growth, x2))
+    _objective_identity(objective, _bound(p, budget, x1, x2))
     return x1, x2, objective
 
 
@@ -348,4 +315,4 @@ def worst_case_upper_bound(
         raise ParameterError(f"candidate of length {x.size}, expected {p.size + m}")
     if np.any(x < -SIMPLEX_INPUT_TOL) or abs(x.sum() - 1.0) > SIMPLEX_INPUT_TOL:
         raise ParameterError("candidate must lie on the probability simplex")
-    return _bound(p, budget, x[: p.size], growth, x[p.size :])
+    return _bound(p, budget, x[: p.size], x[p.size :])

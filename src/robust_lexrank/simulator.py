@@ -154,18 +154,9 @@ def _report_seed(seed):
 
 
 def _check_set(p: TransitionMatrix, uset: UncertaintySet):
-    """Raise unless ``uset`` fits ``p`` and its growth budgets can be met."""
+    """Raise unless ``uset`` fits ``p``."""
     if uset.n != p.size:
         raise ParameterError("uncertainty set width does not match the matrix")
-    growth = uset.growth
-    if growth.m and (
-        abs(growth.to_existing_col.sum() - growth.to_existing_total) > BUDGET_TOL
-        or abs(growth.among_new_col.sum() - growth.among_new_total) > BUDGET_TOL
-    ):
-        raise SetDefinitionError(
-            "per-column growth budgets must add up to their block totals; "
-            "anything else leaves the perturbation set empty"
-        )
 
 
 def _chunks(n_samples: int, width: int):

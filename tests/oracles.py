@@ -4,9 +4,9 @@ Everything here deliberately avoids the package's own code paths:
 similarity is recomputed with plain dicts and ``math``, and linear
 programs are solved by enumerating basic solutions or by HiGHS. Slow and
 simple on purpose. The exceptions are ``decomposition_lp`` and
-``simplex_minimum_lp``, which keep the package's LP routes to the
-decomposition norm and its simplex minimum as differential checks on their
-closed forms.
+``simplex_minimum_lp``, which write the decomposition norm and its simplex
+minimum as LPs and solve them with the package's simplex as well as HiGHS,
+as differential checks on their closed forms.
 """
 
 from __future__ import annotations
@@ -163,39 +163,40 @@ def sampled_box_l2_max(x, eps_total, eps_col, n_samples, rng):
 def decomposition_lp(x, box):
     """The decomposition norm of ``x`` as an LP, solved by the package's simplex and by HiGHS.
 
-    The model is the support block of ``|x|`` alone, built by
-    ``robust._support_program``: ``min t + w @ u`` subject to ``u_j >=
-    |x_j| - t`` and ``t, u >= 0``, with ``w = eps_col / eps_total``. It has
-    one row per coordinate and ``n + 1`` variables. Returns both optima.
+    The model is ``min t + w @ u`` subject to ``u_j >= |x_j| - t`` and ``t,
+    u >= 0``, with ``w = eps_col / eps_total``: one row per coordinate and
+    ``n + 1`` variables. Returns both optima.
     """
-    from robust_lexrank import dualnorms, robust
+    from robust_lexrank.lpsolver import LinearProgram
 
     x = np.asarray(x, dtype=float)
     n = x.size
-    program = robust._support_program(
-        np.zeros(0), [], np.zeros((0, 0)), [], np.zeros(0), np.zeros((n, 0)), np.abs(x),
-        dualnorms.BudgetedBox(1.0, box.eps_col / box.eps_total),
+    rows = np.hstack([-np.ones((n, 1)), -np.eye(n)])
+    program = LinearProgram.build(
+        np.concatenate([[1.0], box.eps_col / box.eps_total]),
+        [(0.0, None)] * (n + 1),
+        zip(rows, ["<="] * n, -np.abs(x)),
     )
-    assert program.rows.shape == (n, n + 1)
-    assert program.objective.size == n + 1
-    assert set(program.relations) == {"<="}
     return _both_optima(program)
 
 
 def simplex_minimum_lp(m, weights):
     """The simplex minimum of the weighted decomposition norm as one joint LP.
 
-    Head variables ``y`` (m) on the probability simplex, then the support
-    block of ``y`` over the box of total one and caps ``weights`` (built by
-    ``robust._support_program``): ``min t + weights @ u`` subject to ``u_j >=
-    y_j - t``, ``sum(y) = 1`` and ``y, t, u >= 0``. Solved by the package's
-    simplex and by HiGHS; returns both optima.
+    Variables ``y`` (m) on the probability simplex, then ``(t, u)``
+    bounding the support of ``y`` over the box of total one and caps
+    ``weights``: ``min t + weights @ u`` subject to ``sum(y) = 1``, ``u_j >=
+    y_j - t`` and ``y, t, u >= 0``. Solved by the package's simplex and by
+    HiGHS; returns both optima.
     """
-    from robust_lexrank import dualnorms, robust
+    from robust_lexrank.lpsolver import LinearProgram
 
-    program = robust._support_program(
-        np.zeros(m), [(0.0, None)] * m, np.ones((1, m)), ["="], np.ones(1),
-        np.eye(m), np.zeros(m), dualnorms.BudgetedBox(1.0, weights),
+    simplex = np.concatenate([np.ones(m), np.zeros(1 + m)])
+    support = np.hstack([np.eye(m), -np.ones((m, 1)), -np.eye(m)])
+    program = LinearProgram.build(
+        np.concatenate([np.zeros(m), [1.0], weights]),
+        [(0.0, None)] * (2 * m + 1),
+        zip(np.vstack([simplex, support]), ["="] + ["<="] * m, np.append(1.0, np.zeros(m))),
     )
     return _both_optima(program)
 
@@ -235,8 +236,8 @@ def decomposition_rank_optimum(p, eps1, eps_col, growth=None, pinned=None):
     (``t`` bounds ``|x_j - mu_j|``, ``r`` bounds ``|mu_j|``, ``mu`` free).
     Variables are ``x1``, ``x2``, ``s``, then ``(t, r, mu)`` per block.
 
-    ``growth`` is ``(m, ball_total, ball_col)`` for a new block ``x2`` or
-    ``None``. With ``pinned=None`` all of ``x`` lies on the simplex;
+    ``growth`` is ``(m, total, caps)``, the support set of a new block
+    ``x2``, or ``None``. With ``pinned=None`` all of ``x`` lies on the simplex;
     otherwise the first ``pinned`` entries of ``x1`` are fixed at one, the
     rest lie in ``[0, 1]``, and there is no simplex row.
     """

@@ -117,6 +117,11 @@ class TestValidationAndIo:
         with pytest.raises(ParameterError):
             SimilarityMatrix(np.array([[0.9, 0.0], [0.0, 1.0]]))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_similarity_matrix_rejects_non_finite(self, bad):
+        with pytest.raises(ParameterError, match="finite"):
+            SimilarityMatrix(np.array([[1.0, bad], [bad, 1.0]]))
+
     def test_corpus_rejects_duplicate_ids(self):
         with pytest.raises(ParseError):
             Corpus.verified([Sentence("x", "one"), Sentence("x", "two")])

@@ -467,6 +467,21 @@ class TestSimplexDecompositionMin:
     def test_empty_simplex_convention(self):
         assert simplex_decomposition_min(0, np.zeros(0)) == 0.0
 
+    @pytest.mark.parametrize(
+        "weights, expected",
+        [
+            pytest.param([0.25, 0.5, 1.0, 0.25], 0.25, id="tie-min-weight-1/m"),
+            pytest.param([0.0, 0.0, 0.0], 0.0, id="all-zero"),
+        ],
+    )
+    def test_edge_weights_both_routes(self, weights, expected):
+        weights = np.array(weights)
+        m = weights.size
+        assert dualnorms._simplex_minimum_routes(m, weights) == (expected, expected)
+        assert simplex_decomposition_min(m, weights) == expected
+        for optimum in simplex_minimum_lp(m, weights):
+            assert optimum == pytest.approx(expected, abs=1e-12)
+
     def test_agrees_with_direct_minimization(self):
         # the closed form against the joint LP, solved by the package and by HiGHS
         rng = np.random.default_rng(64)

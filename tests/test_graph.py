@@ -6,6 +6,7 @@ import pytest
 from robust_lexrank import (
     AdjacencyMatrix,
     SimilarityMatrix,
+    TransitionMatrix,
     normalize_max_one,
     power_iteration,
     threshold_adjacency,
@@ -73,6 +74,13 @@ class TestToTransition:
         lonely[0, 0] = 1.0
         with pytest.raises(ConstructionError):
             to_transition(AdjacencyMatrix(lonely, 0.9))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_entries_rejected(self, bad):
+        values = np.full((2, 2), 0.5)
+        values[0, 1] = bad
+        with pytest.raises(ConstructionError, match="finite"):
+            TransitionMatrix(values)
 
 
 class TestProperties:

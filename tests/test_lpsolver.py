@@ -137,6 +137,21 @@ class TestValidation:
         with pytest.raises(ModelError):
             lp([1.0], [(0, None)], [([1.0], "<=", np.inf)])
 
+    def test_non_finite_coefficient(self):
+        with pytest.raises(ModelError, match="coefficients"):
+            lp([1.0, 1.0], [(0, None), (0, None)], [([np.inf, 1.0], "<=", 1.0)])
+
+    def test_nan_bound(self):
+        with pytest.raises(ModelError, match="bounds"):
+            lp([1.0], [(np.nan, None)], [([1.0], "<=", 1.0)])
+        # infinite bounds stay legal
+        model = lp([1.0], [(-np.inf, np.inf)], [([1.0], ">=", 1.0)])
+        assert solve(model).objective_value == pytest.approx(1.0)
+
+    def test_non_finite_objective(self):
+        with pytest.raises(ModelError, match="objective"):
+            lp([np.nan], [(0, None)], [([1.0], "<=", 1.0)])
+
     def test_ragged_constraint_widths(self):
         with pytest.raises(ModelError):
             lp([1.0, 2.0], [(0, None), (0, None)], [([1.0, 1.0], "<=", 1.0), ([1.0], "<=", 1.0)])

@@ -30,12 +30,22 @@ from robust_lexrank.errors import NumericError, ParameterError, SolverError
 from robust_lexrank.lpsolver import _StandardForm
 
 
-# Every valid growth model has ball_col = 2 and ball_total = 2m; the
-# uneven one splits its new columns differently between the two blocks.
-GROWTH_MODELS = [
-    GrowthModel.balanced(3),
-    GrowthModel(3, 1.2, 1.8, [0.2, 0.5, 0.5], [0.8, 0.5, 0.5]),
-]
+# The uneven model splits its new columns differently between the two blocks.
+GROWTH_MODELS = [GrowthModel.balanced(3), GrowthModel([0.2, 0.5, 0.5])]
+
+
+def growth_support_set(to_col):
+    """Total and caps of the new block's support set, from the paper's definition.
+
+    The per-column split is ``to_col`` into the existing sentences and
+    ``1 - to_col`` among the new ones; each block total is the sum of its
+    caps. The support set adds one per column (and m in total) for the new
+    rows' unit mass.
+    """
+    to_col = np.asarray(to_col, dtype=float)
+    among_col = 1.0 - to_col
+    m = to_col.size
+    return to_col.sum() + among_col.sum() + m, to_col + among_col + 1.0
 
 
 def uniform_budget(n, eps):
@@ -106,7 +116,7 @@ class TestProgramStructure:
         assert np.array_equal(np.delete(grown.rows, new_block, axis=1), fixed.rows)
         assert grown.relations == fixed.relations
         assert np.array_equal(grown.rhs, fixed.rhs)
-        assert np.array_equal(grown.objective[new_block], growth.ball_col)
+        assert np.array_equal(grown.objective[new_block], np.full(m, 2.0))
         assert np.array_equal(np.delete(grown.objective, new_block), fixed.objective)
 
     def test_comparative_model_shape(self):
@@ -226,17 +236,16 @@ class TestAgainstDecompositionForm:
                 with pytest.raises(SolverError):
                     solve_growth(p, budget, growth)
                 grown = solve(build_growth_program(p, budget, growth)).objective_value
+            total, caps = growth_support_set(growth.to_existing_col)
             grown_reference = decomposition_rank_optimum(
-                p.values, eps1, eps_col, growth=(growth.m, growth.ball_total, growth.ball_col)
+                p.values, eps1, eps_col, growth=(growth.m, total, caps)
             )
             assert grown == pytest.approx(grown_reference, abs=1e-8)
             # Both terms are positively homogeneous, so the growth optimum is
             # the cheaper of the fixed optimum and the new block's simplex
             # minimum, 2 for every growth model: it equals the fixed objective
             # in every case here but the budget above 4 (n - 1).
-            block_min = growth.ball_total * simplex_decomposition_min(
-                growth.m, growth.ball_col / growth.ball_total
-            )
+            block_min = total * simplex_decomposition_min(growth.m, caps / total)
             assert block_min == pytest.approx(2.0, abs=1e-12)
             assert grown == pytest.approx(min(reference, block_min), abs=1e-8)
             if eps1 < 4 * (n - 1):
@@ -274,26 +283,28 @@ class TestGrowthIndependence:
             assert grown.objective == pytest.approx(base.objective, abs=1e-7)
 
     def test_growth_model_validation(self):
+        growth = GrowthModel([0.2, 0.5, 1.0])
+        assert growth.m == 3
+        assert np.array_equal(growth.among_new_col, [0.8, 0.5, 0.0])
+        assert growth.to_existing_total + growth.among_new_total == pytest.approx(3.0)
+        for to_col in ([0.5, 1.2], [-0.1], 0.5, [[0.5]]):
+            with pytest.raises(ParameterError):
+                GrowthModel(to_col)
         with pytest.raises(ParameterError):
-            GrowthModel(2, 1.0, 1.0, np.array([0.5, 0.7]), np.array([0.5, 0.5]))
-        with pytest.raises(ParameterError):
-            GrowthModel(1, 1.0, 1.0, np.array([0.5]), np.array([0.5]))
+            GrowthModel.balanced(-1)
 
     @pytest.mark.parametrize(
-        "totals, caps",
+        "to_col",
         [
-            pytest.param((np.nan, np.nan), (np.nan, np.nan), id="nan"),
-            pytest.param((0.5, np.nan), (0.5, 0.5), id="nan-total"),
-            pytest.param((0.5, 0.5), (0.5, np.nan), id="nan-cap"),
-            pytest.param((np.inf, -np.inf), (0.5, 0.5), id="opposite-inf-totals"),
-            pytest.param((0.5, 0.5), (np.inf, 0.5), id="inf-cap"),
-            pytest.param((0.5, 0.5), (-np.inf, 0.5), id="minus-inf-cap"),
+            pytest.param([np.nan], id="nan"),
+            pytest.param([0.5, np.nan], id="nan-cap"),
+            pytest.param([np.inf], id="inf-cap"),
+            pytest.param([-np.inf, 0.5], id="minus-inf-cap"),
         ],
     )
-    def test_non_finite_growth_budgets_rejected(self, totals, caps):
-        to_cap, among_cap = caps
-        with pytest.raises(ParameterError, match="finite"):
-            GrowthModel(1, *totals, np.array([to_cap]), np.array([among_cap]))
+    def test_non_finite_growth_budgets_rejected(self, to_col):
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            GrowthModel(np.array(to_col))
 
 
 class TestComparativeRank:
