@@ -79,7 +79,7 @@ class Corpus:
         return [s.id for s in self.sentences]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SimilarityMatrix:
     """Symmetric pairwise similarities in [0, 1] with a unit diagonal."""
 

@@ -26,7 +26,7 @@ ATTAINMENT_TOL = 1e-9
 SIMPLEX_MIN_TOL = 1e-9
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BudgetedBox:
     """Total budget plus per-coordinate caps for one perturbation block."""
 
@@ -50,7 +50,7 @@ class BudgetedBox:
         return self.eps_col.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DualCertificate:
     """Feasible maximizer of ``z @ x`` over a ball/box intersection."""
 
@@ -59,7 +59,7 @@ class DualCertificate:
     ball: str = "l1"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NormDecomposition:
     """Split ``x = lam + mu`` achieving the decomposition-norm minimum,
     with the support certificate its value was checked against."""
@@ -271,7 +271,7 @@ def decomposition_norm_l2(x, box: BudgetedBox) -> NormDecomposition:
     return _certified(lam, mu, value, certificate, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrobeniusWorstCase:
     """Closed-form worst-case norm with the perturbations that attain it."""
 

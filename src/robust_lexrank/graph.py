@@ -12,7 +12,7 @@ from .errors import ConstructionError, ParameterError
 COLUMN_SUM_TOL = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class AdjacencyMatrix:
     """Binary symmetric adjacency; the diagonal is all ones for thresholds <= 1."""
 
@@ -34,7 +34,7 @@ class AdjacencyMatrix:
         return self.values.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TransitionMatrix:
     """Nonnegative matrix whose every column sums to one."""
 

@@ -29,7 +29,7 @@ RATIO_TIE_TOL = 1e-12
 HARD_ITERATION_CAP = 200_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgram:
     """Minimization model: ``min c @ x`` under row constraints and variable bounds.
 
@@ -117,7 +117,7 @@ class LinearProgram:
         return "\n".join(lines)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LinearProgramSolution:
     """Outcome of a solve: ``status`` is optimal, infeasible, or unbounded."""
 

@@ -19,7 +19,7 @@ DEFAULT_MAX_ITER = 100_000
 SIMPLEX_SUM_TOL = 1e-10
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RankVector:
     """Point on the standard simplex: nonnegative entries summing to one."""
 
@@ -39,7 +39,7 @@ class RankVector:
         return self.values.size
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ReportedRanks:
     """Per-sentence scores with the max-one normalization used for reporting."""
 

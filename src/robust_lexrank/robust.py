@@ -57,7 +57,7 @@ class RobustBudget(BudgetedBox):
         return RobustBudget(self.eps_total * factor, self.eps_col * factor)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GrowthModel:
     """Budgets for the columns brought in by future sentences, one per column.
 
@@ -103,7 +103,7 @@ class GrowthModel:
         return float(self.among_new_col.sum())
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RobustRankResult:
     """Solution blocks, objective, and max-one report of a robust solve."""
 
@@ -113,7 +113,7 @@ class RobustRankResult:
     reported: ReportedRanks
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComparativeRankResult:
     """Comparative scores: verified sentences pinned at one, generated in [0, 1]."""
 

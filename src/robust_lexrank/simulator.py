@@ -9,11 +9,16 @@ the only split the per-column budgets admit. With no new sentences each
 column moves mass from one row to another instead (the fixed-size
 family), so every growth rate is sampled, checked and scored by the one
 path of ``empirical_max_residual``.
+
+Each chunk of samples is one ``random((count, W))`` call, one row of
+uniforms per sample (layouts in ``_draw_blocks`` and ``_paired_shifts``):
+``W = n + n m + m (n + m)`` with new sentences, ``2 n`` without, and
+nothing is drawn for a single sentence without growth.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -58,7 +63,7 @@ class UncertaintySet:
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PerturbationSample:
     """One grown matrix: existing-link shifts plus blocks for new sentences."""
 
@@ -79,18 +84,18 @@ class PerturbationSample:
 
 def _check_stochastic(new_rows, new_cols, new_corner, grown):
     """Raise unless the new blocks and grown matrices are nonnegative and
-    every grown column sums to one.
+    every grown column sums to one; a NaN entry fails both tests.
 
     Each array is one sample's block or a stack of them (samples along the
     leading axis).
     """
     for name, block in (("new_rows", new_rows), ("new_cols", new_cols), ("new_corner", new_corner)):
-        if block.size and block.min() < 0:
+        if block.size and not block.min() >= 0:
             raise SetDefinitionError(f"{name} block must be nonnegative")
     if grown.size:
-        if grown.min() < 0:
+        if not grown.min() >= 0:
             raise SetDefinitionError("grown matrix must be nonnegative")
-        if np.abs(grown.sum(axis=-2) - 1.0).max() > STOCHASTIC_TOL:
+        if not np.abs(grown.sum(axis=-2) - 1.0).max() <= STOCHASTIC_TOL:
             raise SetDefinitionError("grown matrix columns must sum to one")
 
 
@@ -128,13 +133,7 @@ class SimulationReport:
     seed: int | None
 
     def as_dict(self):
-        return {
-            "samples": self.samples,
-            "max_residual": self.max_residual,
-            "bound_value": self.bound_value,
-            "violations": self.violations,
-            "seed": self.seed,
-        }
+        return asdict(self)
 
 
 def _rng(seed):
@@ -166,18 +165,11 @@ def _chunks(n_samples: int, width: int):
         yield min(size, n_samples - start)
 
 
-def _dirichlet_rows(draws):
-    """Rows of standard exponential ``draws`` scaled to sum to one.
-
-    This is numpy's Dirichlet with all-ones ``alpha``, bit for bit: each
-    row sum is accumulated left to right from zero, and the row is
-    multiplied by its reciprocal. ``np.sum`` would not do: it sums rows
-    of eight or more pairwise, which rounds differently.
-    """
-    acc = np.zeros(draws.shape[:-1])
-    for j in range(draws.shape[-1]):
-        acc += draws[..., j]
-    return draws * (1.0 / acc)[..., None]
+def _dirichlet_rows(uniforms):
+    """Flat Dirichlet rows from ``uniforms`` in [0, 1): standard exponentials
+    ``-log1p(-u)``, each row divided by its sum."""
+    draws = -np.log1p(-uniforms)
+    return draws / draws.sum(axis=-1, keepdims=True)
 
 
 def _draw_blocks(p: TransitionMatrix, uset: UncertaintySet, rng, count: int):
@@ -189,71 +181,55 @@ def _draw_blocks(p: TransitionMatrix, uset: UncertaintySet, rng, count: int):
     new sentences the mass moves inside each column instead (see
     ``_paired_shifts``), and the other blocks are empty.
 
-    With new sentences each sample makes two generator calls: its column
-    masses, then every exponential its Dirichlet splits need, in one
-    block. The blocks are formed from the draws afterwards, all at once.
-    The stream, and every value, is that of one ``uniform`` call for the
-    masses and one all-ones ``dirichlet`` call per live column's new-row
-    split and per new column's two halves, so a seed reproduces earlier
-    samples bit for bit.
+    The whole chunk is one ``random((count, W))`` call, one row per sample.
+    With new sentences ``W = n + n m + m (n + m)``: the row holds the ``n``
+    column masses, then every existing column's ``m``-way new-row split
+    (drawn even where the mass is zero), then each new column's ``n``
+    to-existing and ``m`` among-new uniforms. Since ``random`` reads one
+    stream word per double, sample ``k`` reads words ``[kW, (k + 1)W)``
+    whatever the chunking.
     """
     n, m = p.size, uset.m
     if not m:
         xi = _paired_shifts(p, uset.existing, rng, count)
         return xi, np.zeros((count, 0, n)), np.zeros((count, n, 0)), np.zeros((count, 0, 0))
     high = np.minimum(np.minimum(uset.existing.eps_col, uset.new_rows.eps_col) / 2.0, 1.0)
-    masses = np.zeros((count, n))
-    split_draws = []
-    growth_draws = np.empty((count, m * (n + m)))
-    for k in range(count):
-        drawn = rng.random(n) * high
-        total = drawn.sum()
-        if total > 0:
-            drawn *= min(1.0, uset.existing.eps_total / total, uset.new_rows.eps_total / total)
-        masses[k] = drawn
-        live_splits = np.count_nonzero(drawn) * m
-        draws = rng.standard_exponential(live_splits + growth_draws.shape[1])
-        split_draws.append(draws[:live_splits])
-        growth_draws[k] = draws[live_splits:]
-
-    live = masses != 0.0
-    xi = np.zeros((count, n, n))
-    np.multiply(-masses[:, None, :], p.values, out=xi, where=live[:, None, :])
-    split = np.zeros((count, n, m))
-    split[live] = _dirichlet_rows(np.concatenate(split_draws).reshape(-1, m))
-    growth_draws = growth_draws.reshape(count, m, n + m)
-    to_existing = _dirichlet_rows(growth_draws[:, :, :n])
-    among_new = _dirichlet_rows(growth_draws[:, :, n:])
+    uniforms = rng.random((count, n + n * m + m * (n + m)))
+    masses = uniforms[:, :n] * high
+    total = masses.sum(axis=1)
+    limit = min(uset.existing.eps_total, uset.new_rows.eps_total)
+    masses *= np.minimum(1.0, np.divide(limit, total, out=np.ones(count), where=total > 0))[:, None]
+    split = _dirichlet_rows(uniforms[:, n : n + n * m].reshape(count, n, m))
+    growth = uniforms[:, n + n * m :].reshape(count, m, n + m)
+    xi = -masses[:, None, :] * p.values
     psi = masses[:, None, :] * split.transpose(0, 2, 1)
-    zeta = to_existing.transpose(0, 2, 1) * uset.growth.to_existing_col
-    chi = among_new.transpose(0, 2, 1) * uset.growth.among_new_col
+    zeta = _dirichlet_rows(growth[:, :, :n]).transpose(0, 2, 1) * uset.growth.to_existing_col
+    chi = _dirichlet_rows(growth[:, :, n:]).transpose(0, 2, 1) * uset.growth.among_new_col
     return xi, psi, zeta, chi
 
 
 def _paired_shifts(p: TransitionMatrix, box: BudgetedBox, rng, count: int):
     """Draw ``count`` fixed-size shifts ``xi``: each column moves mass between two rows.
 
-    Each sample makes two generator calls: one ``integers`` call gives
-    every column a donor row and a different receiver row, and one
-    ``random`` call the fraction of its cap that the column moves. The cap
-    is the smaller of half the column's budget and the donor entry, so
-    ``p + xi`` stays nonnegative. A sample whose moved mass, counted in
-    both rows, exceeds the block total is scaled down to it. With one row
-    there is no pair: the shift is zero and nothing is drawn.
+    The chunk is one ``random((count, 2 n))`` call, one row per sample: ``n``
+    pair codes ``floor(u n (n - 1))``, each giving its column a donor row
+    and a different receiver row, then ``n`` fractions of the cap that the
+    columns move. The cap is the smaller of half the column's budget and
+    the donor entry, so ``p + xi`` stays nonnegative. A sample whose moved
+    mass, counted in both rows, exceeds the block total is scaled down to
+    it. With one row there is no pair: the shift is zero and nothing is
+    drawn.
     """
     n = p.size
     xi = np.zeros((count, n, n))
     if n < 2:
         return xi
-    pairs = np.empty((count, n), dtype=np.int64)
-    fractions = np.empty((count, n))
-    for k in range(count):
-        pairs[k] = rng.integers(n * (n - 1), size=n)
-        fractions[k] = rng.random(n)
+    uniforms = rng.random((count, 2 * n))
+    pairs = np.floor(uniforms[:, :n] * (n * (n - 1))).astype(np.int64)
     donor, receiver = np.divmod(pairs, n - 1)
     receiver += receiver >= donor
     columns = np.arange(n)
-    masses = fractions * np.minimum(box.eps_col / 2.0, p.values[donor, columns])
+    masses = uniforms[:, n:] * np.minimum(box.eps_col / 2.0, p.values[donor, columns])
     moved = 2.0 * masses.sum(axis=1)
     scale = np.divide(box.eps_total, moved, out=np.ones(count), where=moved > 0)
     masses *= np.minimum(1.0, scale)[:, None]

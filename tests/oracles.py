@@ -292,31 +292,41 @@ def decomposition_rank_optimum(p, eps1, eps_col, growth=None, pinned=None):
     return float(result.fun)
 
 
+def _flat_dirichlet(uniforms):
+    """One flat Dirichlet draw from a 1-D row of uniforms in [0, 1)."""
+    draws = -np.log1p(-uniforms)
+    return draws / draws.sum()
+
+
 def reference_perturbation(p, uset, rng):
-    """The sampler drawn one column at a time: ``(xi, psi, zeta, chi, grown)``.
+    """The sampler drawn one sample at a time: ``(xi, psi, zeta, chi, grown)``.
 
     ``p`` is the transition matrix as an array and ``uset`` an uncertainty
     set whose budget fields are read directly; ``rng`` is a numpy
-    ``Generator``. Each existing column draws its mass, and each live
-    column its new-row split, with a call of its own, in column order.
-    With no new sentences (and at least two rows) the sample draws one
-    pair code and one fraction per column, in two calls, and each column
-    moves its mass from the donor row to the receiver row of its code.
+    ``Generator``. The sample is one ``rng.random(W)`` call, and every
+    block is formed from it one column at a time. With new sentences
+    ``W = n + n m + m (n + m)``: the column masses, then each existing
+    column's new-row split, then each new column's to-existing and
+    among-new halves, every split a flat Dirichlet of its own uniforms.
+    With no new sentences (and at least two rows) ``W = 2 n``: one pair
+    code and then one fraction per column, and each column moves its mass
+    from the donor row to the receiver row of its code.
     """
     n, m = p.shape[0], uset.growth.m
     xi = np.zeros((n, n))
     psi = np.zeros((m, n))
+    zeta = np.zeros((n, m))
+    chi = np.zeros((m, m))
     if not m and n > 1:
-        codes = rng.integers(n * (n - 1), size=n)
-        fractions = rng.random(n)
+        u = rng.random(2 * n)
         rows = []
         masses = np.empty(n)
         for j in range(n):
-            donor, receiver = divmod(int(codes[j]), n - 1)
+            donor, receiver = divmod(math.floor(u[j] * (n * (n - 1))), n - 1)
             if receiver >= donor:
                 receiver += 1
             rows.append((donor, receiver))
-            masses[j] = fractions[j] * min(uset.existing.eps_col[j] / 2.0, p[donor, j])
+            masses[j] = u[n + j] * min(uset.existing.eps_col[j] / 2.0, p[donor, j])
         moved = 2.0 * masses.sum()
         if moved > 0:
             masses *= min(1.0, uset.existing.eps_total / moved)
@@ -324,24 +334,20 @@ def reference_perturbation(p, uset, rng):
             xi[donor, j] = -masses[j]
             xi[receiver, j] = masses[j]
     if m:
+        u = rng.random(n + n * m + m * (n + m))
         masses = np.empty(n)
         for j in range(n):
             cap = min(uset.existing.eps_col[j], uset.new_rows.eps_col[j]) / 2.0
-            masses[j] = rng.uniform(0.0, min(cap, 1.0))
+            masses[j] = u[j] * min(cap, 1.0)
         total = masses.sum()
-        scale = 1.0
         if total > 0:
-            scale = min(1.0, uset.existing.eps_total / total, uset.new_rows.eps_total / total)
-        masses *= scale
+            masses *= min(1.0, uset.existing.eps_total / total, uset.new_rows.eps_total / total)
         for j in range(n):
-            if masses[j] == 0.0:
-                continue
             xi[:, j] = -masses[j] * p[:, j]
-            psi[:, j] = masses[j] * rng.dirichlet(np.ones(m))
-    zeta = np.zeros((n, m))
-    chi = np.zeros((m, m))
-    for j in range(m):
-        zeta[:, j] = uset.growth.to_existing_col[j] * rng.dirichlet(np.ones(n))
-        chi[:, j] = uset.growth.among_new_col[j] * rng.dirichlet(np.ones(m))
+            psi[:, j] = masses[j] * _flat_dirichlet(u[n + j * m : n + (j + 1) * m])
+        for j in range(m):
+            start = n + n * m + j * (n + m)
+            zeta[:, j] = uset.growth.to_existing_col[j] * _flat_dirichlet(u[start : start + n])
+            chi[:, j] = uset.growth.among_new_col[j] * _flat_dirichlet(u[start + n : start + n + m])
     grown = np.block([[p + xi, zeta], [psi, chi]])
     return xi, psi, zeta, chi, grown

@@ -186,12 +186,21 @@ class TestSimulateCommand:
         assert payload["config"]["seed"] == 7
 
     def test_sampled_maximum_pinned(self, capsys):
-        # the seeded stream end to end: any change to the draws moves it
+        # the seeded stream end to end at growth 2; the candidate is zero on
+        # the new sentences, so the new columns never count and the new rows
+        # only through their nonnegative sums: the column masses reach this
+        # value, the splits do not
         code, stdout, _ = run_cli(
             capsys, "simulate", "--threshold", "0.2", "--samples", "1000", "--seed", "7", "--growth", "2"
         )
         assert code == 0
         assert json.loads(stdout)["report"]["max_residual"] == 0.08216449001961942
+
+    def test_default_growth_maximum_pinned(self, capsys):
+        # the seeded paired-shift stream end to end: pair codes and fractions
+        code, stdout, _ = run_cli(capsys, "simulate", "--threshold", "0.2", "--seed", "7")
+        assert code == 0
+        assert json.loads(stdout)["report"]["max_residual"] == 0.021352869504646363
 
     @pytest.mark.parametrize("seed", ["0", "3", "7"])
     def test_default_growth_shifts_existing_links(self, capsys, seed):

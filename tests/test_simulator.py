@@ -1,5 +1,6 @@
 """Perturbation sampling, set membership, and empirical bound domination."""
 
+import copy
 import dataclasses
 import itertools
 import json
@@ -12,9 +13,13 @@ from conftest import random_stochastic
 from oracles import reference_perturbation
 
 from robust_lexrank import (
+    AdjacencyMatrix,
     BudgetedBox,
     GrowthModel,
     PerturbationSample,
+    RankVector,
+    RobustBudget,
+    SimilarityMatrix,
     TransitionMatrix,
     UncertaintySet,
     empirical_max_residual,
@@ -45,6 +50,18 @@ class CountingGenerator:
             return method(*args, **kwargs)
 
         return counted
+
+
+class EdgeGenerator:
+    """A generator stub for the zero-growth layout: every pair-code uniform
+    is ``edge`` and every fraction one half."""
+
+    def __init__(self, edge):
+        self.edge = edge
+
+    def random(self, size):
+        count, width = size
+        return np.hstack([np.full((count, width // 2), self.edge), np.full((count, width // 2), 0.5)])
 
 
 def make_uset(n, m, eps_xi=0.3, eps_xi_col=0.2, eps_psi=0.3, eps_psi_col=0.2):
@@ -111,8 +128,8 @@ class TestSamplePerturbation:
             pytest.param(4, 2, 0.3, np.array([0.0, 0.2, 0.0, 0.3]), id="zero-caps"),
             pytest.param(5, 2, 0.05, np.full(5, 0.4), id="binding-total"),
             pytest.param(4, 2, 50.0, np.full(4, 5.0), id="caps-above-2"),
-            # rows of eight or more entries, where a pairwise row sum would
-            # round differently from numpy's sequential Dirichlet
+            # rows of eight or more entries, which numpy sums pairwise: a
+            # chunk's row sums must still equal the reference's 1-D sums
             pytest.param(11, 9, 0.3, np.r_[0.0, np.full(10, 0.2)], id="wide"),
             pytest.param(20, 17, 0.3, np.r_[np.full(19, 0.2), 0.0], id="wider"),
         ],
@@ -145,12 +162,34 @@ class TestSamplePerturbation:
             if eps_col.max() > 2.0:
                 assert np.abs(sample.existing_delta).sum(axis=0).max() <= 1.0
 
-    @pytest.mark.parametrize("m, calls", [(0, 2), (2, 2)])
-    def test_two_generator_calls_per_sample(self, m, calls):
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_one_generator_call_per_chunk(self, m):
         p = TransitionMatrix(random_stochastic(5, np.random.default_rng(1)))
         rng = CountingGenerator(np.random.default_rng(0))
         simulator._draw_blocks(p, make_uset(5, m), rng, 10)
-        assert rng.calls == 10 * calls
+        assert rng.calls == 1
+
+    def test_growth_blocks_pinned(self):
+        # entry (i, j) of the grown matrix counts with weight (i + 1)(7 - j),
+        # so moving mass between two rows of any column of any block, as a
+        # change to any split of the seeded stream does, moves this value
+        p = TransitionMatrix(random_stochastic(5, np.random.default_rng(1)))
+        sample = sample_perturbation(p, make_uset(5, 2), seed=7)
+        rows = np.arange(1.0, 8.0)
+        assert float(rows @ sample.grown @ rows[::-1]) == 94.9121882010308
+
+    @pytest.mark.parametrize("n", [2, 11])
+    @pytest.mark.parametrize("edge", [0.0, np.nextafter(1.0, 0.0)], ids=["zero", "below-one"])
+    def test_pair_codes_at_uniform_edges(self, n, edge):
+        # pair codes at both ends of [0, 1); fractions of one half make every
+        # column's donor and receiver visible in the shift
+        rng = EdgeGenerator(edge)
+        p = TransitionMatrix(np.full((n, n), 1.0 / n))
+        xi = simulator._draw_blocks(p, make_uset(n, 0, eps_xi=10.0), rng, 3)[0]
+        donor, receiver = (0, 1) if edge == 0.0 else (n - 1, n - 2)
+        rows = np.arange(n)[None, :, None]
+        assert np.array_equal(xi < 0, np.broadcast_to(rows == donor, xi.shape))
+        assert np.array_equal(xi > 0, np.broadcast_to(rows == receiver, xi.shape))
 
     def test_width_mismatch_rejected(self):
         p = TransitionMatrix(np.eye(3))
@@ -210,11 +249,47 @@ class TestWithinBudgets:
         sign = -1.0 if block == "existing_delta" else 1.0
         assert not dataclasses.replace(quiet, **{block: sign * values}).within_budgets(uset)
 
+    def test_nan_grown_rejected(self):
+        quiet = self.quiet_sample(2, 0)
+        grown = np.array([[np.nan, 0.5], [0.5, 0.5]])
+        with pytest.raises(SetDefinitionError, match="grown matrix"):
+            dataclasses.replace(quiet, grown=grown)
+
+    @pytest.mark.parametrize("block", BLOCKS[1:])
+    def test_nan_block_rejected(self, block):
+        quiet = self.quiet_sample(3, 2)
+        values = np.zeros_like(getattr(quiet, block))
+        values[0, 0] = np.nan
+        with pytest.raises(SetDefinitionError, match=f"{block} block"):
+            dataclasses.replace(quiet, **{block: values})
+
     def test_no_growth_passes(self):
         uset = make_uset(3, 0)
         assert self.quiet_sample(3, 0).within_budgets(uset)
         p = TransitionMatrix(random_stochastic(3, np.random.default_rng(3)))
         assert sample_perturbation(p, uset, seed=0).within_budgets(uset)
+
+
+VALUE_TYPES = {
+    "growth-model": lambda: GrowthModel.balanced(2),
+    "budgeted-box": lambda: BudgetedBox.uniform(2, 1.0, 1.0),
+    "robust-budget": lambda: RobustBudget.broadcast(2, 1.0, 1.0),
+    "uncertainty-set": lambda: make_uset(2, 1),
+    "transition": lambda: TransitionMatrix(np.eye(2)),
+    "adjacency": lambda: AdjacencyMatrix(np.eye(2), 0.5),
+    "similarity": lambda: SimilarityMatrix(np.eye(2)),
+    "rank-vector": lambda: RankVector(np.full(2, 0.5)),
+    "sample": lambda: TestWithinBudgets.quiet_sample(2, 1),
+}
+
+
+@pytest.mark.parametrize("make", VALUE_TYPES.values(), ids=VALUE_TYPES.keys())
+def test_array_holders_compare_by_identity(make):
+    # array fields make field-wise equality ambiguous and hashing impossible
+    value = make()
+    assert value == value
+    assert value != copy.deepcopy(value)
+    assert {value: 1}[value] == 1
 
 
 class TestResidual:
