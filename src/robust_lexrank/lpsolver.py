@@ -1,10 +1,21 @@
 """Dense linear programming via two-phase primal simplex.
 
 Self-contained on purpose: the models solved here are desk-scale (at most
-a few hundred variables), a dense tableau handles them instantly, and
-exact vertex answers keep golden tests reproducible. Pivoting is
-deterministic; Bland's rule takes over after ``2 * (rows + cols)``
-iterations so degenerate models cannot cycle.
+a few hundred variables and rows), so a dense tableau fits them, and exact
+vertex answers keep golden tests reproducible. Pivoting is deterministic;
+Bland's rule takes over after ``2 * (rows + cols)`` iterations so
+degenerate models cannot cycle.
+
+Each pivot's rank-one update subtracts ``factors[i] * pivot_row[j]`` only
+in the columns ``j`` where the normalized pivot row is nonzero: in the
+others the dense update subtracts exactly zero, so the pivot sequence,
+the vertex and the objective are the same as with it. The two tableaux
+can differ only in the sign of a zero entry, which no comparison
+distinguishes. The phase-one artificial columns and
+the rank models' support block are mostly zero in the pivot row, so a
+large tableau updates a small share of its columns. Below
+``SPARSE_PIVOT_CELLS`` cells the column gather and scatter cost more than
+they save, and the update stays dense.
 
 Equality constraints are expanded into opposing inequalities, variables
 are shifted/split into the nonnegative standard form, and feasibility is
@@ -27,6 +38,7 @@ BOUND_TOL = 1e-9
 PHASE1_TOL = 1e-7
 RATIO_TIE_TOL = 1e-12
 HARD_ITERATION_CAP = 200_000
+SPARSE_PIVOT_CELLS = 20_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -130,7 +142,11 @@ def _pivot(tableau, basis, row, col):
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    tableau -= np.outer(factors, tableau[row])
+    if tableau.size < SPARSE_PIVOT_CELLS:
+        tableau -= np.outer(factors, tableau[row])
+    else:
+        cols = np.flatnonzero(tableau[row])
+        tableau[:, cols] -= np.multiply.outer(factors, tableau[row, cols])
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
     basis[row] = col

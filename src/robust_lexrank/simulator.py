@@ -167,9 +167,14 @@ def _chunks(n_samples: int, width: int):
 
 def _dirichlet_rows(uniforms):
     """Flat Dirichlet rows from ``uniforms`` in [0, 1): standard exponentials
-    ``-log1p(-u)``, each row divided by its sum."""
+    ``-log1p(-u)``, each row divided by its sum. A row of zero uniforms
+    sums to zero and takes the uniform split instead of 0/0."""
     draws = -np.log1p(-uniforms)
-    return draws / draws.sum(axis=-1, keepdims=True)
+    sums = draws.sum(axis=-1, keepdims=True)
+    if sums.all():
+        return draws / sums
+    even = np.full_like(draws, 1.0 / draws.shape[-1])
+    return np.divide(draws, sums, out=even, where=sums > 0)
 
 
 def _draw_blocks(p: TransitionMatrix, uset: UncertaintySet, rng, count: int):

@@ -6,7 +6,9 @@ programs are solved by enumerating basic solutions or by HiGHS. Slow and
 simple on purpose. The exceptions are ``decomposition_lp`` and
 ``simplex_minimum_lp``, which write the decomposition norm and its simplex
 minimum as LPs and solve them with the package's simplex as well as HiGHS,
-as differential checks on their closed forms.
+as differential checks on their closed forms, and ``dense_pivot``, the
+simplex pivot as one dense rank-one update, against which the package's
+column-sparse pivot is checked bit for bit.
 """
 
 from __future__ import annotations
@@ -55,6 +57,17 @@ def oracle_similarity_matrix(bodies):
             num = sum(vecs[i][w] * vecs[j][w] for w in shared)
             matrix[i][j] = min(num / (norms[i] * norms[j]), 1.0)
     return np.array(matrix)
+
+
+def dense_pivot(tableau, basis, row, col):
+    """Pivot ``tableau`` on ``(row, col)`` in place, updating every column."""
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    tableau -= np.outer(factors, tableau[row])
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+    basis[row] = col
 
 
 def enumerate_lp_optimum(objective, rows, relations, rhs, lower, upper):
@@ -293,9 +306,13 @@ def decomposition_rank_optimum(p, eps1, eps_col, growth=None, pinned=None):
 
 
 def _flat_dirichlet(uniforms):
-    """One flat Dirichlet draw from a 1-D row of uniforms in [0, 1)."""
+    """One flat Dirichlet draw from a 1-D row of uniforms in [0, 1); the
+    uniform split when every uniform is zero."""
     draws = -np.log1p(-uniforms)
-    return draws / draws.sum()
+    total = draws.sum()
+    if total == 0.0:
+        return np.full(draws.size, 1.0 / draws.size)
+    return draws / total
 
 
 def reference_perturbation(p, uset, rng):

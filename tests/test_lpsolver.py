@@ -3,11 +3,11 @@
 import numpy as np
 import pytest
 
-from oracles import enumerate_lp_optimum
+from oracles import dense_pivot, enumerate_lp_optimum
 
 from robust_lexrank import LinearProgram, solve
 from robust_lexrank.errors import ModelError, NumericError
-from robust_lexrank.lpsolver import _StandardForm
+from robust_lexrank.lpsolver import SPARSE_PIVOT_CELLS, _pivot, _StandardForm
 
 
 def lp(objective, bounds, constraints):
@@ -160,6 +160,29 @@ class TestValidation:
         model = lp([1.0, -2.0], [(0.0, 1.0), (None, None)], [([1.0, 1.0], "=", 1.0)])
         text = model.dump()
         assert "min" in text and "=" in text and "x1" in text
+
+
+class TestPivot:
+    @pytest.mark.parametrize("rows", [10, 40], ids=["dense", "sparse"])
+    def test_matches_dense_update(self, rows):
+        # 10 rows fall below the size cut and 40 above it
+        width = SPARSE_PIVOT_CELLS // 20
+        assert (rows * width < SPARSE_PIVOT_CELLS) == (rows == 10)
+        rng = np.random.default_rng(rows)
+        tableau = rng.normal(size=(rows, width))
+        row, col = 3, 7
+        zeros = rng.random(width) < 0.8
+        zeros[col] = False
+        tableau[row, zeros] = 0.0
+        basis = np.arange(rows)
+        expected, expected_basis = tableau.copy(), basis.copy()
+        dense_pivot(expected, expected_basis, row, col)
+        before = tableau.copy()
+        _pivot(tableau, basis, row, col)
+        assert np.array_equal(tableau, expected)
+        assert np.array_equal(basis, expected_basis)
+        # a zero in the pivot row leaves its column as it was
+        assert np.array_equal(tableau[:, zeros], before[:, zeros])
 
 
 def random_model(rng):

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_stochastic
-from oracles import decomposition_rank_optimum
+from oracles import decomposition_rank_optimum, dense_pivot
 
 from robust_lexrank import (
     AdjacencyMatrix,
@@ -25,7 +25,7 @@ from robust_lexrank import (
     to_transition,
     worst_case_upper_bound,
 )
-from robust_lexrank import robust
+from robust_lexrank import lpsolver, robust
 from robust_lexrank.errors import NumericError, ParameterError, SolverError
 from robust_lexrank.lpsolver import _StandardForm
 
@@ -261,6 +261,49 @@ class TestAgainstDecompositionForm:
             scores = comparative.reported.scores
             assert np.all(scores[:pinned] == 1.0), pinned
             assert np.all((scores[pinned:] >= 0.0) & (scores[pinned:] <= 1.0)), pinned
+
+
+def solve_counting_pivots(program, kernel, monkeypatch):
+    """Solve ``program`` pivoting with ``kernel``: the solution and each pivot's tableau size."""
+    sizes = []
+
+    def counted(tableau, basis, row, col):
+        sizes.append(tableau.size)
+        kernel(tableau, basis, row, col)
+
+    monkeypatch.setattr(lpsolver, "_pivot", counted)
+    return lpsolver.solve(program), sizes
+
+
+class TestPivotKernel:
+    """The column-sparse pivot against the dense rank-one update, bit for bit."""
+
+    @pytest.mark.parametrize("model", ["fixed", "growth", "pinned"])
+    def test_matches_dense_pivot(
+        self, model, monkeypatch, transition_01, transition_02, transition_03
+    ):
+        cases = [(p, uniform_budget(11, 0.01)) for p in (transition_01, transition_02, transition_03)]
+        for case in adversarial_cases():
+            adjacency, eps1, eps_col = case.values
+            cases.append((to_transition(AdjacencyMatrix(adjacency, 0.0)), RobustBudget(eps1, eps_col)))
+        wide = random_adjacency(70, 0.1, np.random.default_rng(70))
+        cases.append((to_transition(AdjacencyMatrix(wide, 0.0)), uniform_budget(70, 0.01)))
+        package_pivot = lpsolver._pivot
+        sizes = []
+        for p, budget in cases:
+            growth = GrowthModel.balanced(2) if model == "growth" else None
+            pinned = p.size // 2 if model == "pinned" else None
+            program = robust._rank_program(p, budget, growth, pinned)
+            dense, dense_sizes = solve_counting_pivots(program, dense_pivot, monkeypatch)
+            sparse, sparse_sizes = solve_counting_pivots(program, package_pivot, monkeypatch)
+            assert sparse_sizes == dense_sizes, p.size
+            assert sparse.status == dense.status == "optimal"
+            assert np.array_equal(sparse.x, dense.x), p.size
+            assert np.array_equal(np.signbit(sparse.x), np.signbit(dense.x)), p.size
+            assert sparse.objective_value == dense.objective_value, p.size
+            sizes += sparse_sizes
+        # both branches of the kernel ran
+        assert min(sizes) < lpsolver.SPARSE_PIVOT_CELLS <= max(sizes)
 
 
 class TestGrowthIndependence:

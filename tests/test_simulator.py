@@ -64,6 +64,13 @@ class EdgeGenerator:
         return np.hstack([np.full((count, width // 2), self.edge), np.full((count, width // 2), 0.5)])
 
 
+class ZeroGenerator:
+    """A generator stub whose every uniform is 0.0."""
+
+    def random(self, size):
+        return np.zeros(size)
+
+
 def make_uset(n, m, eps_xi=0.3, eps_xi_col=0.2, eps_psi=0.3, eps_psi_col=0.2):
     return UncertaintySet(
         existing=BudgetedBox.uniform(n, eps_xi, eps_xi_col),
@@ -190,6 +197,23 @@ class TestSamplePerturbation:
         rows = np.arange(n)[None, :, None]
         assert np.array_equal(xi < 0, np.broadcast_to(rows == donor, xi.shape))
         assert np.array_equal(xi > 0, np.broadcast_to(rows == receiver, xi.shape))
+
+    def test_all_zero_uniforms_split_evenly(self):
+        # -log1p(-0) = 0, so every split row sums to zero and takes the even
+        # split; at m = 1 each new-row split is the single entry 1.0
+        p = TransitionMatrix(random_stochastic(3, np.random.default_rng(8)))
+        uset = make_uset(3, 1)
+        blocks, grown = simulator._draw_checked(p, uset, ZeroGenerator(), 2)
+        _, psi, zeta, chi = blocks
+        simulator._check_stochastic(psi, zeta, chi, grown)
+        assert simulator._within_budgets(blocks, uset, simulator.BUDGET_TOL).all()
+        assert np.array_equal(simulator._dirichlet_rows(np.zeros((2, 3, 1))), np.ones((2, 3, 1)))
+        assert np.all(zeta == uset.growth.to_existing_col * (1 / 3))
+        assert np.all(chi == uset.growth.among_new_col)
+        reference = reference_perturbation(p.values, uset, ZeroGenerator())
+        for block, expected in zip(blocks + (grown,), reference):
+            assert np.array_equal(block[0], expected)
+            assert np.array_equal(block[1], expected)
 
     def test_width_mismatch_rejected(self):
         p = TransitionMatrix(np.eye(3))
