@@ -113,21 +113,6 @@ class LinearProgram:
     def n_rows(self):
         return self.rows.shape[0]
 
-    def dump(self):
-        """Plain-text rendering of the model, for eyeballing small instances."""
-
-        def term(coef, j):
-            return f"{coef:+g} x{j}"
-
-        lines = ["min " + " ".join(term(c, j) for j, c in enumerate(self.objective) if c != 0)]
-        lines.append("subject to")
-        for row, rel, b in zip(self.rows, self.relations, self.rhs):
-            body = " ".join(term(c, j) for j, c in enumerate(row) if c != 0) or "0"
-            lines.append(f"  {body} {rel} {b:g}")
-        for j, (a, b) in enumerate(zip(self.lower, self.upper)):
-            lines.append(f"  {a:g} <= x{j} <= {b:g}")
-        return "\n".join(lines)
-
 
 @dataclass(frozen=True, eq=False)
 class LinearProgramSolution:

@@ -68,8 +68,8 @@ def power_iteration(
     (carrying the last residual) if the budget runs out, which happens
     only for periodic chains that the uniform start does not quotient out.
     """
-    if not tol > 0:
-        raise ParameterError("tolerance must be positive")
+    if not 0 < tol < np.inf:
+        raise ParameterError("tolerance must be positive and finite")
     if max_iter < 1:
         raise ParameterError("need at least one iteration")
     p = matrix.values

@@ -6,29 +6,32 @@ The target is the minimizer over the simplex of
 
 which bounds the worst-case eigenvector residual over every admissible
 perturbation of the transition matrix, including matrices grown by new
-sentences. The growth-aware model carries an extra block ``x2`` for the
-new coordinates, whose norm term is exactly ``2 * sum(x2)`` (see
-``GrowthModel``). Both terms are positively homogeneous, so its optimum is
-the cheaper of the fixed optimum and 2: below that, the optimum zeroes the
-new block and matches the fixed model, which the test suite verifies
-rather than assumes; beyond it, the optimum leaves the existing block
-empty and ``solve_growth`` raises ``SolverError``.
+sentences. For this uncertainty set the growth-aware program adds only a
+price to the fixed one: the new block ``x2`` has norm term exactly
+``GROWTH_PRICE * sum(x2)`` (see ``GrowthModel``), and both terms are
+positively homogeneous. With ``a = sum(x1)`` the growth objective is at
+least ``a * F + 2 * (1 - a)`` for the fixed optimum ``F``, so the growth
+optimum is ``min(F, 2)``, attained at ``x2 = 0`` by the fixed optimizer
+whenever ``F <= 2``. ``solve_growth`` is therefore the fixed solve, and it
+raises ``SolverError`` when ``F > 2``, where the optimum leaves the
+existing block empty (with m >= 1 new sentences; at m = 0 there is no new
+block and no price). The test suite checks the growth optimum against
+HiGHS on the decomposition form rather than assuming it.
 
 Every model here is one compact LP. The residual is bounded by ``s``
 (``-s <= P x - x <= s``) and, since ``x >= 0``, the norm term by its dual
 support form ``eps1 * t + sum_j eps_j * u_j`` with ``u_j >= x_j - t`` and
 ``t, u >= 0``. The fixed model has variables ``(x, s, t, u)``: 3n+1 of
-them and 3n+1 rows. The growth model adds only the m priced columns of
-``x2``. The comparative model pins v coordinates at one as constants, not
-columns: they enter the right-hand sides of the residual and support rows,
-leaving 3n rows and 3n - v + 1 variables. Every solve goes through
-``_solve_rank``, which builds the model with ``_rank_program`` and checks
-the objective against the certified bound.
+them and 3n+1 rows. The comparative model pins v coordinates at one as
+constants, not columns: they enter the right-hand sides of the residual
+and support rows, leaving 3n rows and 3n - v + 1 variables. Every solve
+goes through ``_solve_rank``, which builds the model with ``_rank_program``
+and checks the objective against the certified bound.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -40,6 +43,8 @@ from .ranking import RankVector, ReportedRanks, normalize_max_one
 
 OBJECTIVE_IDENTITY_TOL = 1e-7
 SIMPLEX_INPUT_TOL = 1e-8
+# Norm cost of unit mass on the new sentences' block (see ``GrowthModel``).
+GROWTH_PRICE = 2.0
 
 
 class RobustBudget(BudgetedBox):
@@ -129,19 +134,18 @@ def _check_dims(p: TransitionMatrix, budget: RobustBudget):
         )
 
 
-def _rank_program(p: TransitionMatrix, budget: RobustBudget, growth=None, pinned=None):
+def _rank_program(p: TransitionMatrix, budget: RobustBudget, pinned=None):
     """The one rank model behind the fixed, growth and comparative programs.
 
-    Variables ``x1`` (n), ``x2`` (m, the growth block, priced at the
-    constant 2, its exact support; see ``GrowthModel``), ``s`` (n), ``t``
-    and ``u`` (n). Rows ``-s <= P x1 - x1 <= s`` interleaved per sentence,
-    then ``sum(x1) + sum(x2) = 1``, then ``x1_j - t - u_j <= 0``. The cost
-    ``sum(s) + eps1 * t + eps_col @ u`` bounds residual plus the support of
-    ``x1`` over the budget: for fixed ``x1 >= 0`` the minimum over ``(t,
-    u) >= 0`` is ``box_l1_support(x1, budget)`` (its LP dual).
+    Variables ``x`` (n), ``s`` (n), ``t`` and ``u`` (n). Rows ``-s <= P x -
+    x <= s`` interleaved per sentence, then ``sum(x) = 1``, then ``x_j - t -
+    u_j <= 0``. The cost ``sum(s) + eps1 * t + eps_col @ u`` bounds residual
+    plus the support of ``x`` over the budget: for fixed ``x >= 0`` the
+    minimum over ``(t, u) >= 0`` is ``box_l1_support(x, budget)`` (its LP
+    dual).
 
-    With ``pinned = v`` the first v coordinates of ``x1`` are constants at
-    one: ``x1`` keeps only its n - v free coordinates, boxed into [0, 1],
+    With ``pinned = v`` the first v coordinates of ``x`` are constants at
+    one: ``x`` keeps only its n - v free coordinates, boxed into [0, 1],
     the residual rows take ``-+(P - I)[:, :v] @ 1`` as right-hand sides,
     the support rows take ``-1`` for the pinned ones, and there is no
     simplex row. That model has 3n rows and 3n - v + 1 variables.
@@ -150,32 +154,29 @@ def _rank_program(p: TransitionMatrix, budget: RobustBudget, growth=None, pinned
     n = p.size
     v = pinned or 0
     free = n - v
-    m = growth.m if growth is not None else 0
-    head = free + m + n
+    head = free + n
     width = head + 1 + n
     shifted = p.values - np.eye(n)
     residual = np.zeros((n, 2, width))
     residual[:, 0, :free] = shifted[:, v:]
     residual[:, 1, :free] = -shifted[:, v:]
-    residual[:, :, free + m : head] = -np.eye(n)[:, None, :]
+    residual[:, :, free:head] = -np.eye(n)[:, None, :]
     support = np.hstack([np.eye(n, head, -v), -np.ones((n, 1)), -np.eye(n)])
     rows = [residual.reshape(2 * n, width)]
     relations = ["<="] * (2 * n)
     if pinned is None:
         x_bounds = [(0.0, None)] * n
-        rows.append(np.concatenate([np.ones(n + m), np.zeros(1 + 2 * n)]))
+        rows.append(np.concatenate([np.ones(n), np.zeros(1 + 2 * n)]))
         relations.append("=")
         rhs = np.append(np.zeros(2 * n), 1.0)
     else:
         x_bounds = [(0.0, 1.0)] * free
         rhs = np.outer(shifted[:, :v].sum(axis=1), [-1.0, 1.0]).ravel()
     offset = np.concatenate([np.ones(v), np.zeros(free)])
-    cost = np.concatenate(
-        [np.zeros(free), np.full(m, 2.0), np.ones(n), [budget.eps_total], budget.eps_col]
-    )
+    cost = np.concatenate([np.zeros(free), np.ones(n), [budget.eps_total], budget.eps_col])
     return LinearProgram.build(
         cost,
-        x_bounds + [(0.0, None)] * (m + 2 * n + 1),
+        x_bounds + [(0.0, None)] * (2 * n + 1),
         zip(np.vstack(rows + [support]), relations + ["<="] * n, np.concatenate([rhs, -offset])),
     )
 
@@ -194,25 +195,20 @@ def build_robust_program(p: TransitionMatrix, budget: RobustBudget) -> LinearPro
 def build_growth_program(
     p: TransitionMatrix, budget: RobustBudget, growth: GrowthModel
 ) -> LinearProgram:
-    """Growth-aware model over the enlarged simplex.
+    """The LP behind the growth-aware model: the fixed model itself.
 
-    Variable layout: ``x1`` (n), ``x2`` (m, cost 2 each), ``s`` (n), ``t``
-    and ``u`` (n) for the existing block: 3n+m+1 variables and the fixed
-    model's 3n+1 rows, with ``x2`` entering only the simplex row. Pricing
-    ``x2`` is exact because the new block's l1 radius equals the sum of its
-    caps (see ``GrowthModel``). With zero growth the model coincides with
-    the fixed one.
+    The new block costs ``GROWTH_PRICE`` (2) per unit of mass whatever the
+    split in ``growth``, so with new sentences the growth optimum is
+    min(this LP's optimum, 2), and at or below 2 the fixed optimizer with
+    an empty new block attains it.
     """
-    return _rank_program(p, budget, growth)
+    return _rank_program(p, budget)
 
 
-def _bound(p, budget, x1, x2) -> float:
-    """Residual at ``x1`` plus the supports of ``x1`` and of the new block ``x2``."""
-    value = float(np.abs(p.values @ x1 - x1).sum())
-    value += box_l1_support(x1, budget).value
-    # the new block's radius 2m equals the sum of its m caps of 2, so every
-    # coordinate takes its full cap: the support is 2 * ||x2||_1
-    return value + 2.0 * float(np.abs(x2).sum())
+def _bound(p, budget, x) -> float:
+    """Residual at ``x`` plus the support of ``x`` over the budget."""
+    value = float(np.abs(p.values @ x - x).sum())
+    return value + box_l1_support(x, budget).value
 
 
 def _objective_identity(objective, bound, tol=OBJECTIVE_IDENTITY_TOL):
@@ -221,29 +217,26 @@ def _objective_identity(objective, bound, tol=OBJECTIVE_IDENTITY_TOL):
         raise NumericError("objective does not decompose into residual plus norm", gap=gap)
 
 
-def _solve_rank(p, budget, growth=None, pinned=None):
+def _solve_rank(p, budget, pinned=None):
     """Build and solve a rank model, checking its objective against ``_bound``.
 
-    ``growth`` and ``pinned`` are passed to ``_rank_program``. Returns
-    ``(x1, x2, objective)``, with the pinned coordinates put back into
-    ``x1`` at one; a non-optimal end raises ``SolverError``.
+    ``pinned`` is passed to ``_rank_program``. Returns ``(x, objective)``,
+    with the pinned coordinates put back into ``x`` at one; a non-optimal
+    end raises ``SolverError``.
     """
-    solution = solve(_rank_program(p, budget, growth, pinned))
+    solution = solve(_rank_program(p, budget, pinned))
     if solution.status != "optimal":
         raise SolverError(f"rank program ended {solution.status}")
     v = pinned or 0
-    free = p.size - v
-    m = growth.m if growth is not None else 0
-    x1 = np.concatenate([np.ones(v), solution.x[:free]])
-    x2 = solution.x[free : free + m]
+    x = np.concatenate([np.ones(v), solution.x[: p.size - v]])
     objective = float(solution.objective_value)
-    _objective_identity(objective, _bound(p, budget, x1, x2))
-    return x1, x2, objective
+    _objective_identity(objective, _bound(p, budget, x))
+    return x, objective
 
 
 def solve_robust(p: TransitionMatrix, budget: RobustBudget, ids=None) -> RobustRankResult:
     """Solve the fixed-size robust ranking model."""
-    x, _, objective = _solve_rank(p, budget)
+    x, objective = _solve_rank(p, budget)
     total = x.sum()
     if abs(total - 1.0) > SIMPLEX_INPUT_TOL:
         raise SolverError("solution drifted off the simplex")
@@ -259,22 +252,18 @@ def solve_robust(p: TransitionMatrix, budget: RobustBudget, ids=None) -> RobustR
 def solve_growth(
     p: TransitionMatrix, budget: RobustBudget, growth: GrowthModel, ids=None
 ) -> RobustRankResult:
-    """Solve the growth-aware model; the new block of the optimum is returned raw.
+    """Solve the growth-aware model: the fixed solve, priced against the new block.
 
-    Raises ``SolverError`` when the optimum puts no mass on the existing
-    block, which happens once the fixed optimum exceeds 2, the price of
-    unit mass on the new block.
+    With new sentences the growth optimum is min(fixed optimum,
+    ``GROWTH_PRICE``). At or below the price the fixed optimizer with ``x2 =
+    0`` attains it; above it the optimum puts all its mass on the new block,
+    leaving no ranks for the existing sentences, and ``SolverError`` is
+    raised. Without new sentences (``growth.m == 0``) it is the fixed model.
     """
-    x1, x2, objective = _solve_rank(p, budget, growth)
-    total = x1.sum()
-    if total <= SIMPLEX_INPUT_TOL:
+    result = solve_robust(p, budget, ids)
+    if growth.m and result.objective > GROWTH_PRICE:
         raise SolverError("growth optimum lies on the new block: existing block has no mass")
-    return RobustRankResult(
-        x1=RankVector(x1 / total),
-        x2=x2,
-        objective=objective,
-        reported=normalize_max_one(x1 / total, ids),
-    )
+    return replace(result, x2=np.zeros(growth.m))
 
 
 def comparative_rank(
@@ -292,7 +281,7 @@ def comparative_rank(
     """
     if not 1 <= n_verified <= p.size:
         raise ParameterError(f"n_verified {n_verified} outside 1..{p.size}")
-    x, _, objective = _solve_rank(p, budget, pinned=n_verified)
+    x, objective = _solve_rank(p, budget, pinned=n_verified)
     return ComparativeRankResult(
         reported=normalize_max_one(x, ids),
         simplex_point=x / x.sum(),
@@ -306,7 +295,8 @@ def worst_case_upper_bound(
     """Certified bound on the worst-case residual at a candidate rank vector.
 
     Evaluates residual plus the support values of both blocks; by duality
-    this equals the norm form of the growth-aware objective at ``x``.
+    this equals the norm form of the growth-aware objective at ``x``. The
+    new block's support is ``GROWTH_PRICE * ||x2||_1`` (see ``GrowthModel``).
     """
     _check_dims(p, budget)
     x = np.asarray(x, dtype=float)
@@ -315,4 +305,4 @@ def worst_case_upper_bound(
         raise ParameterError(f"candidate of length {x.size}, expected {p.size + m}")
     if np.any(x < -SIMPLEX_INPUT_TOL) or abs(x.sum() - 1.0) > SIMPLEX_INPUT_TOL:
         raise ParameterError("candidate must lie on the probability simplex")
-    return _bound(p, budget, x[: p.size], x[p.size :])
+    return _bound(p, budget, x[: p.size]) + GROWTH_PRICE * float(np.abs(x[p.size :]).sum())

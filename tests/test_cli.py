@@ -12,8 +12,8 @@ import pytest
 from robust_lexrank import dualnorms
 from robust_lexrank.cli import main
 
-EXPECTED_SESSION = pathlib.Path(__file__).parents[1] / "perfbench" / "expected_session.json"
-SPANS = pathlib.Path(__file__).parents[1] / "perfbench" / "spans.py"
+ROOT = pathlib.Path(__file__).parents[1]
+EXPECTED_SESSION = ROOT / "perfbench" / "expected_session.json"
 
 
 def run_cli(capsys, *argv):
@@ -82,10 +82,11 @@ class TestRankCommand:
         assert "error" in stderr
 
     def test_nan_tolerance_rejected(self, capsys):
-        code, stdout, stderr = run_cli(capsys, "rank", "--threshold", "0.2", "--tol", "nan")
-        assert code == 5
-        assert stdout == ""
-        assert stderr == "error: tolerance must be positive\n"
+        for tol in ("nan", "inf"):
+            code, stdout, stderr = run_cli(capsys, "rank", "--threshold", "0.2", "--tol", tol)
+            assert code == 5
+            assert stdout == ""
+            assert stderr == "error: tolerance must be positive and finite\n"
 
 
 class TestRobustCommand:
@@ -377,14 +378,21 @@ class TestClusterSession:
                 assert np.allclose(have, want, rtol=0.0, atol=1e-9), (label, field)
 
 
+def load_perfbench(name):
+    """A benchmark module, loaded by path as the benchmark runs it."""
+    path = ROOT / "perfbench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 class TestBenchmarkBindings:
     """The traced benchmark run wraps package functions by name."""
 
     def test_traced_functions_resolve(self):
         # a renamed or deleted function makes the traced run raise AttributeError
-        spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
-        spans = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(spans)
+        spans = load_perfbench("spans")
         checked = 0
         for name in spans.LAYER_OF:
             module_name, _, attr = name.partition(".")
@@ -394,3 +402,16 @@ class TestBenchmarkBindings:
             assert callable(getattr(module, attr, None)), name
             checked += 1
         assert checked > 20
+
+
+class TestBenchmarkRequest:
+    """One benchmark request through the program and the benchmark's own checks."""
+
+    def test_robust_dense_request_checks_clean(self, tmp_path):
+        workload = load_perfbench("workloads").RobustDense(ROOT, tmp_path, 1)
+        path = workload.make_input(0)
+        result, _ = workload.run(path)
+        problems, deferred = workload.check(path, result)
+        assert problems == []
+        pytest.importorskip("scipy.optimize")
+        assert deferred() == []

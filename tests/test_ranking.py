@@ -58,8 +58,10 @@ class TestPowerIteration:
             power_iteration(matrix, max_iter=0)
 
     def test_nan_tolerance_rejected(self):
-        with pytest.raises(ParameterError, match="tolerance must be positive"):
-            power_iteration(TransitionMatrix(np.eye(2)), tol=float("nan"))
+        # an infinite tolerance would accept the uniform start unchecked
+        for tol in (float("nan"), float("inf")):
+            with pytest.raises(ParameterError, match="tolerance must be positive and finite"):
+                power_iteration(TransitionMatrix(np.eye(2)), tol=tol)
 
 
 class TestNormalizeMaxOne:

@@ -93,31 +93,18 @@ class TestProgramStructure:
         # residual rows in both directions, the simplex row, one support row per x
         assert program.n_rows == 3 * 2 + 1
 
-    def test_growth_model_shape(self):
-        n, m = 3, 2
-        program = build_growth_program(
-            TransitionMatrix(np.eye(n)), uniform_budget(n, 1.0), GrowthModel.balanced(m)
-        )
-        # (x1, x2, s, t, u)
-        assert program.n_vars == 3 * n + m + 1
-        # residual rows, the simplex row, one support row per x1 entry
-        assert program.n_rows == 3 * n + 1
-
-    def test_growth_model_prices_new_block_on_fixed_rows(self):
+    def test_growth_program_is_fixed_program(self):
+        # the new block only adds the price 2, which solve_growth applies
         rng = np.random.default_rng(5)
-        growth = GROWTH_MODELS[1]
-        n, m = 4, growth.m
+        n = 4
         p = TransitionMatrix(random_stochastic(n, rng))
         budget = RobustBudget(0.7, rng.uniform(0.0, 0.5, size=n))
         fixed = build_robust_program(p, budget)
-        grown = build_growth_program(p, budget, growth)
-        assert (grown.n_vars, grown.n_rows) == (3 * n + m + 1, 3 * n + 1)
-        new_block = np.arange(n, n + m)
-        assert np.array_equal(np.delete(grown.rows, new_block, axis=1), fixed.rows)
-        assert grown.relations == fixed.relations
-        assert np.array_equal(grown.rhs, fixed.rhs)
-        assert np.array_equal(grown.objective[new_block], np.full(m, 2.0))
-        assert np.array_equal(np.delete(grown.objective, new_block), fixed.objective)
+        for growth in GROWTH_MODELS + [GrowthModel.balanced(0)]:
+            grown = build_growth_program(p, budget, growth)
+            for field in ("objective", "lower", "upper", "rows", "rhs"):
+                assert np.array_equal(getattr(grown, field), getattr(fixed, field)), field
+            assert grown.relations == fixed.relations
 
     def test_comparative_model_shape(self):
         rng = np.random.default_rng(8)
@@ -136,14 +123,6 @@ class TestProgramStructure:
     def test_budget_dimension_mismatch(self):
         with pytest.raises(ParameterError):
             build_robust_program(TransitionMatrix(np.eye(3)), uniform_budget(2, 1.0))
-
-    def test_zero_growth_program_identical_to_fixed(self):
-        p = TransitionMatrix(np.eye(3))
-        budget = uniform_budget(3, 0.5)
-        fixed = build_robust_program(p, budget)
-        grown = build_growth_program(p, budget, GrowthModel.balanced(0))
-        assert np.array_equal(fixed.objective, grown.objective)
-        assert np.array_equal(fixed.rows, grown.rows)
 
 
 class TestSolveRobust:
@@ -215,6 +194,15 @@ def adversarial_cases():
     return [pytest.param(a, e, c, id=name) for name, a, e, c in cases]
 
 
+def solve_cases(cluster, eps_values):
+    """The cluster matrices at each uniform budget, then every adversarial case."""
+    cases = [(p, uniform_budget(p.size, eps)) for p in cluster for eps in eps_values]
+    for case in adversarial_cases():
+        adjacency, eps1, eps_col = case.values
+        cases.append((to_transition(AdjacencyMatrix(adjacency, 0.0)), RobustBudget(eps1, eps_col)))
+    return cases
+
+
 class TestAgainstDecompositionForm:
     """The compact models against the decomposition form of the same objective."""
 
@@ -228,28 +216,25 @@ class TestAgainstDecompositionForm:
         assert solve_robust(p, budget).objective == pytest.approx(reference, abs=1e-8)
 
         for growth in GROWTH_MODELS:
-            if eps1 < 4 * (n - 1):
-                grown = solve_growth(p, budget, growth).objective
-            else:
-                # The optimum leaves the existing block empty, so there are
-                # no ranks to report; the model itself still has its optimum.
-                with pytest.raises(SolverError):
-                    solve_growth(p, budget, growth)
-                grown = solve(build_growth_program(p, budget, growth)).objective_value
             total, caps = growth_support_set(growth.to_existing_col)
             grown_reference = decomposition_rank_optimum(
                 p.values, eps1, eps_col, growth=(growth.m, total, caps)
             )
-            assert grown == pytest.approx(grown_reference, abs=1e-8)
             # Both terms are positively homogeneous, so the growth optimum is
             # the cheaper of the fixed optimum and the new block's simplex
-            # minimum, 2 for every growth model: it equals the fixed objective
-            # in every case here but the budget above 4 (n - 1).
+            # minimum, 2 for every growth model: HiGHS on the growth
+            # decomposition form confirms it. It is the fixed objective in
+            # every case here but the budget above 4 (n - 1), where the
+            # optimum leaves the existing block empty and there are no ranks.
             block_min = total * simplex_decomposition_min(growth.m, caps / total)
             assert block_min == pytest.approx(2.0, abs=1e-12)
-            assert grown == pytest.approx(min(reference, block_min), abs=1e-8)
+            assert grown_reference == pytest.approx(min(reference, block_min), abs=1e-8)
             if eps1 < 4 * (n - 1):
-                assert grown == pytest.approx(reference, abs=1e-8)
+                grown = solve_growth(p, budget, growth).objective
+                assert grown == pytest.approx(grown_reference, abs=1e-8)
+            else:
+                with pytest.raises(SolverError):
+                    solve_growth(p, budget, growth)
 
         # the pinned coordinates are constants of the model; with all n
         # pinned no free coordinate is left
@@ -278,22 +263,18 @@ def solve_counting_pivots(program, kernel, monkeypatch):
 class TestPivotKernel:
     """The column-sparse pivot against the dense rank-one update, bit for bit."""
 
-    @pytest.mark.parametrize("model", ["fixed", "growth", "pinned"])
+    @pytest.mark.parametrize("model", ["fixed", "pinned"])
     def test_matches_dense_pivot(
         self, model, monkeypatch, transition_01, transition_02, transition_03
     ):
-        cases = [(p, uniform_budget(11, 0.01)) for p in (transition_01, transition_02, transition_03)]
-        for case in adversarial_cases():
-            adjacency, eps1, eps_col = case.values
-            cases.append((to_transition(AdjacencyMatrix(adjacency, 0.0)), RobustBudget(eps1, eps_col)))
+        cases = solve_cases((transition_01, transition_02, transition_03), [0.01])
         wide = random_adjacency(70, 0.1, np.random.default_rng(70))
         cases.append((to_transition(AdjacencyMatrix(wide, 0.0)), uniform_budget(70, 0.01)))
         package_pivot = lpsolver._pivot
         sizes = []
         for p, budget in cases:
-            growth = GrowthModel.balanced(2) if model == "growth" else None
             pinned = p.size // 2 if model == "pinned" else None
-            program = robust._rank_program(p, budget, growth, pinned)
+            program = robust._rank_program(p, budget, pinned)
             dense, dense_sizes = solve_counting_pivots(program, dense_pivot, monkeypatch)
             sparse, sparse_sizes = solve_counting_pivots(program, package_pivot, monkeypatch)
             assert sparse_sizes == dense_sizes, p.size
@@ -324,6 +305,32 @@ class TestGrowthIndependence:
             grown = solve_growth(p, budget, GrowthModel.balanced(m))
             assert np.abs(grown.x2).sum() <= 1e-7
             assert grown.objective == pytest.approx(base.objective, abs=1e-7)
+
+    def test_growth_solve_is_one_fixed_solve(
+        self, monkeypatch, transition_01, transition_02, transition_03
+    ):
+        cases = solve_cases((transition_01, transition_02, transition_03), [0.01, 5.0])
+        solves = []
+
+        def counted(program):
+            solves.append(program)
+            return lpsolver.solve(program)
+
+        monkeypatch.setattr(robust, "solve", counted)
+        for p, budget in cases:
+            base = solve_robust(p, budget)
+            for m in (0, 1, 2, 5, 10):
+                solves.clear()
+                # with no new block there is nothing to price
+                if m > 0 and base.objective > 2.0:
+                    with pytest.raises(SolverError):
+                        solve_growth(p, budget, GrowthModel.balanced(m))
+                else:
+                    grown = solve_growth(p, budget, GrowthModel.balanced(m))
+                    assert np.array_equal(grown.x1.values, base.x1.values)
+                    assert np.array_equal(grown.x2, np.zeros(m))
+                    assert grown.objective == base.objective
+                assert len(solves) == 1
 
     def test_growth_model_validation(self):
         growth = GrowthModel([0.2, 0.5, 1.0])
