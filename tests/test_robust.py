@@ -93,18 +93,36 @@ class TestProgramStructure:
         # residual rows in both directions, the simplex row, one support row per x
         assert program.n_rows == 3 * 2 + 1
 
-    def test_growth_program_is_fixed_program(self):
-        # the new block only adds the price 2, which solve_growth applies
+    def test_growth_model_shape(self):
+        n, m = 3, 2
+        program = build_growth_program(
+            TransitionMatrix(np.eye(n)), uniform_budget(n, 1.0), GrowthModel.balanced(m)
+        )
+        # (x1, s, t, u): the new block has no columns, solve_growth prices it
+        assert program.n_vars == 3 * n + 1
+        # residual rows, the simplex row, one support row per x1 entry
+        assert program.n_rows == 3 * n + 1
+
+    def test_growth_model_prices_new_block_on_fixed_rows(self):
         rng = np.random.default_rng(5)
         n = 4
         p = TransitionMatrix(random_stochastic(n, rng))
         budget = RobustBudget(0.7, rng.uniform(0.0, 0.5, size=n))
         fixed = build_robust_program(p, budget)
-        for growth in GROWTH_MODELS + [GrowthModel.balanced(0)]:
+        base = solve_robust(p, budget)
+        for growth in GROWTH_MODELS:
+            m = growth.m
             grown = build_growth_program(p, budget, growth)
             for field in ("objective", "lower", "upper", "rows", "rhs"):
                 assert np.array_equal(getattr(grown, field), getattr(fixed, field)), field
             assert grown.relations == fixed.relations
+            # the new block costs 2 per unit of mass, whatever its split
+            on_new = np.concatenate([np.zeros(n), np.full(m, 1.0 / m)])
+            assert worst_case_upper_bound(on_new, p, budget, growth) == pytest.approx(2.0)
+            on_fixed = np.concatenate([base.x1.values, np.zeros(m)])
+            assert worst_case_upper_bound(on_fixed, p, budget, growth) == pytest.approx(
+                base.objective, abs=1e-8
+            )
 
     def test_comparative_model_shape(self):
         rng = np.random.default_rng(8)
@@ -123,6 +141,14 @@ class TestProgramStructure:
     def test_budget_dimension_mismatch(self):
         with pytest.raises(ParameterError):
             build_robust_program(TransitionMatrix(np.eye(3)), uniform_budget(2, 1.0))
+
+    def test_zero_growth_program_identical_to_fixed(self):
+        p = TransitionMatrix(np.eye(3))
+        budget = uniform_budget(3, 0.5)
+        fixed = build_robust_program(p, budget)
+        grown = build_growth_program(p, budget, GrowthModel.balanced(0))
+        assert np.array_equal(fixed.objective, grown.objective)
+        assert np.array_equal(fixed.rows, grown.rows)
 
 
 class TestSolveRobust:
