@@ -252,58 +252,58 @@ def cmd_reproduce_tables(args):
     return 0
 
 
+def _l1_duality_gap(rng):
+    n = int(rng.integers(1, 9))
+    x = rng.normal(size=n) * rng.uniform(0.5, 2.0)
+    box = BudgetedBox(rng.uniform(0.0, 3.0) + 1e-9, rng.uniform(0.0, 3.0, size=n))
+    result = dualnorms.decomposition_norm(x, box)
+    return abs(box.eps_total * result.value - result.certificate.value)
+
+
+def _l2_duality_gap(rng):
+    n = int(rng.integers(1, 9))
+    x = rng.normal(size=n)
+    box = BudgetedBox(rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0, size=n))
+    result = dualnorms.decomposition_norm_l2(x, box)
+    return abs(result.value - result.certificate.value)
+
+
+def _attainment_gap(rng):
+    blocks = int(rng.integers(1, 4))
+    a0 = rng.normal(size=int(rng.integers(1, 5)))
+    directions = [rng.normal(size=int(rng.integers(1, 5))) for _ in range(blocks)]
+    radii = rng.uniform(0.0, 2.0, size=blocks)
+    best = dualnorms.frobenius_worst_case(a0, directions, radii)
+    attained = a0.copy()
+    for xi, a in zip(best.maximizers, directions):
+        attained = attained + xi @ a
+    return abs(np.linalg.norm(attained) - best.value)
+
+
+def _simplex_minimum_gap(rng):
+    m = int(rng.integers(1, 7))
+    value, bound = dualnorms._simplex_minimum_routes(m, rng.uniform(0.0, 2.0, size=m))
+    return abs(value - bound)
+
+
 def cmd_verify(args):
     """Run the dual-norm identity suite on random instances; exit 0 iff clean."""
     if args.instances < 1:
         raise ParameterError("need at least one instance per identity")
     rng = _rng(args.seed)
     failures = 0
-
-    def report(label, worst, tolerance):
-        nonlocal failures
+    for label, gap, tolerance in (
+        ("l1 support vs decomposition duality", _l1_duality_gap, dualnorms.DUALITY_TOL),
+        ("l2 support vs decomposition duality", _l2_duality_gap, dualnorms.DUALITY_TOL),
+        ("frobenius worst case attainment", _attainment_gap, dualnorms.ATTAINMENT_TOL),
+        ("simplex minimum primal vs dual bound", _simplex_minimum_gap, dualnorms.SIMPLEX_MIN_TOL),
+    ):
+        worst = 0.0
+        for _ in range(args.instances):
+            worst = max(worst, gap(rng))
         ok = worst <= tolerance
         failures += 0 if ok else 1
         print(f"{'PASS' if ok else 'FAIL'} {label}: worst gap {worst:.3e} (tolerance {tolerance:g})")
-
-    worst = 0.0
-    for _ in range(args.instances):
-        n = int(rng.integers(1, 9))
-        x = rng.normal(size=n) * rng.uniform(0.5, 2.0)
-        box = BudgetedBox(rng.uniform(0.0, 3.0) + 1e-9, rng.uniform(0.0, 3.0, size=n))
-        result = dualnorms.decomposition_norm(x, box)
-        worst = max(worst, abs(box.eps_total * result.value - result.certificate.value))
-    report("l1 support vs decomposition duality", worst, dualnorms.DUALITY_TOL)
-
-    worst = 0.0
-    for _ in range(args.instances):
-        n = int(rng.integers(1, 9))
-        x = rng.normal(size=n)
-        box = BudgetedBox(rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0, size=n))
-        result = dualnorms.decomposition_norm_l2(x, box)
-        worst = max(worst, abs(result.value - result.certificate.value))
-    report("l2 support vs decomposition duality", worst, dualnorms.DUALITY_TOL)
-
-    worst = 0.0
-    for _ in range(args.instances):
-        blocks = int(rng.integers(1, 4))
-        a0 = rng.normal(size=int(rng.integers(1, 5)))
-        directions = [rng.normal(size=int(rng.integers(1, 5))) for _ in range(blocks)]
-        radii = rng.uniform(0.0, 2.0, size=blocks)
-        best = dualnorms.frobenius_worst_case(a0, directions, radii)
-        attained = a0.copy()
-        for xi, a in zip(best.maximizers, directions):
-            attained = attained + xi @ a
-        worst = max(worst, abs(np.linalg.norm(attained) - best.value))
-    report("frobenius worst case attainment", worst, dualnorms.ATTAINMENT_TOL)
-
-    worst = 0.0
-    for _ in range(args.instances):
-        m = int(rng.integers(1, 7))
-        weights = rng.uniform(0.0, 2.0, size=m)
-        value, bound = dualnorms._simplex_minimum_routes(m, weights)
-        worst = max(worst, abs(value - bound))
-    report("simplex minimum primal vs dual bound", worst, dualnorms.SIMPLEX_MIN_TOL)
-
     return 0 if failures == 0 else 6
 
 

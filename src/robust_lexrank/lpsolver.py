@@ -18,8 +18,9 @@ large tableau updates a small share of its columns. Below
 they save, and the update stays dense.
 
 Equality constraints are expanded into opposing inequalities, variables
-are shifted/split into the nonnegative standard form, and feasibility is
-established with phase-one artificials.
+are shifted/split into the nonnegative standard form, fixed variables are
+substituted as constants, and feasibility is established with phase-one
+artificials.
 """
 
 from __future__ import annotations
@@ -48,6 +49,7 @@ class LinearProgram:
     Fields:
         objective: finite cost vector ``c`` of length n.
         lower / upper: per-variable bounds, ``-inf`` / ``+inf`` allowed, NaN not.
+            A variable with ``lower == upper`` is fixed at that value.
         rows: dense finite constraint matrix, one row per constraint.
         relations: per-row relation, each one of ``<=``, ``=``, ``>=``.
         rhs: finite right-hand sides.
@@ -85,6 +87,8 @@ class LinearProgram:
         hi = np.where(unset[:, 1], np.inf, pairs[:, 1]).astype(float)
         if np.isnan(lo).any() or np.isnan(hi).any():
             raise ModelError("variable bounds must not be NaN")
+        if np.any(lo == np.inf) or np.any(hi == -np.inf):
+            raise ModelError("lower bounds must be below +inf and upper bounds above -inf")
         triples = list(constraints)
         if not triples:
             return cls(c, lo, hi, np.zeros((0, n)), (), np.zeros(0))
@@ -179,21 +183,25 @@ class _StandardForm:
     Each original variable maps to one column of ``y``: shifted by its lower
     bound (sign +1) or, when only bounded above, by its upper bound (sign
     -1). A free variable takes a second column with sign -1, right after
-    its first. Each row keeps its place; an ``=`` row is followed by its
-    negation, a ``>=`` row is negated, and a cap row per finite upper bound
-    on a lower-bounded variable comes last.
+    its first. A fixed variable (``lower == upper``) is the constant of its
+    shift and takes no column: the shift moves it into the right-hand
+    sides, and ``recover`` returns it at its value. Each row keeps its
+    place; an ``=`` row is followed by its negation, a ``>=`` row is
+    negated, and a cap row per finite upper bound on a lower-bounded,
+    unfixed variable comes last.
     """
 
     def __init__(self, lp: LinearProgram):
         lower, upper = lp.lower, lp.upper
         has_lower = lower > -np.inf
-        self.free = ~has_lower & (upper == np.inf)
-        self.sign = np.where(has_lower | self.free, 1.0, -1.0)
-        self.shift = np.where(has_lower, lower, np.where(self.free, 0.0, upper))
-        width = 1 + self.free
-        self.col = np.cumsum(width) - width
-        self.n_y = int(width.sum())
-        self.split = self.col[self.free] + 1
+        free = ~has_lower & (upper == np.inf)
+        self.shift = np.where(has_lower, lower, np.where(free, 0.0, upper))
+        width = np.where(lower == upper, 0, 1 + free)
+        last = np.cumsum(width) - 1
+        # the original variable and sign of each column of y
+        self.var = np.repeat(np.arange(lp.n_vars), width)
+        self.sign = np.repeat(np.where(has_lower | free, 1.0, -1.0), width)
+        self.sign[last[free]] = -1.0
 
         relations = np.array(lp.relations, dtype=object)
         copies = 1 + (relations == "=")
@@ -202,11 +210,11 @@ class _StandardForm:
         first = np.cumsum(copies) - copies
         flip[first[relations == ">="]] = -1.0
         flip[first[relations == "="] + 1] = -1.0
-        capped = np.nonzero(has_lower & (upper < np.inf))[0]
+        capped = np.nonzero(has_lower & (lower < upper) & (upper < np.inf))[0]
 
         rows = self._to_y(lp.rows[source] * flip[:, None])
-        caps = np.zeros((capped.size, self.n_y))
-        caps[np.arange(capped.size), self.col[capped]] = 1.0
+        caps = np.zeros((capped.size, self.var.size))
+        caps[np.arange(capped.size), last[capped]] = 1.0
         self.A = np.vstack([rows, caps])
         shifted = lp.rhs - lp.rows @ self.shift
         self.b = np.concatenate([shifted[source] * flip, upper[capped] - lower[capped]])
@@ -214,14 +222,11 @@ class _StandardForm:
 
     def _to_y(self, coefficients):
         """Coefficients on the original variables rewritten on ``y`` (last axis)."""
-        out = np.zeros(coefficients.shape[:-1] + (self.n_y,))
-        out[..., self.col] = coefficients * self.sign
-        out[..., self.split] = -coefficients[..., self.free]
-        return out
+        return coefficients[..., self.var] * self.sign
 
     def recover(self, y):
-        x = self.shift + self.sign * y[self.col]
-        x[self.free] -= y[self.split]
+        x = self.shift.copy()
+        np.add.at(x, self.var, self.sign * y)
         return x
 
 
@@ -258,22 +263,17 @@ def solve(lp: LinearProgram) -> LinearProgramSolution:
         infeasibility = phase1[basis] @ tableau[:, -1]
         if infeasibility > PHASE1_TOL:
             return LinearProgramSolution("infeasible", None, None)
-        # drive leftover artificials out of the basis or drop their rows
-        keep = np.ones(m, dtype=bool)
+        # drive leftover artificials out of the basis: a row's own slack
+        # column keeps an entry of magnitude one, so a pivot always exists
         for i in range(m):
             if basis[i] >= ny + m:
                 pivots = np.nonzero(np.abs(tableau[i, : ny + m]) > PIVOT_TOL)[0]
-                if pivots.size:
-                    _pivot(tableau, basis, i, int(pivots[0]))
-                else:
-                    keep[i] = False
-        tableau = tableau[keep]
-        basis = basis[keep]
-        m = tableau.shape[0]
+                if not pivots.size:
+                    raise NumericError("artificial variable left in the basis without a pivot")
+                _pivot(tableau, basis, i, int(pivots[0]))
 
-    # drop artificial columns; slack columns stay sized to the original row count
-    n_slack_cols = ny + form.A.shape[0]
-    tableau = np.hstack([tableau[:, :n_slack_cols], tableau[:, -1:]])
+    # drop the artificial columns
+    tableau = np.hstack([tableau[:, : ny + m], tableau[:, -1:]])
     costs = np.zeros(tableau.shape[1] - 1)
     costs[:ny] = form.c
     status = _run_simplex(tableau, basis, costs, bland_after)

@@ -30,9 +30,10 @@ class RankVector:
         object.__setattr__(self, "values", values)
         if values.ndim != 1:
             raise ParameterError("rank vector must be one-dimensional")
-        if np.any(values < -SIMPLEX_SUM_TOL):
-            raise ParameterError("rank entries must be nonnegative")
-        if abs(values.sum() - 1.0) > SIMPLEX_SUM_TOL:
+        # written so that NaN fails both tests and an infinite entry the sum
+        if not np.all(values >= -SIMPLEX_SUM_TOL):
+            raise ParameterError("rank entries must be nonnegative numbers")
+        if not abs(values.sum() - 1.0) <= SIMPLEX_SUM_TOL:
             raise ParameterError("rank entries must sum to one")
 
     def __len__(self):
@@ -92,6 +93,8 @@ def normalize_max_one(ranks, ids=None) -> ReportedRanks:
     values = ranks.values if isinstance(ranks, RankVector) else np.asarray(ranks, dtype=float)
     if values.size == 0:
         raise NormalizationError("nothing to normalize")
+    if not np.all(np.isfinite(values)):
+        raise NormalizationError("scores must be finite")
     top = values.max()
     if top <= 0:
         raise NormalizationError("all scores are zero; max-one normalization undefined")

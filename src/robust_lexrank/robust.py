@@ -22,9 +22,9 @@ Every model here is one compact LP. The residual is bounded by ``s``
 (``-s <= P x - x <= s``) and, since ``x >= 0``, the norm term by its dual
 support form ``eps1 * t + sum_j eps_j * u_j`` with ``u_j >= x_j - t`` and
 ``t, u >= 0``. The fixed model has variables ``(x, s, t, u)``: 3n+1 of
-them and 3n+1 rows. The comparative model pins v coordinates at one as
-constants, not columns: they enter the right-hand sides of the residual
-and support rows, leaving 3n rows and 3n - v + 1 variables. Every solve
+them and 3n+1 rows. The comparative model drops the simplex row and pins
+v coordinates at one through their bounds ``(1, 1)``; the solver
+substitutes fixed variables as constants, so they take no column. Every solve
 goes through ``_solve_rank``, which builds the model with ``_rank_program``
 and checks the objective against the certified bound.
 """
@@ -144,40 +144,34 @@ def _rank_program(p: TransitionMatrix, budget: RobustBudget, pinned=None):
     minimum over ``(t, u) >= 0`` is ``box_l1_support(x, budget)`` (its LP
     dual).
 
-    With ``pinned = v`` the first v coordinates of ``x`` are constants at
-    one: ``x`` keeps only its n - v free coordinates, boxed into [0, 1],
-    the residual rows take ``-+(P - I)[:, :v] @ 1`` as right-hand sides,
-    the support rows take ``-1`` for the pinned ones, and there is no
-    simplex row. That model has 3n rows and 3n - v + 1 variables.
+    With ``pinned = v`` there is no simplex row: the first v coordinates of
+    ``x`` have bounds ``(1, 1)`` and the rest ``(0, 1)``. That model has 3n
+    rows and 3n + 1 variables; the solver substitutes the v fixed ones.
     """
     _check_dims(p, budget)
     n = p.size
-    v = pinned or 0
-    free = n - v
-    head = free + n
-    width = head + 1 + n
+    width = 3 * n + 1
     shifted = p.values - np.eye(n)
     residual = np.zeros((n, 2, width))
-    residual[:, 0, :free] = shifted[:, v:]
-    residual[:, 1, :free] = -shifted[:, v:]
-    residual[:, :, free:head] = -np.eye(n)[:, None, :]
-    support = np.hstack([np.eye(n, head, -v), -np.ones((n, 1)), -np.eye(n)])
+    residual[:, 0, :n] = shifted
+    residual[:, 1, :n] = -shifted
+    residual[:, :, n : 2 * n] = -np.eye(n)[:, None, :]
+    support = np.hstack([np.eye(n, 2 * n), -np.ones((n, 1)), -np.eye(n)])
     rows = [residual.reshape(2 * n, width)]
     relations = ["<="] * (2 * n)
     if pinned is None:
         x_bounds = [(0.0, None)] * n
         rows.append(np.concatenate([np.ones(n), np.zeros(1 + 2 * n)]))
         relations.append("=")
-        rhs = np.append(np.zeros(2 * n), 1.0)
     else:
-        x_bounds = [(0.0, 1.0)] * free
-        rhs = np.outer(shifted[:, :v].sum(axis=1), [-1.0, 1.0]).ravel()
-    offset = np.concatenate([np.ones(v), np.zeros(free)])
-    cost = np.concatenate([np.zeros(free), np.ones(n), [budget.eps_total], budget.eps_col])
+        x_bounds = [(1.0, 1.0)] * pinned + [(0.0, 1.0)] * (n - pinned)
+    rhs = np.zeros(len(relations) + n)
+    rhs[2 * n : -n] = 1.0  # the simplex row's, if there is one
+    cost = np.concatenate([np.zeros(n), np.ones(n), [budget.eps_total], budget.eps_col])
     return LinearProgram.build(
         cost,
         x_bounds + [(0.0, None)] * (2 * n + 1),
-        zip(np.vstack(rows + [support]), relations + ["<="] * n, np.concatenate([rhs, -offset])),
+        zip(np.vstack(rows + [support]), relations + ["<="] * n, rhs),
     )
 
 
@@ -220,15 +214,13 @@ def _objective_identity(objective, bound, tol=OBJECTIVE_IDENTITY_TOL):
 def _solve_rank(p, budget, pinned=None):
     """Build and solve a rank model, checking its objective against ``_bound``.
 
-    ``pinned`` is passed to ``_rank_program``. Returns ``(x, objective)``,
-    with the pinned coordinates put back into ``x`` at one; a non-optimal
-    end raises ``SolverError``.
+    ``pinned`` is passed to ``_rank_program``. Returns ``(x, objective)``;
+    a non-optimal end raises ``SolverError``.
     """
     solution = solve(_rank_program(p, budget, pinned))
     if solution.status != "optimal":
         raise SolverError(f"rank program ended {solution.status}")
-    v = pinned or 0
-    x = np.concatenate([np.ones(v), solution.x[: p.size - v]])
+    x = solution.x[: p.size]
     objective = float(solution.objective_value)
     _objective_identity(objective, _bound(p, budget, x))
     return x, objective
@@ -273,9 +265,9 @@ def comparative_rank(
 
     Same objective as the robust model, but the simplex constraint is
     replaced by fixing the first ``n_verified`` coordinates to one and
-    boxing the rest into [0, 1]. The fixed coordinates are constants of
-    the model, moved into the residual rows' right-hand sides and the
-    support offset, so it has 3n rows and 3n - n_verified + 1 variables.
+    boxing the rest into [0, 1], both through variable bounds. The solver
+    substitutes the fixed coordinates as constants, so the model it pivots
+    on has 3n - n_verified + 1 columns.
     The raw scores are reported; dividing by their sum gives a feasible
     simplex point, also returned.
     """

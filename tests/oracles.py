@@ -8,7 +8,10 @@ simple on purpose. The exceptions are ``decomposition_lp`` and
 minimum as LPs and solve them with the package's simplex as well as HiGHS,
 as differential checks on their closed forms, and ``dense_pivot``, the
 simplex pivot as one dense rank-one update, against which the package's
-column-sparse pivot is checked bit for bit.
+column-sparse pivot is checked bit for bit, and
+``substituted_comparative_program``, the comparative model with its pinned
+coordinates substituted by hand, against which the solver's substitution
+of fixed variables is checked.
 """
 
 from __future__ import annotations
@@ -303,6 +306,43 @@ def decomposition_rank_optimum(p, eps1, eps_col, growth=None, pinned=None):
     if result.status != 0:
         raise RuntimeError(f"HiGHS ended with status {result.status}: {result.message}")
     return float(result.fun)
+
+
+def substituted_comparative_program(p, eps1, eps_col, pinned):
+    """The comparative rank model with its pinned coordinates substituted by hand.
+
+    The first ``pinned`` coordinates of ``x`` are constants at one and have
+    no column: ``x`` keeps its n - pinned free coordinates, boxed into
+    ``[0, 1]``, the residual rows take ``-+(P - I)[:, :pinned] @ 1`` as
+    right-hand sides, the support rows take ``-1`` for the pinned ones, and
+    there is no simplex row. Variables ``(x free, s, t, u)``: 3n - pinned +
+    1 of them, and 3n rows.
+    """
+    from robust_lexrank.lpsolver import LinearProgram
+
+    p = np.asarray(p, dtype=float)
+    n = p.shape[0]
+    free = n - pinned
+    head = free + n
+    width = head + 1 + n
+    shifted = p - np.eye(n)
+    residual = np.zeros((n, 2, width))
+    residual[:, 0, :free] = shifted[:, pinned:]
+    residual[:, 1, :free] = -shifted[:, pinned:]
+    residual[:, :, free:head] = -np.eye(n)[:, None, :]
+    support = np.hstack([np.eye(n, head, -pinned), -np.ones((n, 1)), -np.eye(n)])
+    rhs = np.outer(shifted[:, :pinned].sum(axis=1), [-1.0, 1.0]).ravel()
+    offset = np.concatenate([np.ones(pinned), np.zeros(free)])
+    cost = np.concatenate([np.zeros(free), np.ones(n), [eps1], eps_col])
+    return LinearProgram.build(
+        cost,
+        [(0.0, 1.0)] * free + [(0.0, None)] * (2 * n + 1),
+        zip(
+            np.vstack([residual.reshape(2 * n, width), support]),
+            ["<="] * (3 * n),
+            np.concatenate([rhs, -offset]),
+        ),
+    )
 
 
 def _flat_dirichlet(uniforms):

@@ -5,7 +5,7 @@ import pytest
 
 from oracles import dense_pivot, enumerate_lp_optimum
 
-from robust_lexrank import LinearProgram, solve
+from robust_lexrank import LinearProgram, lpsolver, solve
 from robust_lexrank.errors import ModelError, NumericError
 from robust_lexrank.lpsolver import SPARSE_PIVOT_CELLS, _pivot, _StandardForm
 
@@ -69,6 +69,28 @@ class TestHandCases:
         assert result.status == "optimal"
         assert result.x[0] == pytest.approx(2.0, abs=1e-12)
         assert result.x[1] == pytest.approx(3.0, abs=1e-9)
+
+    def test_redundant_equalities(self, monkeypatch):
+        # the second equality repeats the first: phase one ends with
+        # artificials basic at zero, and each leaves on its own row's slack
+        ends = []
+        run = lpsolver._run_simplex
+
+        def recorded(tableau, basis, costs, bland_after):
+            status = run(tableau, basis, costs, bland_after)
+            ends.append(bool(costs[basis].any()))
+            return status
+
+        monkeypatch.setattr(lpsolver, "_run_simplex", recorded)
+        model = lp(
+            [1.0, 2.0],
+            [(0.0, None), (0.0, None)],
+            [([1.0, 1.0], "=", 1.0), ([2.0, 2.0], "=", 2.0)],
+        )
+        result = solve(model)
+        assert ends[0]
+        assert result.status == "optimal"
+        assert result.x == pytest.approx([1.0, 0.0], abs=1e-12)
 
     def test_support_polytope_value(self):
         # maximize 3 z0 + z1 over |z0| + |z1| <= 1.5, |z_j| <= 1,
@@ -147,6 +169,14 @@ class TestValidation:
         # infinite bounds stay legal
         model = lp([1.0], [(-np.inf, np.inf)], [([1.0], ">=", 1.0)])
         assert solve(model).objective_value == pytest.approx(1.0)
+
+    def test_lower_bound_of_plus_inf(self):
+        with pytest.raises(ModelError, match="lower bounds"):
+            lp([1.0], [(np.inf, np.inf)], [])
+
+    def test_upper_bound_of_minus_inf(self):
+        with pytest.raises(ModelError, match="upper bounds"):
+            lp([1.0], [(-np.inf, -np.inf)], [])
 
     def test_non_finite_objective(self):
         with pytest.raises(ModelError, match="objective"):
@@ -246,7 +276,11 @@ def loop_standard_form(model):
     """Variable-by-variable and row-by-row rewrite to ``min c @ y, A y <= b, y >= 0``."""
     pieces, shift, caps, k = [], [], [], 0
     for lo, hi in zip(model.lower, model.upper):
-        if lo == -np.inf and hi == np.inf:
+        if lo == hi:
+            # a fixed variable is a constant: no column, no cap row
+            pieces.append([])
+            shift.append(lo)
+        elif lo == -np.inf and hi == np.inf:
             pieces.append([(k, 1.0), (k + 1, -1.0)])
             shift.append(0.0)
             k += 2
@@ -286,7 +320,7 @@ def loop_standard_form(model):
         return np.array([s + sum(sign * y[col] for col, sign in parts)
                          for s, parts in zip(shift, pieces)])
 
-    return np.array(rows).reshape(-1, k), np.array(rhs), to_y(model.objective), recover
+    return np.array(rows).reshape(len(rows), k), np.array(rhs), to_y(model.objective), recover
 
 
 class TestStandardForm:
@@ -315,3 +349,37 @@ class TestStandardForm:
             np.testing.assert_allclose(form.b, rhs, rtol=1e-12, atol=1e-12)
             y = rng.uniform(0, 2, size=form.A.shape[1])
             np.testing.assert_allclose(form.recover(y), recover(y), rtol=1e-15, atol=1e-15)
+
+    def test_fixed_variable_substituted(self):
+        # x0 fixed at 0.5 beside a capped x1 and a free x2
+        model = lp(
+            [1.0, 2.0, -1.0],
+            [(0.5, 0.5), (0.0, 1.0), (None, None)],
+            [([1.0, 1.0, 1.0], "<=", 2.0), ([2.0, 0.0, -1.0], ">=", -1.0)],
+        )
+        form = _StandardForm(model)
+        # columns x1, x2+, x2-; rows: both constraints, then x1's cap only
+        assert form.A.shape == (3, 3)
+        assert np.array_equal(form.A[2], [1.0, 0.0, 0.0])
+        assert np.array_equal(form.b, [1.5, 2.0, 1.0])
+        assert form.recover(np.zeros(3))[0] == 0.5
+        result = solve(model)
+        assert result.status == "optimal"
+        assert result.x[0] == 0.5
+        assert result.x[1:] == pytest.approx([0.0, 1.5], abs=1e-12)
+        assert result.objective_value == pytest.approx(-1.0, abs=1e-12)
+
+    def test_all_variables_fixed(self):
+        model = lp([3.0, 1.0], [(2.0, 2.0), (-1.0, -1.0)], [([1.0, 1.0], "<=", 1.0)])
+        assert _StandardForm(model).A.shape == (1, 0)
+        result = solve(model)
+        assert result.status == "optimal"
+        assert np.array_equal(result.x, [2.0, -1.0])
+        assert result.objective_value == 5.0
+
+    def test_fixed_variable_breaks_a_row(self):
+        # no x1 in [0, 1] makes x0 + x1 <= 1.5 hold with x0 fixed at 2
+        model = lp([0.0, 1.0], [(2.0, 2.0), (0.0, 1.0)], [([1.0, 1.0], "<=", 1.5)])
+        assert solve(model).status == "infeasible"
+        alone = lp([1.0], [(2.0, 2.0)], [([1.0], "<=", 1.0)])
+        assert solve(alone).status == "infeasible"

@@ -91,6 +91,11 @@ class TestNormalizeMaxOne:
         with pytest.raises(NormalizationError):
             normalize_max_one(np.zeros(3))
 
+    def test_non_finite_rejected(self):
+        for bad in ([np.nan, 1.0], [np.inf, 1.0], [-np.inf, 1.0], [np.nan, np.nan]):
+            with pytest.raises(NormalizationError, match="finite"):
+                normalize_max_one(np.array(bad))
+
     def test_ids_attached(self):
         reported = normalize_max_one(np.array([0.5, 1.0]), ids=["u", "v"])
         assert reported.as_dicts()[0] == {"id": "u", "score": 0.5, "normalized": 0.5}
@@ -103,3 +108,11 @@ class TestRankVector:
         with pytest.raises(ParameterError):
             RankVector(np.array([1.5, -0.5]))
         RankVector(np.array([0.25, 0.75]))
+
+    def test_non_finite_rejected(self):
+        with pytest.raises(ParameterError, match="nonnegative"):
+            RankVector(np.array([np.nan, 1.0]))
+        with pytest.raises(ParameterError, match="nonnegative"):
+            RankVector(np.array([np.inf, -np.inf]))
+        with pytest.raises(ParameterError, match="sum to one"):
+            RankVector(np.array([np.inf, 1.0]))

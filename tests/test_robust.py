@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import random_stochastic
-from oracles import decomposition_rank_optimum, dense_pivot
+from oracles import decomposition_rank_optimum, dense_pivot, substituted_comparative_program
 
 from robust_lexrank import (
     AdjacencyMatrix,
@@ -130,13 +130,36 @@ class TestProgramStructure:
         p = TransitionMatrix(random_stochastic(n, rng))
         for pinned in (1, 3, n):
             program = robust._rank_program(p, uniform_budget(n, 0.5), pinned=pinned)
-            # (x free, s, t, u): the pinned coordinates have no column
-            assert program.n_vars == 3 * n - pinned + 1
+            # (x, s, t, u) as written, the pinned coordinates fixed at one
+            assert program.n_vars == 3 * n + 1
+            fixed = program.lower == program.upper
+            assert fixed.sum() == pinned
+            assert np.all(fixed[:pinned]) and np.all(program.lower[:pinned] == 1.0)
             # residual rows in both directions and one support row per x
             assert program.n_rows == 3 * n
-            assert np.all(program.lower < program.upper)
-            # only the free coordinates' [0, 1] boxes add cap rows
-            assert _StandardForm(program).A.shape[0] == 3 * n + n - pinned
+            # the fixed coordinates take no column and no cap row; the free
+            # ones' [0, 1] boxes add one cap row each
+            assert _StandardForm(program).A.shape == (3 * n + n - pinned, 3 * n - pinned + 1)
+
+    def test_comparative_standard_form_matches_substitution(
+        self, transition_01, transition_02, transition_03
+    ):
+        cases = solve_cases((transition_01, transition_02, transition_03), [0.01, 5.0])
+        wide = random_adjacency(70, 0.1, np.random.default_rng(71))
+        cases.append((to_transition(AdjacencyMatrix(wide, 0.0)), uniform_budget(70, 0.01)))
+        for p, budget in cases:
+            n = p.size
+            for pinned in sorted({1, n // 2, n - 1, n}):
+                form = _StandardForm(robust._rank_program(p, budget, pinned=pinned))
+                reference = _StandardForm(
+                    substituted_comparative_program(
+                        p.values, budget.eps_total, budget.eps_col, pinned
+                    )
+                )
+                assert np.array_equal(form.A, reference.A), (n, pinned)
+                assert np.array_equal(form.c, reference.c), (n, pinned)
+                # only the pinned right-hand sides may sum in another order
+                np.testing.assert_allclose(form.b, reference.b, rtol=0.0, atol=1e-15)
 
     def test_budget_dimension_mismatch(self):
         with pytest.raises(ParameterError):
