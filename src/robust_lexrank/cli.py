@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -331,6 +332,7 @@ def _add_budget_flags(parser):
 
 
 def build_parser():
+    """A new parser over all the subcommands; ``main`` builds one per process."""
     parser = argparse.ArgumentParser(
         prog="robust-lexrank",
         description="Sentence ranking over similarity graphs, plain and robust.",
@@ -389,9 +391,18 @@ def build_parser():
     return parser
 
 
+@functools.cache
+def _parser():
+    """The process's parser, built by the first ``main`` call and reused after.
+
+    Parsing keeps no state on the parser: each call fills a fresh namespace
+    from the declared defaults, so one parser serves any number of calls.
+    """
+    return build_parser()
+
+
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.handler(args)
     except RobustLexRankError as exc:

@@ -104,12 +104,18 @@ class SimilarityMatrix:
         return self.values.shape[0]
 
 
-def _idf(corpus: Corpus) -> dict[str, float]:
+def _token_counts(corpus: Corpus) -> list[Counter]:
+    """Token counts of each sentence, in corpus order."""
+    return [Counter(tokenize(s.body)) for s in corpus.sentences]
+
+
+def _idf(counts: list[Counter]) -> dict[str, float]:
+    """Natural-log idf over the sentences whose token ``counts`` are given."""
     document_frequency = Counter()
-    for sentence in corpus.sentences:
-        for token in set(tokenize(sentence.body)):
-            document_frequency[token] += 1
-    n = len(corpus)
+    for sentence_counts in counts:
+        # each distinct token of a sentence counts once
+        document_frequency.update(sentence_counts.keys())
+    n = len(counts)
     return {t: math.log(n / df) for t, df in document_frequency.items()}
 
 
@@ -146,7 +152,7 @@ def idf_modified_cosine(a: Sentence, b: Sentence, corpus: Corpus) -> float:
         raise ParameterError("both sentences must belong to the corpus")
     if a.id == b.id:
         return 1.0
-    idf = _idf(corpus)
+    idf = _idf(_token_counts(corpus))
     counts_a, counts_b = Counter(tokenize(a.body)), Counter(tokenize(b.body))
     wa, wb = _weights(counts_a, idf), _weights(counts_b, idf)
     return _cosine(counts_a, counts_b, wa, wb, _norm(wa), _norm(wb))
@@ -156,8 +162,8 @@ def build_similarity_matrix(corpus: Corpus) -> SimilarityMatrix:
     """Pairwise idf-weighted cosine similarities with an exact unit diagonal."""
     if len(corpus) == 0:
         raise ParseError("corpus is empty")
-    idf = _idf(corpus)
-    counts = [Counter(tokenize(s.body)) for s in corpus.sentences]
+    counts = _token_counts(corpus)
+    idf = _idf(counts)
     weights = [_weights(c, idf) for c in counts]
     norms = [_norm(w) for w in weights]
     n = len(corpus)

@@ -31,8 +31,9 @@ STOCHASTIC_TOL = 1e-12
 VIOLATION_TOL = 1e-9
 BUDGET_TOL = 1e-9
 # Stacked matrix entries per chunk of samples: the batched checks and
-# residuals hold one chunk at a time, so transient memory stays flat at any
-# sample count or width.
+# residuals hold one chunk at a time, so transient memory does not grow with
+# the sample count. It does grow with the width: above n + m = 90 a chunk is
+# a single sample of (n + m)**2 entries, more than this target.
 CHUNK_ELEMENTS = 2**13
 
 
@@ -159,7 +160,12 @@ def _check_set(p: TransitionMatrix, uset: UncertaintySet):
 
 
 def _chunks(n_samples: int, width: int):
-    """Sample counts of consecutive chunks of about ``CHUNK_ELEMENTS`` entries."""
+    """Sample counts of consecutive chunks of about ``CHUNK_ELEMENTS`` entries.
+
+    A chunk holds at least one sample, so above ``width`` 90 each chunk is
+    one sample of ``width**2`` entries: flat in the sample count, but
+    growing with the square of the width.
+    """
     size = max(1, CHUNK_ELEMENTS // width**2)
     for start in range(0, n_samples, size):
         yield min(size, n_samples - start)

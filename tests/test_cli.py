@@ -3,13 +3,16 @@
 import importlib
 import importlib.util
 import json
+import os
 import pathlib
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from robust_lexrank import dualnorms
+from robust_lexrank import cli, dualnorms
 from robust_lexrank.cli import main
 
 ROOT = pathlib.Path(__file__).parents[1]
@@ -20,6 +23,31 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+@pytest.fixture
+def session_argv(tmp_path):
+    """The six commands of the benchmark's ``cluster-session`` workload, by label."""
+    merged = tmp_path / "comparative.tsv"
+    data = resources.files("robust_lexrank.data")
+    merged.write_text(
+        "".join(
+            data.joinpath(name).read_text(encoding="utf-8")
+            for name in ("iraq_cluster.tsv", "generated_templates.tsv")
+        ),
+        encoding="utf-8",
+    )
+    budget = ["--eps1", "0.01", "--eps-col", "0.01"]
+    return {
+        "rank": ["rank", "--threshold", "0.2"],
+        "robust": ["robust", "--threshold", "0.1", *budget],
+        "comparative": ["comparative", "--input", str(merged), "--threshold", "0.1",
+                        "--n-verified", "11", *budget],
+        "simulate": ["simulate", "--threshold", "0.2", "--samples", "1000", "--seed", "7",
+                     "--growth", "2"],
+        "reproduce-tables": ["reproduce-tables"],
+        "verify": ["verify", "--instances", "50"],
+    }
 
 
 def assert_one_error_line(stderr, path):
@@ -320,26 +348,9 @@ class TestClusterSession:
     fails here rather than only in the benchmark.
     """
 
-    def test_outputs_match_recorded_session(self, tmp_path, capsys):
-        merged = tmp_path / "comparative.tsv"
-        data = resources.files("robust_lexrank.data")
-        merged.write_text(
-            "".join(
-                data.joinpath(name).read_text(encoding="utf-8")
-                for name in ("iraq_cluster.tsv", "generated_templates.tsv")
-            ),
-            encoding="utf-8",
-        )
-        budget = ["--eps1", "0.01", "--eps-col", "0.01"]
-        commands = {
-            "rank": ["rank", "--threshold", "0.2"],
-            "robust": ["robust", "--threshold", "0.1", *budget],
-            "comparative": ["comparative", "--input", str(merged), "--threshold", "0.1",
-                            "--n-verified", "11", *budget],
-            "simulate": ["simulate", "--threshold", "0.2", "--samples", "1000", "--seed", "7",
-                         "--growth", "2"],
-            "reproduce-tables": ["reproduce-tables"],
-        }
+    def test_outputs_match_recorded_session(self, capsys, session_argv):
+        # the recorded session holds no values for verify
+        commands = {label: argv for label, argv in session_argv.items() if label != "verify"}
         payloads = {}
         for label, argv in commands.items():
             code, stdout, _ = run_cli(capsys, *argv)
@@ -376,6 +387,97 @@ class TestClusterSession:
                 have = np.asarray(got[label][field], dtype=float)
                 assert have.shape == np.shape(want), (label, field)
                 assert np.allclose(have, want, rtol=0.0, atol=1e-9), (label, field)
+
+
+class TestParserReuse:
+    """``main`` builds its parser on the first call and reuses it after."""
+
+    @pytest.fixture(autouse=True)
+    def first_call_builds(self):
+        cli._parser.cache_clear()
+        yield
+        cli._parser.cache_clear()
+
+    def test_session_builds_parser_once(self, capsys, monkeypatch, session_argv):
+        builds = []
+        real = cli.build_parser
+
+        def counted():
+            builds.append(1)
+            return real()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for argv in [*session_argv.values(), session_argv["rank"]]:
+            assert main(argv) == 0, argv
+        capsys.readouterr()
+        assert len(builds) == 1
+
+    def test_format_does_not_carry_over(self, capsys):
+        code, stdout, _ = run_cli(capsys, "rank", "--threshold", "0.2", "--format", "csv")
+        assert code == 0
+        assert stdout.startswith("#")
+        code, stdout, _ = run_cli(capsys, "rank", "--threshold", "0.2")
+        assert code == 0
+        assert json.loads(stdout)["config"]["command"] == "rank"
+
+    def test_eps_col_file_does_not_carry_over(self, tmp_path, capsys):
+        budget_file = tmp_path / "cols.csv"
+        budget_file.write_text(",".join(["0.02"] * 11), encoding="utf-8")
+        robust = ["robust", "--threshold", "0.1", "--eps1", "0.01"]
+        code, stdout, _ = run_cli(capsys, *robust, "--eps-col-file", str(budget_file))
+        assert code == 0
+        assert json.loads(stdout)["config"]["eps_col"] == [0.02] * 11
+        with pytest.raises(SystemExit) as exit_info:
+            main(["comparative", "--threshold", "0.1", "--eps1", "0.01", "--eps-col", "0.01"])
+        assert exit_info.value.code == 2
+        capsys.readouterr()
+        code, stdout, _ = run_cli(capsys, *robust, "--eps-col", "0.01")
+        assert code == 0
+        assert json.loads(stdout)["config"]["eps_col"] == [0.01] * 11
+
+    def test_outputs_match_fresh_parser(self, capsys, session_argv):
+        sequence = [
+            *session_argv.values(),
+            ["rank", "--threshold", "0.2", "--format", "csv"],
+            session_argv["rank"],
+        ]
+        reused = [run_cli(capsys, *argv) for argv in sequence]
+        fresh = []
+        for argv in sequence:
+            cli._parser.cache_clear()
+            fresh.append(run_cli(capsys, *argv))
+        for argv, got, want in zip(sequence, reused, fresh):
+            assert got == want, argv
+            assert got[0] == 0 and got[2] == "", argv
+
+
+class TestEntryPoint:
+    """``python -m robust_lexrank.cli`` in a child process, as a shell runs it."""
+
+    @staticmethod
+    def run_module(*argv):
+        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "robust_lexrank.cli", *argv],
+            capture_output=True,
+            encoding="utf-8",
+            env=dict(os.environ, PYTHONPATH=path),
+            cwd=ROOT,
+            timeout=120,
+        )
+
+    def test_stdout_matches_in_process(self, capsys):
+        child = self.run_module("rank", "--threshold", "0.2")
+        code, stdout, _ = run_cli(capsys, "rank", "--threshold", "0.2")
+        assert child.returncode == code == 0
+        assert child.stdout == stdout
+
+    def test_error_exit_code_without_traceback(self):
+        child = self.run_module("rank", "--threshold", "2")
+        assert child.returncode == 5
+        assert child.stdout == ""
+        assert child.stderr.startswith("error:")
+        assert "Traceback" not in child.stderr
 
 
 def load_perfbench(name):
