@@ -42,18 +42,12 @@ class Sentence:
 
 @dataclass(frozen=True)
 class Corpus:
-    """Ordered sentences; verified ones precede generated ones."""
+    """Ordered sentences with unique ids."""
 
     sentences: tuple[Sentence, ...]
-    n_verified: int
-    n_generated: int
 
     def __post_init__(self):
         object.__setattr__(self, "sentences", tuple(self.sentences))
-        if self.n_verified < 0 or self.n_generated < 0:
-            raise ParseError("sentence counts must be nonnegative")
-        if self.n_verified + self.n_generated != len(self.sentences):
-            raise ParseError("verified + generated counts must cover the corpus")
         seen = set()
         for s in self.sentences:
             if s.id in seen:
@@ -62,14 +56,8 @@ class Corpus:
 
     @classmethod
     def verified(cls, sentences):
-        sentences = tuple(sentences)
-        return cls(sentences, len(sentences), 0)
-
-    @classmethod
-    def with_generated(cls, verified, generated):
-        verified = tuple(verified)
-        generated = tuple(generated)
-        return cls(verified + generated, len(verified), len(generated))
+        """The corpus of ``sentences``, from any iterable."""
+        return cls(sentences)
 
     def __len__(self):
         return len(self.sentences)
@@ -104,30 +92,30 @@ class SimilarityMatrix:
         return self.values.shape[0]
 
 
-def _token_counts(corpus: Corpus) -> list[Counter]:
-    """Token counts of each sentence, in corpus order."""
-    return [Counter(tokenize(s.body)) for s in corpus.sentences]
+def _records(corpus: Corpus, bodies=None) -> list[tuple[Counter, dict, float]]:
+    """``(token counts, tf-idf weights in token order, norm)`` of each body.
 
-
-def _idf(counts: list[Counter]) -> dict[str, float]:
-    """Natural-log idf over the sentences whose token ``counts`` are given."""
+    The idf is the corpus's: natural log, one document per sentence.
+    ``bodies`` defaults to the corpus's own, which are then tokenized once.
+    """
+    counts = [Counter(tokenize(s.body)) for s in corpus.sentences]
     document_frequency = Counter()
     for sentence_counts in counts:
         # each distinct token of a sentence counts once
         document_frequency.update(sentence_counts.keys())
-    n = len(counts)
-    return {t: math.log(n / df) for t, df in document_frequency.items()}
+    idf = {t: math.log(len(counts) / df) for t, df in document_frequency.items()}
+    if bodies is not None:
+        counts = [Counter(tokenize(body)) for body in bodies]
+    records = []
+    for sentence_counts in counts:
+        weights = {t: c * idf.get(t, 0.0) for t, c in sorted(sentence_counts.items())}
+        norm = math.sqrt(sum(w * w for w in weights.values()))
+        records.append((sentence_counts, weights, norm))
+    return records
 
 
-def _weights(counts: Counter, idf: dict[str, float]) -> dict[str, float]:
-    return {t: c * idf.get(t, 0.0) for t, c in sorted(counts.items())}
-
-
-def _norm(weights: dict[str, float]) -> float:
-    return math.sqrt(sum(w * w for w in weights.values()))
-
-
-def _cosine(counts_a, counts_b, wa, wb, na, nb):
+def _cosine(a, b):
+    (counts_a, wa, na), (counts_b, wb, nb) = a, b
     # identical nonempty token multisets are fully similar; this is the
     # exact value of the cosine whenever the weight norm is positive and
     # the defined completion when every shared token has zero idf
@@ -135,8 +123,8 @@ def _cosine(counts_a, counts_b, wa, wb, na, nb):
         return 1.0
     if na == 0.0 or nb == 0.0:
         return 0.0
-    shared = sorted(set(wa) & set(wb))
-    value = sum(wa[t] * wb[t] for t in shared) / (na * nb)
+    # wa is in token order, so this sums over the sorted shared tokens
+    value = sum(w * wb[t] for t, w in wa.items() if t in wb) / (na * nb)
     return min(value, 1.0)
 
 
@@ -152,36 +140,29 @@ def idf_modified_cosine(a: Sentence, b: Sentence, corpus: Corpus) -> float:
         raise ParameterError("both sentences must belong to the corpus")
     if a.id == b.id:
         return 1.0
-    idf = _idf(_token_counts(corpus))
-    counts_a, counts_b = Counter(tokenize(a.body)), Counter(tokenize(b.body))
-    wa, wb = _weights(counts_a, idf), _weights(counts_b, idf)
-    return _cosine(counts_a, counts_b, wa, wb, _norm(wa), _norm(wb))
+    return _cosine(*_records(corpus, (a.body, b.body)))
 
 
 def build_similarity_matrix(corpus: Corpus) -> SimilarityMatrix:
     """Pairwise idf-weighted cosine similarities with an exact unit diagonal."""
     if len(corpus) == 0:
         raise ParseError("corpus is empty")
-    counts = _token_counts(corpus)
-    idf = _idf(counts)
-    weights = [_weights(c, idf) for c in counts]
-    norms = [_norm(w) for w in weights]
-    n = len(corpus)
-    values = np.eye(n)
-    for i in range(n):
-        for j in range(i + 1, n):
-            values[i, j] = values[j, i] = _cosine(
-                counts[i], counts[j], weights[i], weights[j], norms[i], norms[j]
-            )
+    records = _records(corpus)
+    values = np.eye(len(records))
+    for i, a in enumerate(records):
+        values[i, i + 1 :] = values[i + 1 :, i] = [_cosine(a, b) for b in records[i + 1 :]]
     return SimilarityMatrix(values)
 
 
 def read_corpus(path) -> Corpus:
-    """One sentence per UTF-8 line, optionally prefixed ``id<TAB>``; blank lines skipped."""
+    """One sentence per UTF-8 line, optionally prefixed ``id<TAB>``; blank lines skipped.
+
+    A leading byte-order mark is dropped.
+    """
     sentences = []
     auto = 0
     try:
-        with open(path, encoding="utf-8") as handle:
+        with open(path, encoding="utf-8-sig") as handle:
             lines = list(handle)
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not UTF-8 text ({exc.reason})") from exc

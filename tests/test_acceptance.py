@@ -371,21 +371,22 @@ def test_11_zero_budget_reduces_to_plain_ranking():
 def test_12_comparative_structure_with_generated_sentences(
     cluster_corpus, generated_sentences
 ):
-    merged = Corpus.with_generated(cluster_corpus.sentences, generated_sentences)
+    merged = Corpus(cluster_corpus.sentences + tuple(generated_sentences))
+    n_verified = len(cluster_corpus)
     similarity = build_similarity_matrix(merged)
     transition = to_transition(threshold_adjacency(similarity, 0.1))
     result = comparative_rank(
-        transition, merged.n_verified, uniform_budget(len(merged), 0.01), merged.ids
+        transition, n_verified, uniform_budget(len(merged), 0.01), merged.ids
     )
     scores = result.reported.scores
-    verified = scores[: merged.n_verified]
-    generated = scores[merged.n_verified :]
+    verified = scores[:n_verified]
+    generated = scores[n_verified:]
     ok = (
         bool(np.all(verified == 1.0))
         and bool(np.all(generated >= -1e-12))
         and bool(np.all(generated <= 1.0 + 1e-12))
-        and bool(np.all(result.reported.normalized[merged.n_verified :] <= 1.0 + 1e-12))
+        and bool(np.all(result.reported.normalized[n_verified:] <= 1.0 + 1e-12))
     )
     assert report(12, "comparative ranks keep generated below verified", ok,
-                  f"{merged.n_generated} generated sentences, "
+                  f"{len(generated)} generated sentences, "
                   f"max generated score {float(generated.max()):.4f}")

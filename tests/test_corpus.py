@@ -88,17 +88,26 @@ class TestBuildSimilarityMatrix:
         assert np.array_equal(cluster_similarity.values, oracle)
 
     def test_matrix_entries_equal_pairwise_operation(self, cluster_corpus, cluster_similarity):
-        sentences = cluster_corpus.sentences
-        for i in (0, 3, 10):
-            for j in (1, 7):
-                expected = idf_modified_cosine(sentences[i], sentences[j], cluster_corpus)
-                assert cluster_similarity.values[i, j] == expected
+        for i, a in enumerate(cluster_corpus.sentences):
+            for j, b in enumerate(cluster_corpus.sentences):
+                expected = idf_modified_cosine(a, b, cluster_corpus)
+                assert cluster_similarity.values[i, j] == expected, (i, j)
 
     def test_symmetry_and_diagonal(self, cluster_similarity):
         values = cluster_similarity.values
         assert np.abs(values - values.T).max() <= 1e-12
         assert np.array_equal(np.diag(values), np.ones(len(values)))
         assert values.min() >= 0.0 and values.max() <= 1.0
+
+    def test_token_free_and_identical_pairs_equal_matrix_entries(self):
+        # a token-free sentence, and two sentences with the same token multiset
+        bodies = ["!!! ???", "alpha beta gamma", "Beta, alpha gamma.", "gamma delta", "delta"]
+        corpus = Corpus.verified(Sentence(f"s{i}", body) for i, body in enumerate(bodies))
+        values = build_similarity_matrix(corpus).values
+        assert values[1, 2] == 1.0 and values[0, 1] == 0.0
+        for i, a in enumerate(corpus.sentences):
+            for j, b in enumerate(corpus.sentences):
+                assert idf_modified_cosine(a, b, corpus) == values[i, j], (i, j)
 
     def test_permutation_equivariance(self, cluster_corpus, cluster_similarity):
         rng = np.random.default_rng(7)
@@ -131,7 +140,16 @@ class TestValidationAndIo:
         path.write_text("id1\tfirst sentence\nid2\tsecond sentence\n", encoding="utf-8")
         corpus = read_corpus(path)
         assert corpus.ids == ["id1", "id2"]
-        assert corpus.n_verified == 2
+        assert len(corpus) == 2
+
+    @pytest.mark.parametrize("text", ["a\tfirst one\nb\tsecond one\n", "first one\nsecond one\n"],
+                             ids=["ids", "auto-ids"])
+    def test_read_corpus_ignores_byte_order_mark(self, tmp_path, text):
+        plain, marked = tmp_path / "plain.txt", tmp_path / "marked.txt"
+        plain.write_text(text, encoding="utf-8")
+        marked.write_text(text, encoding="utf-8-sig")
+        assert marked.read_bytes().startswith(b"\xef\xbb\xbf")
+        assert read_corpus(marked) == read_corpus(plain)
 
     def test_read_corpus_auto_ids(self, tmp_path):
         path = tmp_path / "plain.txt"
