@@ -80,7 +80,8 @@ class SimilarityMatrix:
             raise ParameterError("similarity matrix must be square")
         if not np.all(np.isfinite(values)):
             raise ParameterError("similarities must be finite")
-        if np.abs(values - values.T).max(initial=0.0) > SYMMETRY_TOL:
+        asymmetry = values - values.T
+        if np.abs(asymmetry, out=asymmetry).max(initial=0.0) > SYMMETRY_TOL:
             raise ParameterError("similarity matrix must be symmetric")
         if np.any(values < -SYMMETRY_TOL) or np.any(values > 1 + SYMMETRY_TOL):
             raise ParameterError("similarities must lie in [0, 1]")
@@ -92,11 +93,13 @@ class SimilarityMatrix:
         return self.values.shape[0]
 
 
-def _records(corpus: Corpus, bodies=None) -> list[tuple[Counter, dict, float]]:
-    """``(token counts, tf-idf weights in token order, norm)`` of each body.
+def _records(corpus: Corpus, bodies=None) -> list[tuple[int | None, dict, float]]:
+    """``(multiset id, tf-idf weights in token order, norm)`` of each body.
 
-    The idf is the corpus's: natural log, one document per sentence.
-    ``bodies`` defaults to the corpus's own, which are then tokenized once.
+    Bodies with the same token multiset share an id, numbered within the
+    call; a token-free body has id ``None``. The idf is the corpus's:
+    natural log, one document per sentence. ``bodies`` defaults to the
+    corpus's own, which are then tokenized once.
     """
     counts = [Counter(tokenize(s.body)) for s in corpus.sentences]
     document_frequency = Counter()
@@ -106,20 +109,23 @@ def _records(corpus: Corpus, bodies=None) -> list[tuple[Counter, dict, float]]:
     idf = {t: math.log(len(counts) / df) for t, df in document_frequency.items()}
     if bodies is not None:
         counts = [Counter(tokenize(body)) for body in bodies]
+    groups = {}
     records = []
     for sentence_counts in counts:
-        weights = {t: c * idf.get(t, 0.0) for t, c in sorted(sentence_counts.items())}
+        items = sorted(sentence_counts.items())
+        group = groups.setdefault(tuple(items), len(groups)) if items else None
+        weights = {t: c * idf.get(t, 0.0) for t, c in items}
         norm = math.sqrt(sum(w * w for w in weights.values()))
-        records.append((sentence_counts, weights, norm))
+        records.append((group, weights, norm))
     return records
 
 
 def _cosine(a, b):
-    (counts_a, wa, na), (counts_b, wb, nb) = a, b
+    (group_a, wa, na), (group_b, wb, nb) = a, b
     # identical nonempty token multisets are fully similar; this is the
     # exact value of the cosine whenever the weight norm is positive and
     # the defined completion when every shared token has zero idf
-    if counts_a == counts_b and counts_a:
+    if group_a is not None and group_a == group_b:
         return 1.0
     if na == 0.0 or nb == 0.0:
         return 0.0
@@ -131,12 +137,13 @@ def _cosine(a, b):
 def idf_modified_cosine(a: Sentence, b: Sentence, corpus: Corpus) -> float:
     """Cosine of the tf-idf vectors of two sentences of the corpus.
 
-    A sentence whose weight vector has zero norm (no tokens, or only
-    tokens appearing in every sentence) has similarity zero against
-    everything except itself and token-identical sentences.
+    Each argument must equal the corpus's sentence with its id. A sentence
+    whose weight vector has zero norm (no tokens, or only tokens appearing
+    in every sentence) has similarity zero against everything except
+    itself and token-identical sentences.
     """
-    ids = set(corpus.ids)
-    if a.id not in ids or b.id not in ids:
+    by_id = {s.id: s for s in corpus.sentences}
+    if by_id.get(a.id) != a or by_id.get(b.id) != b:
         raise ParameterError("both sentences must belong to the corpus")
     if a.id == b.id:
         return 1.0
@@ -151,6 +158,8 @@ def build_similarity_matrix(corpus: Corpus) -> SimilarityMatrix:
     values = np.eye(len(records))
     for i, a in enumerate(records):
         values[i, i + 1 :] = values[i + 1 :, i] = [_cosine(a, b) for b in records[i + 1 :]]
+    # free the records before validation allocates its n x n temporary
+    del records
     return SimilarityMatrix(values)
 
 

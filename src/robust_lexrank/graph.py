@@ -14,18 +14,24 @@ COLUMN_SUM_TOL = 1e-12
 
 @dataclass(frozen=True, eq=False)
 class AdjacencyMatrix:
-    """Binary symmetric adjacency; the diagonal is all ones for thresholds <= 1."""
+    """Binary symmetric adjacency; the diagonal is all ones for thresholds <= 1.
+
+    Stored as bool. Numeric input must hold only 0 and 1.
+    """
 
     values: np.ndarray
     threshold: float
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = np.asarray(self.values)
+        if values.dtype != bool:
+            values = np.asarray(values, dtype=float)
+            if not np.all((values == 0.0) | (values == 1.0)):
+                raise ParameterError("adjacency entries must be 0 or 1")
+            values = values == 1.0
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ParameterError("adjacency matrix must be square")
-        if not np.all((values == 0.0) | (values == 1.0)):
-            raise ParameterError("adjacency entries must be 0 or 1")
         if not np.array_equal(values, values.T):
             raise ParameterError("adjacency matrix must be symmetric")
 
@@ -62,12 +68,11 @@ def threshold_adjacency(similarity: SimilarityMatrix, threshold: float) -> Adjac
     """Edge wherever similarity >= threshold; self-loops come from the unit diagonal."""
     if not 0.0 <= threshold <= 1.0:
         raise ParameterError(f"threshold {threshold} outside [0, 1]")
-    values = (similarity.values >= threshold).astype(float)
-    return AdjacencyMatrix(values, threshold)
+    return AdjacencyMatrix(similarity.values >= threshold, threshold)
 
 
 def to_transition(adjacency: AdjacencyMatrix) -> TransitionMatrix:
-    """Divide each row by its sum, then transpose, giving a column-stochastic matrix.
+    """Divide each row by its edge count, then transpose, giving a column-stochastic matrix.
 
     For symmetric adjacency this equals column normalization; a zero row
     (possible only on hand-built inputs) cannot be normalized.

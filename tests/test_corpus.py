@@ -60,6 +60,21 @@ class TestIdfModifiedCosine:
         with pytest.raises(ParameterError):
             idf_modified_cosine(stranger, cluster_corpus.sentences[0], cluster_corpus)
 
+    @pytest.mark.parametrize("swap", [False, True], ids=["impostor-first", "impostor-second"])
+    def test_corpus_id_with_other_body_rejected(self, cluster_corpus, swap):
+        d1s1, d4s1 = cluster_corpus.sentences[0], cluster_corpus.sentences[7]
+        impostor = Sentence(d1s1.id, d4s1.body)
+        pair = (d4s1, impostor) if swap else (impostor, d4s1)
+        with pytest.raises(ParameterError):
+            idf_modified_cosine(*pair, cluster_corpus)
+
+    def test_same_id_with_other_body_rejected(self, cluster_corpus):
+        d1s1 = cluster_corpus.sentences[0]
+        impostor = Sentence(d1s1.id, "completely new text")
+        for pair in [(impostor, d1s1), (d1s1, impostor), (impostor, impostor)]:
+            with pytest.raises(ParameterError):
+                idf_modified_cosine(*pair, cluster_corpus)
+
     def test_zero_weight_sentence(self):
         # only token appears in both sentences, so idf and the weight norm vanish
         corpus = two_sentence_corpus("common", "common extra words")
@@ -108,6 +123,33 @@ class TestBuildSimilarityMatrix:
         for i, a in enumerate(corpus.sentences):
             for j, b in enumerate(corpus.sentences):
                 assert idf_modified_cosine(a, b, corpus) == values[i, j], (i, j)
+
+    @staticmethod
+    def pair_and_matrix(bodies):
+        """Matrix of the corpus of ``bodies``, after checking the pair API agrees bit for bit."""
+        corpus = Corpus.verified(Sentence(f"s{i}", body) for i, body in enumerate(bodies))
+        values = build_similarity_matrix(corpus).values
+        pairwise = [[idf_modified_cosine(a, b, corpus) for b in corpus.sentences]
+                    for a in corpus.sentences]
+        assert np.array_equal(np.array(pairwise), values)
+        return values
+
+    def test_reordered_recased_tokens_are_identical(self):
+        values = self.pair_and_matrix(["Gamma beta ALPHA beta", "beta alpha, beta gamma", "delta"])
+        assert values[0, 1] == 1.0
+        assert values[0, 2] == 0.0
+
+    def test_same_token_set_with_other_counts_is_the_cosine(self):
+        # idf of "a" and "b" is log 2 each, so the weights are (2, 1) and (1, 2) times it
+        bodies = ["a a b", "a b b", "c d", "c e"]
+        values = self.pair_and_matrix(bodies)
+        assert values[0, 1] != 1.0
+        assert values[0, 1] == pytest.approx(0.8, abs=1e-15)
+        assert values[0, 1] == oracle_similarity_matrix(bodies)[0, 1]
+
+    def test_different_token_free_sentences_are_dissimilar(self):
+        values = self.pair_and_matrix(["!!! ???", "...", "alpha beta"])
+        assert values[0, 1] == 0.0 and values[0, 2] == 0.0
 
     def test_permutation_equivariance(self, cluster_corpus, cluster_similarity):
         rng = np.random.default_rng(7)

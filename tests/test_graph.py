@@ -1,16 +1,22 @@
 """Adjacency thresholding and transition-matrix construction."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from robust_lexrank import (
     AdjacencyMatrix,
+    Corpus,
+    Sentence,
     SimilarityMatrix,
     TransitionMatrix,
+    build_similarity_matrix,
     normalize_max_one,
     power_iteration,
     threshold_adjacency,
     to_transition,
+    tokenize,
 )
 from robust_lexrank.errors import ConstructionError, ParameterError
 
@@ -33,11 +39,42 @@ class TestThresholdAdjacency:
         with pytest.raises(ParameterError):
             threshold_adjacency(sim, -0.1)
 
+    def test_stored_as_bool(self, cluster_similarity):
+        adjacency = threshold_adjacency(cluster_similarity, 0.2)
+        assert adjacency.values.dtype == bool
+        assert np.array_equal(adjacency.values, cluster_similarity.values >= 0.2)
+
     def test_cluster_high_threshold_ranks_all_equal(self, transition_03):
         # every component of the 0.3 graph is degree-regular, so the
         # stationary point from the uniform start is the uniform vector
         reported = normalize_max_one(power_iteration(transition_03))
         assert np.allclose(reported.normalized, 1.0, atol=1e-12)
+
+
+class TestAdjacencyMatrix:
+    def test_float_input_stored_as_bool(self):
+        path = np.array([[1.0, 1.0, 0.0], [1.0, 1.0, 1.0], [0.0, 1.0, 1.0]])
+        adjacency = AdjacencyMatrix(path, 0.5)
+        assert adjacency.values.dtype == bool
+        assert np.array_equal(adjacency.values, path == 1.0)
+
+    @pytest.mark.parametrize("bad", [0.5, np.nan, 2.0], ids=["half", "nan", "two"])
+    def test_non_binary_entry_rejected(self, bad):
+        values = np.eye(2)
+        values[0, 1] = values[1, 0] = bad
+        with pytest.raises(ParameterError, match="0 or 1"):
+            AdjacencyMatrix(values, 0.5)
+
+    def test_asymmetric_bool_rejected(self):
+        with pytest.raises(ParameterError, match="symmetric"):
+            AdjacencyMatrix(np.array([[True, True], [False, True]]), 0.5)
+
+    def test_bool_and_float_forms_give_equal_transitions(self, cluster_similarity):
+        for threshold in (0.1, 0.2, 0.3):
+            edges = cluster_similarity.values >= threshold
+            from_bool = to_transition(AdjacencyMatrix(edges, threshold)).values
+            from_float = to_transition(AdjacencyMatrix(edges.astype(float), threshold)).values
+            assert np.array_equal(from_bool, from_float)
 
 
 class TestToTransition:
@@ -107,3 +144,32 @@ class TestProperties:
             ranks = power_iteration(transition, tol=1e-13)
             residual = np.abs(transition.values @ ranks.values - ranks.values).sum()
             assert residual <= 1e-13
+
+
+def traced_peak(build):
+    """``(result, peak bytes traced above the start)`` of ``build()``."""
+    tracemalloc.start()
+    try:
+        start = tracemalloc.get_traced_memory()[0]
+        result = build()
+        return result, tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()
+
+
+def test_similarity_and_transition_peaks_stay_below_spare_dense_arrays(cluster_corpus):
+    # in units of one n x n float array: the similarity stage keeps its
+    # result plus one asymmetry temporary, and the transition stage its
+    # result plus bool arrays; one spare float array per stage exceeds these
+    n = 400
+    vocabulary = sorted({t for s in cluster_corpus.sentences for t in tokenize(s.body)})
+    rng = np.random.default_rng(3)
+    corpus = Corpus.verified(
+        Sentence(f"s{i}", " ".join(rng.choice(vocabulary, size=int(rng.integers(12, 30)))))
+        for i in range(n)
+    )
+    unit = 8 * n * n
+    similarity, similarity_peak = traced_peak(lambda: build_similarity_matrix(corpus))
+    _, transition_peak = traced_peak(lambda: to_transition(threshold_adjacency(similarity, 0.2)))
+    assert similarity_peak / unit < 3.0
+    assert transition_peak / unit < 1.7
