@@ -93,13 +93,12 @@ class SimilarityMatrix:
         return self.values.shape[0]
 
 
-def _records(corpus: Corpus, bodies=None) -> list[tuple[int | None, dict, float]]:
-    """``(multiset id, tf-idf weights in token order, norm)`` of each body.
+def _records(corpus: Corpus) -> list[tuple[int | None, dict, float]]:
+    """``(multiset id, tf-idf weights in token order, norm)`` of each sentence.
 
-    Bodies with the same token multiset share an id, numbered within the
-    call; a token-free body has id ``None``. The idf is the corpus's:
-    natural log, one document per sentence. ``bodies`` defaults to the
-    corpus's own, which are then tokenized once.
+    Sentences with the same token multiset share an id, numbered in corpus
+    order; a token-free sentence has id ``None``. The idf is natural log,
+    one document per sentence.
     """
     counts = [Counter(tokenize(s.body)) for s in corpus.sentences]
     document_frequency = Counter()
@@ -107,8 +106,6 @@ def _records(corpus: Corpus, bodies=None) -> list[tuple[int | None, dict, float]
         # each distinct token of a sentence counts once
         document_frequency.update(sentence_counts.keys())
     idf = {t: math.log(len(counts) / df) for t, df in document_frequency.items()}
-    if bodies is not None:
-        counts = [Counter(tokenize(body)) for body in bodies]
     groups = {}
     records = []
     for sentence_counts in counts:
@@ -142,12 +139,13 @@ def idf_modified_cosine(a: Sentence, b: Sentence, corpus: Corpus) -> float:
     in every sentence) has similarity zero against everything except
     itself and token-identical sentences.
     """
-    by_id = {s.id: s for s in corpus.sentences}
-    if by_id.get(a.id) != a or by_id.get(b.id) != b:
+    position = {s: i for i, s in enumerate(corpus.sentences)}
+    if a not in position or b not in position:
         raise ParameterError("both sentences must belong to the corpus")
     if a.id == b.id:
         return 1.0
-    return _cosine(*_records(corpus, (a.body, b.body)))
+    records = _records(corpus)
+    return _cosine(records[position[a]], records[position[b]])
 
 
 def build_similarity_matrix(corpus: Corpus) -> SimilarityMatrix:

@@ -131,11 +131,8 @@ def _pivot(tableau, basis, row, col):
     tableau[row] /= tableau[row, col]
     factors = tableau[:, col].copy()
     factors[row] = 0.0
-    if tableau.size < SPARSE_PIVOT_CELLS:
-        tableau -= np.outer(factors, tableau[row])
-    else:
-        cols = np.flatnonzero(tableau[row])
-        tableau[:, cols] -= np.multiply.outer(factors, tableau[row, cols])
+    cols = slice(None) if tableau.size < SPARSE_PIVOT_CELLS else np.flatnonzero(tableau[row])
+    tableau[:, cols] -= factors[:, None] * tableau[row, cols]
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
     basis[row] = col
@@ -147,34 +144,22 @@ def _run_simplex(tableau, basis, costs, bland_after):
     Returns "optimal" or "unbounded". Dantzig entering rule with
     lowest-index ties until ``bland_after`` iterations, then Bland's rule.
     """
-    iteration = 0
-    while True:
-        if iteration > HARD_ITERATION_CAP:
-            raise NumericError("simplex iteration cap exceeded")
+    for iteration in range(HARD_ITERATION_CAP + 1):
+        bland = iteration >= bland_after
         reduced = costs - costs[basis] @ tableau[:, :-1]
-        if iteration >= bland_after:
-            negatives = np.nonzero(reduced < -PIVOT_TOL)[0]
-            if negatives.size == 0:
-                return "optimal"
-            enter = int(negatives[0])
-        else:
-            enter = int(np.argmin(reduced))
-            if reduced[enter] >= -PIVOT_TOL:
-                return "optimal"
+        negatives = np.flatnonzero(reduced < -PIVOT_TOL)
+        if not negatives.size:
+            return "optimal"
+        enter = negatives[0] if bland else np.argmin(reduced)
         column = tableau[:, enter]
         positive = column > PIVOT_TOL
         if not positive.any():
             return "unbounded"
-        ratios = np.full(column.size, np.inf)
-        ratios[positive] = tableau[positive, -1] / column[positive]
-        best = ratios.min()
-        ties = np.nonzero(ratios <= best + RATIO_TIE_TOL)[0]
-        if iteration >= bland_after:
-            leave = int(ties[np.argmin(basis[ties])])
-        else:
-            leave = int(ties[0])
+        ratios = np.divide(tableau[:, -1], column, out=np.full(column.size, np.inf), where=positive)
+        ties = np.flatnonzero(ratios <= ratios.min() + RATIO_TIE_TOL)
+        leave = ties[np.argmin(basis[ties])] if bland else ties[0]
         _pivot(tableau, basis, leave, enter)
-        iteration += 1
+    raise NumericError("simplex iteration cap exceeded")
 
 
 class _StandardForm:
@@ -236,21 +221,19 @@ def solve(lp: LinearProgram) -> LinearProgramSolution:
         return LinearProgramSolution("infeasible", None, None)
     form = _StandardForm(lp)
     m, ny = form.A.shape
-    A = np.hstack([form.A, np.eye(m)])
-    b = form.b.copy()
-    negative = b < 0
-    A[negative] *= -1.0
-    b[negative] *= -1.0
-
+    negative = form.b < 0
     n_art = int(negative.sum())
     columns = ny + m + n_art
     tableau = np.zeros((m, columns + 1))
-    tableau[:, : ny + m] = A
-    tableau[:, -1] = b
-    art_rows = np.nonzero(negative)[0]
+    tableau[:, :ny] = form.A
+    tableau[:, ny : ny + m] = np.eye(m)
+    tableau[:, -1] = form.b
+    tableau[negative] *= -1.0
+    # the negation left -0.0 in the artificial block; the identity restores +0.0
+    art_rows = np.flatnonzero(negative)
+    tableau[art_rows, ny + m : -1] = np.eye(n_art)
     basis = ny + np.arange(m)
     basis[art_rows] = ny + m + np.arange(n_art)
-    tableau[art_rows, basis[art_rows]] = 1.0
 
     bland_after = 2 * (m + columns)
 

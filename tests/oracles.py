@@ -8,7 +8,10 @@ simple on purpose. The exceptions are ``decomposition_lp`` and
 minimum as LPs and solve them with the package's simplex as well as HiGHS,
 as differential checks on their closed forms, and ``dense_pivot``, the
 simplex pivot as one dense rank-one update, against which the package's
-column-sparse pivot is checked bit for bit, and
+column-sparse pivot is checked bit for bit, ``reference_run_simplex``, the
+simplex loop with a separate branch per pivot rule, pivoting with
+``dense_pivot``, against which the package's loop is checked bit for bit,
+and
 ``substituted_comparative_program``, the comparative model with its pinned
 coordinates substituted by hand, against which the solver's substitution
 of fixed variables is checked.
@@ -71,6 +74,45 @@ def dense_pivot(tableau, basis, row, col):
     tableau[:, col] = 0.0
     tableau[row, col] = 1.0
     basis[row] = col
+
+
+def reference_run_simplex(tableau, basis, costs, bland_after):
+    """The simplex loop with the Dantzig and Bland rules in separate branches.
+
+    Same contract as ``lpsolver._run_simplex``: returns "optimal" or
+    "unbounded" and pivots ``tableau`` and ``basis`` in place.
+    """
+    from robust_lexrank.errors import NumericError
+    from robust_lexrank.lpsolver import HARD_ITERATION_CAP, PIVOT_TOL, RATIO_TIE_TOL
+
+    iteration = 0
+    while True:
+        if iteration > HARD_ITERATION_CAP:
+            raise NumericError("simplex iteration cap exceeded")
+        reduced = costs - costs[basis] @ tableau[:, :-1]
+        if iteration >= bland_after:
+            negatives = np.nonzero(reduced < -PIVOT_TOL)[0]
+            if negatives.size == 0:
+                return "optimal"
+            enter = int(negatives[0])
+        else:
+            enter = int(np.argmin(reduced))
+            if reduced[enter] >= -PIVOT_TOL:
+                return "optimal"
+        column = tableau[:, enter]
+        positive = column > PIVOT_TOL
+        if not positive.any():
+            return "unbounded"
+        ratios = np.full(column.size, np.inf)
+        ratios[positive] = tableau[positive, -1] / column[positive]
+        best = ratios.min()
+        ties = np.nonzero(ratios <= best + RATIO_TIE_TOL)[0]
+        if iteration >= bland_after:
+            leave = int(ties[np.argmin(basis[ties])])
+        else:
+            leave = int(ties[0])
+        dense_pivot(tableau, basis, leave, enter)
+        iteration += 1
 
 
 def enumerate_lp_optimum(objective, rows, relations, rhs, lower, upper):

@@ -1,17 +1,32 @@
 """Simplex solver behaviour against hand cases and a vertex-enumeration oracle."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
-from oracles import dense_pivot, enumerate_lp_optimum
+from oracles import dense_pivot, enumerate_lp_optimum, reference_run_simplex
 
 from robust_lexrank import LinearProgram, lpsolver, solve
 from robust_lexrank.errors import ModelError, NumericError
-from robust_lexrank.lpsolver import SPARSE_PIVOT_CELLS, _pivot, _StandardForm
+from robust_lexrank.lpsolver import SPARSE_PIVOT_CELLS, _pivot, _run_simplex, _StandardForm
 
 
 def lp(objective, bounds, constraints):
     return LinearProgram.build(objective, bounds, constraints)
+
+
+def beale_model():
+    """Beale's instance, on which the most-negative-cost rule cycles."""
+    return lp(
+        [-0.75, 150.0, -0.02, 6.0],
+        [(0.0, None)] * 4,
+        [
+            ([0.25, -60.0, -0.04, 9.0], "<=", 0.0),
+            ([0.5, -90.0, -0.02, 3.0], "<=", 0.0),
+            ([0.0, 0.0, 1.0, 0.0], "<=", 1.0),
+        ],
+    )
 
 
 class TestHandCases:
@@ -114,18 +129,21 @@ class TestHandCases:
     def test_degenerate_cycling_instance_terminates(self):
         # classic cycling example for the most-negative-cost rule; the
         # Bland fallback must still reach the optimum (-0.05)
-        model = lp(
-            [-0.75, 150.0, -0.02, 6.0],
-            [(0.0, None)] * 4,
-            [
-                ([0.25, -60.0, -0.04, 9.0], "<=", 0.0),
-                ([0.5, -90.0, -0.02, 3.0], "<=", 0.0),
-                ([0.0, 0.0, 1.0, 0.0], "<=", 1.0),
-            ],
-        )
-        result = solve(model)
+        result = solve(beale_model())
         assert result.status == "optimal"
         assert result.objective_value == pytest.approx(-0.05, abs=1e-9)
+
+    def test_all_fixed_without_rows(self):
+        # an empty tableau: no reduced cost is negative, so it is optimal
+        result = solve(lp([1.0], [(1.5, 1.5)], []))
+        assert result.status == "optimal"
+        assert np.array_equal(result.x, [1.5])
+        assert result.objective_value == 1.5
+
+    def test_iteration_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(lpsolver, "HARD_ITERATION_CAP", 1)
+        with pytest.raises(NumericError, match="iteration cap"):
+            solve(beale_model())
 
 
 class TestSolutionCheck:
@@ -383,3 +401,110 @@ class TestStandardForm:
         assert solve(model).status == "infeasible"
         alone = lp([1.0], [(2.0, 2.0)], [([1.0], "<=", 1.0)])
         assert solve(alone).status == "infeasible"
+
+
+def random_tableau(rng, m, c, density=1.0):
+    """A basic feasible tableau on its slack columns; about half its right-hand sides are zero."""
+    tableau = np.zeros((m, c + m + 1))
+    tableau[:, :c] = rng.integers(-3, 4, size=(m, c)) * (rng.random((m, c)) < density)
+    tableau[:, c : c + m] = np.eye(m)
+    tableau[:, -1] = np.where(rng.random(m) < 0.5, 0.0, rng.integers(1, 5, size=m))
+    costs = np.concatenate([rng.integers(-4, 3, size=c).astype(float), np.zeros(m)])
+    return tableau, c + np.arange(m), costs
+
+
+def random_mixed_model(rng):
+    kinds = [(0.0, None), (None, None), (None, 2.0), (-1.0, 3.0), (1.5, 1.5), (0.0, 1.0)]
+    n, m = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+    bounds = [kinds[i] for i in rng.integers(0, len(kinds), size=n)]
+    constraints = [
+        (rng.integers(-3, 4, size=n).astype(float), str(rng.choice(["<=", "=", ">="])),
+         float(rng.integers(-3, 4)))
+        for _ in range(m)
+    ]
+    return lp(rng.integers(-4, 5, size=n).astype(float), bounds, constraints)
+
+
+def assert_same_pivots(tableau, basis, costs, bland_after):
+    """Run the loop and the reference on copies; return the common status."""
+    expected, expected_basis = tableau.copy(), basis.copy()
+    status = reference_run_simplex(expected, expected_basis, costs, bland_after)
+    tableau, basis = tableau.copy(), basis.copy()
+    assert _run_simplex(tableau, basis, costs, bland_after) == status
+    assert np.array_equal(tableau, expected)
+    assert np.array_equal(basis, expected_basis)
+    return status
+
+
+def loop_inputs(monkeypatch, model):
+    """Copies of each ``(tableau, basis, costs, bland_after)`` that solving ``model`` loops on."""
+    calls = []
+
+    def recorded(tableau, basis, costs, bland_after):
+        calls.append((tableau.copy(), basis.copy(), costs.copy(), bland_after))
+        return _run_simplex(tableau, basis, costs, bland_after)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lpsolver, "_run_simplex", recorded)
+        solve(model)
+    return calls
+
+
+class TestRunSimplex:
+    """The loop pivots exactly as the reference with one branch per rule."""
+
+    def test_random_degenerate_tableaux(self):
+        rng = np.random.default_rng(21)
+        statuses = Counter()
+        for _ in range(100):
+            m, c = int(rng.integers(1, 7)), int(rng.integers(1, 9))
+            tableau, basis, costs = random_tableau(rng, m, c)
+            for bland_after in (0, 1, 3, 2 * (m + c)):
+                statuses[assert_same_pivots(tableau, basis, costs, bland_after)] += 1
+        assert statuses["optimal"] >= 50 and statuses["unbounded"] >= 50
+
+    def test_tableaux_above_the_sparse_cut(self):
+        rng = np.random.default_rng(22)
+        for bland_after in (0, 10, 1_000):
+            tableau, basis, costs = random_tableau(rng, 40, 500, density=0.2)
+            assert tableau.size >= SPARSE_PIVOT_CELLS
+            assert_same_pivots(tableau, basis, costs, bland_after)
+
+    def test_phase_one_tableaux_of_random_models(self, monkeypatch):
+        rng = np.random.default_rng(23)
+        phase_one = 0
+        for _ in range(60):
+            for tableau, basis, costs, bland_after in loop_inputs(monkeypatch, random_mixed_model(rng)):
+                # an artificial column in the starting basis marks phase one
+                phase_one += bool(costs[basis].any())
+                assert_same_pivots(tableau, basis, costs, bland_after)
+        assert phase_one >= 20
+
+    def test_beale_instance_hands_over_to_bland(self, monkeypatch):
+        (tableau, basis, costs, bland_after), = loop_inputs(monkeypatch, beale_model())
+        pivots = []
+
+        def counted(*args):
+            pivots.append(args[2:])
+            return _pivot(*args)
+
+        monkeypatch.setattr(lpsolver, "_pivot", counted)
+        assert assert_same_pivots(tableau, basis, costs, bland_after) == "optimal"
+        assert (len(pivots), bland_after) == (24, 20)
+
+    @pytest.mark.parametrize("cap", [0, 23, 24])
+    def test_cap_allows_the_same_pivots(self, monkeypatch, cap):
+        # a cap of k allows k + 1 iterations; Beale's instance takes 24
+        # pivots and a 25th iteration that finds it optimal
+        (tableau, basis, costs, bland_after), = loop_inputs(monkeypatch, beale_model())
+        monkeypatch.setattr(lpsolver, "HARD_ITERATION_CAP", cap)
+        if cap >= 24:
+            assert assert_same_pivots(tableau, basis, costs, bland_after) == "optimal"
+            return
+        expected, expected_basis = tableau.copy(), basis.copy()
+        with pytest.raises(NumericError, match="iteration cap"):
+            reference_run_simplex(expected, expected_basis, costs, bland_after)
+        with pytest.raises(NumericError, match="iteration cap"):
+            _run_simplex(tableau, basis, costs, bland_after)
+        assert np.array_equal(tableau, expected)
+        assert np.array_equal(basis, expected_basis)
