@@ -4,23 +4,28 @@ Self-contained on purpose: the models solved here are desk-scale (at most
 a few hundred variables and rows), so a dense tableau fits them, and exact
 vertex answers keep golden tests reproducible. Pivoting is deterministic;
 Bland's rule takes over after ``2 * (rows + cols)`` iterations so
-degenerate models cannot cycle.
+degenerate models cannot cycle, where ``cols`` counts the structural and
+slack columns.
 
 Each pivot's rank-one update subtracts ``factors[i] * pivot_row[j]`` only
 in the columns ``j`` where the normalized pivot row is nonzero: in the
 others the dense update subtracts exactly zero, so the pivot sequence,
 the vertex and the objective are the same as with it. The two tableaux
 can differ only in the sign of a zero entry, which no comparison
-distinguishes. The phase-one artificial columns and
-the rank models' support block are mostly zero in the pivot row, so a
-large tableau updates a small share of its columns. Below
+distinguishes. The rank models' support block is mostly zero in the pivot
+row, so a large tableau updates a small share of its columns. Below
 ``SPARSE_PIVOT_CELLS`` cells the column gather and scatter cost more than
 they save, and the update stays dense.
 
 Equality constraints are expanded into opposing inequalities, variables
-are shifted/split into the nonnegative standard form, fixed variables are
-substituted as constants, and feasibility is established with phase-one
-artificials.
+are shifted/split into the nonnegative standard form, and fixed variables
+are substituted as constants. Phase one is Chvatal's auxiliary problem:
+one auxiliary column holds -1 in each row with a negative right-hand side.
+One pivot brings it in on the most negative row, which leaves every
+right-hand side nonnegative, and phase one then minimizes the auxiliary
+alone: the model is infeasible when its minimum exceeds ``PHASE1_TOL``.
+An auxiliary still basic at zero leaves on the first nonzero entry of its
+row, and phase two runs without its column.
 """
 
 from __future__ import annotations
@@ -221,49 +226,41 @@ def solve(lp: LinearProgram) -> LinearProgramSolution:
         return LinearProgramSolution("infeasible", None, None)
     form = _StandardForm(lp)
     m, ny = form.A.shape
+    columns = ny + m
     negative = form.b < 0
-    n_art = int(negative.sum())
-    columns = ny + m + n_art
-    tableau = np.zeros((m, columns + 1))
+    # structural columns, slack columns, the auxiliary column, right-hand sides
+    tableau = np.zeros((m, columns + 2))
     tableau[:, :ny] = form.A
-    tableau[:, ny : ny + m] = np.eye(m)
+    tableau[:, ny:columns] = np.eye(m)
+    tableau[negative, columns] = -1.0
     tableau[:, -1] = form.b
-    tableau[negative] *= -1.0
-    # the negation left -0.0 in the artificial block; the identity restores +0.0
-    art_rows = np.flatnonzero(negative)
-    tableau[art_rows, ny + m : -1] = np.eye(n_art)
     basis = ny + np.arange(m)
-    basis[art_rows] = ny + m + np.arange(n_art)
-
     bland_after = 2 * (m + columns)
 
-    if n_art:
-        phase1 = np.zeros(columns)
-        phase1[ny + m :] = 1.0
-        status = _run_simplex(tableau, basis, phase1, bland_after)
-        if status != "optimal":
+    if negative.any():
+        # entering on the most negative row leaves every right-hand side nonnegative
+        _pivot(tableau, basis, int(np.argmin(form.b)), columns)
+        phase1 = np.zeros(columns + 1)
+        phase1[columns] = 1.0
+        if _run_simplex(tableau, basis, phase1, bland_after) != "optimal":
             raise NumericError("phase one cannot be unbounded")
-        infeasibility = phase1[basis] @ tableau[:, -1]
-        if infeasibility > PHASE1_TOL:
+        if phase1[basis] @ tableau[:, -1] > PHASE1_TOL:
             return LinearProgramSolution("infeasible", None, None)
-        # drive leftover artificials out of the basis: a row's own slack
-        # column keeps an entry of magnitude one, so a pivot always exists
-        for i in range(m):
-            if basis[i] >= ny + m:
-                pivots = np.nonzero(np.abs(tableau[i, : ny + m]) > PIVOT_TOL)[0]
-                if not pivots.size:
-                    raise NumericError("artificial variable left in the basis without a pivot")
-                _pivot(tableau, basis, i, int(pivots[0]))
+        # the slack block is the basis inverse, so the auxiliary's row has a pivot
+        if columns in basis:
+            row = int(np.argmax(basis == columns))
+            pivots = np.flatnonzero(np.abs(tableau[row, :columns]) > PIVOT_TOL)
+            if not pivots.size:
+                raise NumericError("auxiliary variable left in the basis without a pivot")
+            _pivot(tableau, basis, row, int(pivots[0]))
 
-    # drop the artificial columns
-    tableau = np.hstack([tableau[:, : ny + m], tableau[:, -1:]])
-    costs = np.zeros(tableau.shape[1] - 1)
+    tableau = np.delete(tableau, columns, axis=1)
+    costs = np.zeros(columns)
     costs[:ny] = form.c
-    status = _run_simplex(tableau, basis, costs, bland_after)
-    if status == "unbounded":
+    if _run_simplex(tableau, basis, costs, bland_after) == "unbounded":
         return LinearProgramSolution("unbounded", None, None)
 
-    y = np.zeros(tableau.shape[1] - 1)
+    y = np.zeros(columns)
     y[basis] = tableau[:, -1]
     x = form.recover(y[:ny])
     _check_solution(lp, x)

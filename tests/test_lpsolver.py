@@ -86,8 +86,8 @@ class TestHandCases:
         assert result.x[1] == pytest.approx(3.0, abs=1e-9)
 
     def test_redundant_equalities(self, monkeypatch):
-        # the second equality repeats the first: phase one ends with
-        # artificials basic at zero, and each leaves on its own row's slack
+        # the second equality repeats the first: phase one ends with the
+        # auxiliary basic at zero, and it leaves on the first slack in its row
         ends = []
         run = lpsolver._run_simplex
 
@@ -425,6 +425,43 @@ def random_mixed_model(rng):
     return lp(rng.integers(-4, 5, size=n).astype(float), bounds, constraints)
 
 
+HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def highs_solve(model):
+    """Status and objective of ``model`` from scipy's HiGHS."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    relations = np.array(model.relations)
+    sign = np.where(relations == ">=", -1.0, 1.0)
+    upper = relations != "="
+    result = linprog(
+        model.objective,
+        A_ub=(model.rows * sign[:, None])[upper],
+        b_ub=(model.rhs * sign)[upper],
+        A_eq=model.rows[~upper],
+        b_eq=model.rhs[~upper],
+        bounds=list(zip(model.lower, model.upper)),
+        method="highs",
+    )
+    return HIGHS_STATUS[result.status], result.fun
+
+
+class TestAgainstHighs:
+    def test_random_mixed_models(self):
+        # mixed bounds and relations with rhs of either sign reach all three statuses
+        rng = np.random.default_rng(31)
+        statuses = Counter()
+        for _ in range(300):
+            model = random_mixed_model(rng)
+            expected, value = highs_solve(model)
+            result = solve(model)
+            assert result.status == expected
+            if expected == "optimal":
+                assert result.objective_value == pytest.approx(value, abs=1e-8)
+            statuses[expected] += 1
+        assert min(statuses[s] for s in HIGHS_STATUS.values()) >= 50, statuses
+
+
 def assert_same_pivots(tableau, basis, costs, bland_after):
     """Run the loop and the reference on copies; return the common status."""
     expected, expected_basis = tableau.copy(), basis.copy()
@@ -475,10 +512,24 @@ class TestRunSimplex:
         phase_one = 0
         for _ in range(60):
             for tableau, basis, costs, bland_after in loop_inputs(monkeypatch, random_mixed_model(rng)):
-                # an artificial column in the starting basis marks phase one
+                # the auxiliary column in the starting basis marks phase one
                 phase_one += bool(costs[basis].any())
                 assert_same_pivots(tableau, basis, costs, bland_after)
         assert phase_one >= 20
+
+    def test_phase_one_adds_one_auxiliary_column(self, monkeypatch):
+        # both negative right-hand sides share the one auxiliary column
+        model = lp(
+            [1.0, 1.0],
+            [(0.0, None)] * 2,
+            [([1.0, 0.0], ">=", 1.0), ([0.0, 1.0], ">=", 2.0), ([1.0, 1.0], "<=", 5.0)],
+        )
+        form = _StandardForm(model)
+        assert np.count_nonzero(form.b < 0) == 2
+        m, ny = form.A.shape
+        (tableau, *_), _ = loop_inputs(monkeypatch, model)
+        assert tableau.shape == (m, ny + m + 2)
+        assert solve(model).objective_value == pytest.approx(3.0, abs=1e-12)
 
     def test_beale_instance_hands_over_to_bland(self, monkeypatch):
         (tableau, basis, costs, bland_after), = loop_inputs(monkeypatch, beale_model())
