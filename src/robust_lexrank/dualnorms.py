@@ -15,6 +15,7 @@ here calls the LP solver.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -38,7 +39,7 @@ class BudgetedBox:
         object.__setattr__(self, "eps_col", col)
         if not np.isfinite(self.eps_total) or self.eps_total < 0:
             raise ParameterError("total budget must be finite and nonnegative")
-        if col.ndim != 1 or not np.all(np.isfinite(col)) or np.any(col < 0):
+        if col.ndim != 1 or not np.isfinite(col).all() or (col < 0).any():
             raise ParameterError("per-coordinate caps must be finite and nonnegative")
 
     @classmethod
@@ -52,11 +53,16 @@ class BudgetedBox:
 
 @dataclass(frozen=True, eq=False)
 class DualCertificate:
-    """Feasible maximizer of ``z @ x`` over a ball/box intersection."""
+    """Feasible maximizer of ``z @ x`` over a ball/box intersection.
+
+    ``clamped`` marks the l2 water-fill's answer when the fully clamped
+    point ``sign(x) * eps_col`` fits inside the ball and is ``z``.
+    """
 
     z: np.ndarray
     value: float
     ball: str = "l1"
+    clamped: bool = False
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,15 +84,16 @@ def box_l1_support(x, box: BudgetedBox) -> DualCertificate:
     lower index, so certificates are reproducible.
     """
     x = _finite(x, "vector", (box.size,))
-    z = np.zeros_like(x)
-    remaining = box.eps_total
-    order = np.lexsort((np.arange(x.size), -np.abs(x)))
-    for j in order:
+    values, caps = x.tolist(), box.eps_col.tolist()
+    z = [0.0] * x.size
+    remaining = float(box.eps_total)
+    for j in np.argsort(-np.abs(x), kind="stable").tolist():
         if remaining <= 0:
             break
-        take = min(box.eps_col[j], remaining)
-        z[j] = np.sign(x[j]) * take
+        # a zero entry takes nothing: its sign is zero
+        z[j] = ((values[j] > 0) - (values[j] < 0)) * min(caps[j], remaining)
         remaining -= abs(z[j])
+    z = np.array(z, dtype=float)
     value = float(z @ x)
     _check_certificate(z, box, ball="l1")
     return DualCertificate(z=z, value=value, ball="l1")
@@ -98,16 +105,23 @@ def _finite(values, what, shape=None):
     values = np.asarray(values, dtype=float)
     if shape is not None and values.shape != shape:
         raise ParameterError(f"{what} of shape {values.shape} where {shape} is needed")
-    if not np.all(np.isfinite(values)):
+    if not np.isfinite(values).all():
         raise ParameterError(f"{what} entries must be finite")
     return values
 
 
+def _norm(v):
+    """Euclidean norm of a float array, bit for bit ``np.linalg.norm``'s."""
+    v = v.ravel()
+    return math.sqrt(v @ v)
+
+
 def _check_certificate(z, box, ball):
-    norm = np.abs(z).sum() if ball == "l1" else float(np.linalg.norm(z))
+    magnitude = np.abs(z)
+    norm = magnitude.sum() if ball == "l1" else _norm(z)
     if norm > box.eps_total + 1e-9:
         raise NumericError(f"certificate leaves the {ball} ball", gap=norm - box.eps_total)
-    excess = np.abs(z) - box.eps_col
+    excess = magnitude - box.eps_col
     if excess.max(initial=0.0) > 1e-9:
         raise NumericError("certificate leaves the box", gap=float(excess.max()))
 
@@ -136,7 +150,7 @@ def decomposition_norm(x, box: BudgetedBox) -> NormDecomposition:
     above = np.concatenate(([0.0], np.cumsum(w)))
     excess = np.concatenate(([0.0], np.cumsum(w * breaks[:-1])))
     t = breaks[np.argmin(breaks * (1.0 - above) + excess)]
-    mu = np.sign(x) * np.clip(absx - t, 0.0, None)
+    mu = np.sign(x) * np.maximum(absx - t, 0.0)
     lam = x - mu
     value = float(np.abs(lam).max(initial=0.0) + weights @ np.abs(mu))
     return _certified(lam, mu, value, box_l1_support(x, box), box.eps_total)
@@ -201,7 +215,7 @@ def _simplex_minimum_routes(m, weights):
     weights = np.asarray(weights, dtype=float)
     if weights.shape != (m,):
         raise ParameterError("need one weight per simplex coordinate")
-    if np.any(weights < 0):
+    if (weights < 0).any():
         raise ParameterError("weights must be nonnegative")
     box = BudgetedBox(1.0, weights)
     k = int(np.argmin(weights))
@@ -230,22 +244,21 @@ def box_l2_support(x, box: BudgetedBox) -> DualCertificate:
     x = _finite(x, "vector", (box.size,))
     signs = np.sign(x)
     absx = np.abs(x)
-    clamped = signs * box.eps_col
-    if np.linalg.norm(clamped) <= box.eps_total:
-        z = clamped
-    else:
+    z = signs * box.eps_col
+    clamped = _norm(z) <= box.eps_total
+    if not clamped:
         # zero entries never clamp and add nothing to S_k: they sort last and are cut off
         ratio = np.divide(box.eps_col, absx, out=np.full(x.size, np.inf), where=absx > 0)
         order = np.argsort(ratio, kind="stable")[: np.count_nonzero(absx)]
         caps_sq = box.eps_col[order] ** 2
         clamped_sq = np.concatenate(([0.0], np.cumsum(caps_sq[:-1])))
         free_sq = np.cumsum((absx[order] ** 2)[::-1])[::-1]
-        room = np.clip(box.eps_total**2 - clamped_sq, 0.0, None)
-        kappa = np.sqrt(np.max(room / free_sq))
+        room = np.maximum(box.eps_total**2 - clamped_sq, 0.0)
+        kappa = math.sqrt((room / free_sq).max())
         z = signs * np.minimum(box.eps_col, kappa * absx)
     value = float(z @ x)
     _check_certificate(z, box, ball="l2")
-    return DualCertificate(z=z, value=value, ball="l2")
+    return DualCertificate(z=z, value=value, ball="l2", clamped=clamped)
 
 
 def decomposition_norm_l2(x, box: BudgetedBox) -> NormDecomposition:
@@ -261,13 +274,13 @@ def decomposition_norm_l2(x, box: BudgetedBox) -> NormDecomposition:
         raise DegenerateBudgetError("l2 decomposition undefined for zero total budget")
     x = _finite(x, "vector", (box.size,))
     certificate = box_l2_support(x, box)
-    if np.linalg.norm(np.sign(x) * box.eps_col) <= box.eps_total:
+    if certificate.clamped:
         lam = np.zeros_like(x)
     else:
         nonzero = x != 0
-        lam = certificate.z / np.max(np.abs(certificate.z[nonzero] / x[nonzero]))
+        lam = certificate.z / np.abs(certificate.z[nonzero] / x[nonzero]).max()
     mu = x - lam
-    value = box.eps_total * float(np.linalg.norm(lam)) + float(box.eps_col @ np.abs(mu))
+    value = box.eps_total * _norm(lam) + float(box.eps_col @ np.abs(mu))
     return _certified(lam, mu, value, certificate, 1.0)
 
 
@@ -292,10 +305,10 @@ def frobenius_worst_case(a0, directions, radii) -> FrobeniusWorstCase:
         raise ParameterError("a0 must be nonempty")
     directions = [_finite(a, "direction") for a in directions]
     radii = _finite(radii, "radii", (len(directions),))
-    if np.any(radii < 0):
+    if (radii < 0).any():
         raise ParameterError("radii must be nonnegative")
-    norm0 = float(np.linalg.norm(a0))
-    value = norm0 + float(sum(r * np.linalg.norm(a) for r, a in zip(radii, directions)))
+    norm0 = _norm(a0)
+    value = norm0 + float(sum(r * _norm(a) for r, a in zip(radii, directions)))
     if norm0 > 0:
         unit0 = a0 / norm0
     else:
@@ -304,14 +317,14 @@ def frobenius_worst_case(a0, directions, radii) -> FrobeniusWorstCase:
     maximizers = []
     attained = a0.copy()
     for r, a in zip(radii, directions):
-        norm_a = float(np.linalg.norm(a))
+        norm_a = _norm(a)
         if norm_a == 0:
             xi = np.zeros((a0.size, a.size))
         else:
             xi = r * np.outer(unit0, a) / norm_a
         maximizers.append(xi)
         attained = attained + xi @ a
-    gap = abs(float(np.linalg.norm(attained)) - value)
+    gap = abs(_norm(attained) - value)
     if gap > ATTAINMENT_TOL * max(1.0, value):
         raise NumericError("worst-case maximizer fails to attain the bound", gap=gap)
     return FrobeniusWorstCase(value=value, maximizers=maximizers)

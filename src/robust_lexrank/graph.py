@@ -51,6 +51,8 @@ class TransitionMatrix:
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ConstructionError("transition matrix must be square")
+        if not values.size:
+            raise ConstructionError("transition matrix needs at least one sentence")
         if not np.all(np.isfinite(values)):
             raise ConstructionError("transition entries must be finite")
         if np.any(values < 0):

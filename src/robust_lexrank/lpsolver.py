@@ -149,20 +149,22 @@ def _run_simplex(tableau, basis, costs, bland_after):
     Returns "optimal" or "unbounded". Dantzig entering rule with
     lowest-index ties until ``bland_after`` iterations, then Bland's rule.
     """
+    if not costs.size:
+        return "optimal"  # no column to enter
     for iteration in range(HARD_ITERATION_CAP + 1):
         bland = iteration >= bland_after
         reduced = costs - costs[basis] @ tableau[:, :-1]
-        negatives = np.flatnonzero(reduced < -PIVOT_TOL)
-        if not negatives.size:
+        # Bland's rule enters on the first negative reduced cost, Dantzig's on the least
+        enter = (reduced < -PIVOT_TOL).argmax() if bland else reduced.argmin()
+        if not reduced[enter] < -PIVOT_TOL:
             return "optimal"
-        enter = negatives[0] if bland else np.argmin(reduced)
         column = tableau[:, enter]
-        positive = column > PIVOT_TOL
-        if not positive.any():
+        rows = (column > PIVOT_TOL).nonzero()[0]
+        if not rows.size:
             return "unbounded"
-        ratios = np.divide(tableau[:, -1], column, out=np.full(column.size, np.inf), where=positive)
-        ties = np.flatnonzero(ratios <= ratios.min() + RATIO_TIE_TOL)
-        leave = ties[np.argmin(basis[ties])] if bland else ties[0]
+        ratios = tableau[rows, -1] / column[rows]
+        ties = rows[ratios <= ratios.min() + RATIO_TIE_TOL]
+        leave = ties[basis[ties].argmin()] if bland else ties[0]
         _pivot(tableau, basis, leave, enter)
     raise NumericError("simplex iteration cap exceeded")
 

@@ -32,9 +32,9 @@ VIOLATION_TOL = 1e-9
 BUDGET_TOL = 1e-9
 # Stacked matrix entries per chunk of samples: the batched checks and
 # residuals hold one chunk at a time, so transient memory does not grow with
-# the sample count. It does grow with the width: above n + m = 90 a chunk is
+# the sample count. It does grow with the width: above n + m = 181 a chunk is
 # a single sample of (n + m)**2 entries, more than this target.
-CHUNK_ELEMENTS = 2**13
+CHUNK_ELEMENTS = 2**15
 
 
 @dataclass(frozen=True)
@@ -162,9 +162,10 @@ def _check_set(p: TransitionMatrix, uset: UncertaintySet):
 def _chunks(n_samples: int, width: int):
     """Sample counts of consecutive chunks of about ``CHUNK_ELEMENTS`` entries.
 
-    A chunk holds at least one sample, so above ``width`` 90 each chunk is
+    A chunk holds at least one sample, so above ``width`` 181 each chunk is
     one sample of ``width**2`` entries: flat in the sample count, but
-    growing with the square of the width.
+    growing with the square of the width. The draws do not depend on the
+    chunking (see ``_draw_blocks``), so neither does a report.
     """
     size = max(1, CHUNK_ELEMENTS // width**2)
     for start in range(0, n_samples, size):
@@ -254,7 +255,12 @@ def _draw_checked(p: TransitionMatrix, uset: UncertaintySet, rng, count: int):
     """Draw ``count`` perturbations and check them all: ``(blocks, grown)``."""
     blocks = _draw_blocks(p, uset, rng, count)
     xi, psi, zeta, chi = blocks
-    grown = np.block([[p.values + xi, zeta], [psi, chi]])
+    n = p.size
+    grown = np.empty((count, n + uset.m, n + uset.m))
+    np.add(p.values, xi, out=grown[:, :n, :n])
+    grown[:, :n, n:] = zeta
+    grown[:, n:, :n] = psi
+    grown[:, n:, n:] = chi
     _check_stochastic(psi, zeta, chi, grown)
     if not _within_budgets(blocks, uset, BUDGET_TOL).all():
         raise SetDefinitionError("sampler produced an out-of-budget perturbation")

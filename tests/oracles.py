@@ -199,6 +199,21 @@ def enumerated_box_l1_max(x, eps_total, eps_col):
     return best
 
 
+def reference_box_l1_greedy(x, eps_total, eps_col):
+    """The ``box_l1_support`` maximizer as a loop over numpy scalars: budget
+    to coordinates by decreasing ``|x_j|``, lower index first on ties."""
+    x = np.asarray(x, dtype=float)
+    z = np.zeros_like(x)
+    remaining = eps_total
+    for j in np.lexsort((np.arange(x.size), -np.abs(x))):
+        if remaining <= 0:
+            break
+        take = min(eps_col[j], remaining)
+        z[j] = np.sign(x[j]) * take
+        remaining -= abs(z[j])
+    return z
+
+
 def sampled_box_l2_max(x, eps_total, eps_col, n_samples, rng):
     """Feasible sampling of the l2-ball/box intersection; clipping keeps both.
 

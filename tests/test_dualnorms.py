@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 from oracles import (
     decomposition_lp,
     enumerated_box_l1_max,
+    reference_box_l1_greedy,
     sampled_box_l1_max,
     sampled_box_l2_max,
     simplex_minimum_lp,
@@ -55,6 +56,20 @@ class TestBoxL1Support:
             b = box(rng.uniform(0, 3), rng.uniform(0, 2, size=n))
             expected = enumerated_box_l1_max(x, b.eps_total, b.eps_col)
             assert box_l1_support(x, b).value == pytest.approx(expected, abs=1e-12)
+
+    def test_matches_numpy_loop_bit_for_bit(self):
+        # ties, zero entries, zero caps and binding totals
+        rng = np.random.default_rng(44)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            x = np.round(rng.normal(size=n) * 2) * rng.choice([1.0, 0.1])
+            caps = np.where(rng.random(n) < 0.2, 0.0, rng.uniform(0, 2, size=n))
+            b = box(rng.choice([rng.uniform(0, 3), caps.sum(), 0.0]), caps)
+            certificate = box_l1_support(x, b)
+            expected = reference_box_l1_greedy(x, b.eps_total, b.eps_col)
+            assert np.array_equal(certificate.z, expected)
+            assert np.array_equal(np.signbit(certificate.z), np.signbit(expected))
+            assert certificate.value == float(expected @ x)
 
     def test_dominates_sampled_feasible_points(self):
         rng = np.random.default_rng(3)
@@ -128,6 +143,14 @@ class TestDecompositionNorm:
             assert b.eps_total * value == pytest.approx(support, abs=1e-8)
 
 
+def test_norm_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(31)
+    for size in range(40):
+        v = rng.normal(size=size) * 10.0 ** rng.integers(-8, 9)
+        assert dualnorms._norm(v) == np.linalg.norm(v)
+    assert dualnorms._norm(np.float64(-3.0)) == 3.0
+
+
 class TestBoxL2Support:
     def test_ball_binds_single_axis(self):
         certificate = box_l2_support(np.array([1.0, 0.0]), box(0.5, [2.0, 2.0]))
@@ -137,10 +160,13 @@ class TestBoxL2Support:
     def test_box_binds(self):
         certificate = box_l2_support(np.array([1.0, 1.0]), box(10.0, [1.0, 1.0]))
         assert certificate.value == pytest.approx(2.0, abs=1e-12)
+        assert certificate.clamped
         # the fully clamped point lies strictly inside the ball
         certificate = box_l2_support(np.array([1.0, -2.0]), box(1.0, [0.5, 0.5]))
         assert certificate.value == pytest.approx(1.5, abs=1e-14)
         assert certificate.z == pytest.approx([0.5, -0.5], abs=1e-14)
+        assert certificate.clamped
+        assert not box_l2_support(np.array([1.0, -2.0]), box(0.6, [0.5, 0.5])).clamped
 
     def test_one_clamped_coordinate_exact(self):
         # z = (1, sqrt(3)): the first coordinate clamps, the second takes the rest of the ball

@@ -8,12 +8,14 @@ import pytest
 from robust_lexrank import (
     AdjacencyMatrix,
     Corpus,
+    RobustBudget,
     Sentence,
     SimilarityMatrix,
     TransitionMatrix,
     build_similarity_matrix,
     normalize_max_one,
     power_iteration,
+    solve_robust,
     threshold_adjacency,
     to_transition,
     tokenize,
@@ -111,6 +113,17 @@ class TestToTransition:
         lonely[0, 0] = 1.0
         with pytest.raises(ConstructionError):
             to_transition(AdjacencyMatrix(lonely, 0.9))
+
+    def test_empty_matrix_rejected(self):
+        # power_iteration once divided by zero here, and solve_robust reported a drift
+        empty = AdjacencyMatrix(np.zeros((0, 0), dtype=bool), 0.2)
+        budget = RobustBudget.broadcast(0, 0.1, 0.1)
+        for use in (lambda: to_transition(empty),
+                    lambda: power_iteration(to_transition(empty)),
+                    lambda: solve_robust(to_transition(empty), budget),
+                    lambda: TransitionMatrix(np.zeros((0, 0)))):
+            with pytest.raises(ConstructionError, match="at least one sentence"):
+                use()
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf], ids=["nan", "inf"])
     def test_non_finite_entries_rejected(self, bad):

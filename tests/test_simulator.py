@@ -461,6 +461,30 @@ class TestBatchedAgainstReference:
         assert rng.bit_generator.state == reference.bit_generator.state
 
 
+class TestChunkSize:
+    """Sample ``k`` reads the same stream words whatever the chunking, so a
+    report does not depend on ``CHUNK_ELEMENTS``."""
+
+    @pytest.mark.parametrize("m", [0, 2])
+    @pytest.mark.parametrize("n, n_samples", [(3, 600), (12, 400), (200, 15)])
+    def test_reports_do_not_depend_on_chunk_size(self, monkeypatch, n, m, n_samples):
+        # each chunk size's one-sample-per-chunk cut (widths 8, 90, 181 and 512)
+        # has widths on both sides among n + m in {3, 5, 12, 14, 200, 202}
+        p = TransitionMatrix(random_stochastic(n, np.random.default_rng(70 + n)))
+        uset = make_uset(n, m)
+        x = np.full(n, 1.0 / n)
+        # a bound below the sampled maximum makes the violation count informative
+        top = empirical_max_residual(p, x, uset, n_samples, seed=5).max_residual
+        monkeypatch.setattr(simulator, "worst_case_upper_bound", lambda *args: 0.9 * top)
+        reports = []
+        for elements in (2**6, 2**13, 2**15, 2**18):
+            monkeypatch.setattr(simulator, "CHUNK_ELEMENTS", elements)
+            report = empirical_max_residual(p, x, uset, n_samples, seed=5)
+            reports.append((report.max_residual, report.bound_value, report.violations))
+        assert reports == [(top, 0.9 * top, reports[0][2])] * 4
+        assert reports[0][2] > 0
+
+
 class TestBatchedChecks:
     """A bad sample in the middle of a chunk still stops the simulation."""
 
