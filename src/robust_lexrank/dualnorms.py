@@ -301,9 +301,11 @@ def frobenius_worst_case(a0, directions, radii) -> FrobeniusWorstCase:
     determinism. Attainment is asserted to ``1e-9``.
     """
     a0 = _finite(a0, "a0")
-    if a0.size == 0:
-        raise ParameterError("a0 must be nonempty")
+    if a0.ndim != 1 or a0.size == 0:
+        raise ParameterError("a0 must be a nonempty vector")
     directions = [_finite(a, "direction") for a in directions]
+    if any(a.ndim != 1 for a in directions):
+        raise ParameterError("every direction must be a vector")
     radii = _finite(radii, "radii", (len(directions),))
     if (radii < 0).any():
         raise ParameterError("radii must be nonnegative")

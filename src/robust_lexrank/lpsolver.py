@@ -86,10 +86,13 @@ class LinearProgram:
         bounds = list(var_bounds)
         if len(bounds) != n:
             raise ModelError(f"{len(bounds)} bounds for {n} variables")
-        pairs = np.array(bounds, dtype=object).reshape(n, 2)
-        unset = np.equal(pairs, None)
-        lo = np.where(unset[:, 0], -np.inf, pairs[:, 0]).astype(float)
-        hi = np.where(unset[:, 1], np.inf, pairs[:, 1]).astype(float)
+        try:
+            pairs = np.array(bounds, dtype=object).reshape(n, 2)
+            unset = np.equal(pairs, None)
+            lo = np.where(unset[:, 0], -np.inf, pairs[:, 0]).astype(float)
+            hi = np.where(unset[:, 1], np.inf, pairs[:, 1]).astype(float)
+        except (TypeError, ValueError):
+            raise ModelError("each bound must be a (low, high) pair of numbers or None") from None
         if np.isnan(lo).any() or np.isnan(hi).any():
             raise ModelError("variable bounds must not be NaN")
         if np.any(lo == np.inf) or np.any(hi == -np.inf):

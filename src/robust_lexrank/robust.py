@@ -18,15 +18,10 @@ existing block empty (with m >= 1 new sentences; at m = 0 there is no new
 block and no price). The test suite checks the growth optimum against
 HiGHS on the decomposition form rather than assuming it.
 
-Every model here is one compact LP. The residual is bounded by ``s``
-(``-s <= P x - x <= s``) and, since ``x >= 0``, the norm term by its dual
-support form ``eps1 * t + sum_j eps_j * u_j`` with ``u_j >= x_j - t`` and
-``t, u >= 0``. The fixed model has variables ``(x, s, t, u)``: 3n+1 of
-them and 3n+1 rows. The comparative model drops the simplex row and pins
-v coordinates at one through their bounds ``(1, 1)``; the solver
-substitutes fixed variables as constants, so they take no column. Every solve
-goes through ``_solve_rank``, which builds the model with ``_rank_program``
-and checks the objective against the certified bound.
+Every model here is one compact LP, written by ``build_robust_program``,
+whose docstring gives the layout. Every solve goes through ``_solve_rank``,
+which builds that model and checks its objective against the certified
+bound.
 """
 
 from __future__ import annotations
@@ -134,15 +129,19 @@ def _check_dims(p: TransitionMatrix, budget: RobustBudget):
         )
 
 
-def _rank_program(p: TransitionMatrix, budget: RobustBudget, pinned=None):
+def build_robust_program(
+    p: TransitionMatrix, budget: RobustBudget, pinned=None
+) -> LinearProgram:
     """The one rank model behind the fixed, growth and comparative programs.
 
-    Variables ``x`` (n), ``s`` (n), ``t`` and ``u`` (n). Rows ``-s <= P x -
-    x <= s`` interleaved per sentence, then ``sum(x) = 1``, then ``x_j - t -
-    u_j <= 0``. The cost ``sum(s) + eps1 * t + eps_col @ u`` bounds residual
-    plus the support of ``x`` over the budget: for fixed ``x >= 0`` the
-    minimum over ``(t, u) >= 0`` is ``box_l1_support(x, budget)`` (its LP
-    dual).
+    Variables ``x`` (n), ``s`` (n, bounds the residual), ``t`` (the
+    inf-norm weight of the support dual) and ``u`` (n, per-column excess
+    over ``t``): 3n + 1 of them, all nonnegative. Rows ``-s <= P x - x <=
+    s`` interleaved per sentence, then ``sum(x) = 1``, then ``x_j - t - u_j
+    <= 0``: 3n + 1 of them. The cost ``sum(s) + eps1 * t + eps_col @ u``
+    bounds residual plus the support of ``x`` over the budget: for fixed
+    ``x >= 0`` the minimum over ``(t, u) >= 0`` is ``box_l1_support(x,
+    budget)`` (its LP dual).
 
     With ``pinned = v`` there is no simplex row: the first v coordinates of
     ``x`` have bounds ``(1, 1)`` and the rest ``(0, 1)``. That model has 3n
@@ -175,28 +174,17 @@ def _rank_program(p: TransitionMatrix, budget: RobustBudget, pinned=None):
     )
 
 
-def build_robust_program(p: TransitionMatrix, budget: RobustBudget) -> LinearProgram:
-    """Model minimizing residual plus budget-weighted decomposition norm.
-
-    Variable layout: ``x`` (n), ``s`` (n, bounds the residual), ``t`` (the
-    inf-norm weight of the support dual), ``u`` (n, per-column excess over
-    ``t``): 3n+1 variables. Rows: ``-s <= P x - x <= s`` (2n),
-    ``sum(x) = 1``, then ``u_j >= x_j - t`` (n); ``x, s, t, u >= 0``.
-    """
-    return _rank_program(p, budget)
-
-
 def build_growth_program(
     p: TransitionMatrix, budget: RobustBudget, growth: GrowthModel
 ) -> LinearProgram:
-    """The LP behind the growth-aware model: the fixed model itself.
+    """The LP behind the growth-aware model: ``build_robust_program`` itself.
 
     The new block costs ``GROWTH_PRICE`` (2) per unit of mass whatever the
     split in ``growth``, so with new sentences the growth optimum is
     min(this LP's optimum, 2), and at or below 2 the fixed optimizer with
     an empty new block attains it.
     """
-    return _rank_program(p, budget)
+    return build_robust_program(p, budget)
 
 
 def _bound(p, budget, x) -> float:
@@ -205,24 +193,20 @@ def _bound(p, budget, x) -> float:
     return value + box_l1_support(x, budget).value
 
 
-def _objective_identity(objective, bound, tol=OBJECTIVE_IDENTITY_TOL):
-    gap = abs(objective - bound)
-    if gap > tol * max(1.0, abs(objective)):
-        raise NumericError("objective does not decompose into residual plus norm", gap=gap)
-
-
 def _solve_rank(p, budget, pinned=None):
     """Build and solve a rank model, checking its objective against ``_bound``.
 
-    ``pinned`` is passed to ``_rank_program``. Returns ``(x, objective)``;
-    a non-optimal end raises ``SolverError``.
+    ``pinned`` is passed to ``build_robust_program``. Returns ``(x,
+    objective)``; a non-optimal end raises ``SolverError``.
     """
-    solution = solve(_rank_program(p, budget, pinned))
+    solution = solve(build_robust_program(p, budget, pinned))
     if solution.status != "optimal":
         raise SolverError(f"rank program ended {solution.status}")
     x = solution.x[: p.size]
     objective = float(solution.objective_value)
-    _objective_identity(objective, _bound(p, budget, x))
+    gap = abs(objective - _bound(p, budget, x))
+    if gap > OBJECTIVE_IDENTITY_TOL * max(1.0, abs(objective)):
+        raise NumericError("objective does not decompose into residual plus norm", gap=gap)
     return x, objective
 
 

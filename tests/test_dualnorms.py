@@ -334,6 +334,8 @@ class TestNonFiniteInputs:
             pytest.param(np.ones(2), [np.array([np.inf, 1.0])], [1.0], id="inf-in-direction"),
             pytest.param(np.ones(2), [np.ones(2)], [np.nan], id="nan-radius"),
             pytest.param(np.zeros(0), [np.ones(2)], [1.0], id="empty-a0"),
+            pytest.param(np.ones((2, 2)), [np.ones(4)], [1.0], id="matrix-a0"),
+            pytest.param(np.ones(2), [np.ones((3, 2))], [1.0], id="matrix-direction"),
         ],
     )
     def test_frobenius_inputs_rejected(self, a0, directions, radii):

@@ -204,6 +204,19 @@ class TestValidation:
         with pytest.raises(ModelError):
             lp([1.0, 2.0], [(0, None), (0, None)], [([1.0, 1.0], "<=", 1.0), ([1.0], "<=", 1.0)])
 
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            pytest.param((0.0,), id="one-entry"),
+            pytest.param(None, id="none"),
+            pytest.param((0.0, 1.0, 2.0), id="three-entries"),
+            pytest.param(("a", 1.0), id="non-numeric"),
+        ],
+    )
+    def test_malformed_bound(self, bound):
+        with pytest.raises(ModelError, match="pair"):
+            lp([1.0], [bound], [([1.0], "<=", 1.0)])
+
 
 class TestPivot:
     @pytest.mark.parametrize("rows", [10, 40], ids=["dense", "sparse"])

@@ -129,7 +129,7 @@ class TestProgramStructure:
         n = 5
         p = TransitionMatrix(random_stochastic(n, rng))
         for pinned in (1, 3, n):
-            program = robust._rank_program(p, uniform_budget(n, 0.5), pinned=pinned)
+            program = build_robust_program(p, uniform_budget(n, 0.5), pinned=pinned)
             # (x, s, t, u) as written, the pinned coordinates fixed at one
             assert program.n_vars == 3 * n + 1
             fixed = program.lower == program.upper
@@ -150,7 +150,7 @@ class TestProgramStructure:
         for p, budget in cases:
             n = p.size
             for pinned in sorted({1, n // 2, n - 1, n}):
-                form = _StandardForm(robust._rank_program(p, budget, pinned=pinned))
+                form = _StandardForm(build_robust_program(p, budget, pinned=pinned))
                 reference = _StandardForm(
                     substituted_comparative_program(
                         p.values, budget.eps_total, budget.eps_col, pinned
@@ -160,6 +160,24 @@ class TestProgramStructure:
                 assert np.array_equal(form.c, reference.c), (n, pinned)
                 # only the pinned right-hand sides may sum in another order
                 np.testing.assert_allclose(form.b, reference.b, rtol=0.0, atol=1e-15)
+
+    def test_every_solve_builds_through_the_public_builder(self, transition_01, monkeypatch):
+        calls = []
+
+        def counting(p, budget, pinned=None):
+            calls.append(pinned)
+            return build_robust_program(p, budget, pinned)
+
+        monkeypatch.setattr(robust, "build_robust_program", counting)
+        budget = uniform_budget(11, 0.01)
+        for run, pinned in (
+            (lambda: solve_robust(transition_01, budget), None),
+            (lambda: solve_growth(transition_01, budget, GrowthModel.balanced(2)), None),
+            (lambda: comparative_rank(transition_01, 6, budget), 6),
+        ):
+            calls.clear()
+            run()
+            assert calls == [pinned]
 
     def test_budget_dimension_mismatch(self):
         with pytest.raises(ParameterError):
@@ -323,7 +341,7 @@ class TestPivotKernel:
         sizes = []
         for p, budget in cases:
             pinned = p.size // 2 if model == "pinned" else None
-            program = robust._rank_program(p, budget, pinned)
+            program = build_robust_program(p, budget, pinned)
             dense, dense_sizes = solve_counting_pivots(program, dense_pivot, monkeypatch)
             sparse, sparse_sizes = solve_counting_pivots(program, package_pivot, monkeypatch)
             assert sparse_sizes == dense_sizes, p.size
