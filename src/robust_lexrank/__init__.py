@@ -41,6 +41,7 @@ from .robust import (
     comparative_rank,
     solve_growth,
     solve_robust,
+    solve_robust_budgets,
     worst_case_upper_bound,
 )
 from .simulator import (
@@ -99,6 +100,7 @@ __all__ = [
     "solve",
     "solve_growth",
     "solve_robust",
+    "solve_robust_budgets",
     "threshold_adjacency",
     "to_transition",
     "tokenize",

@@ -26,7 +26,13 @@ from .dualnorms import BudgetedBox
 from .errors import ParameterError, ParseError, RobustLexRankError, SetupError
 from .graph import threshold_adjacency, to_transition
 from .ranking import normalize_max_one, power_iteration
-from .robust import GrowthModel, RobustBudget, comparative_rank, solve_robust
+from .robust import (
+    GrowthModel,
+    RobustBudget,
+    comparative_rank,
+    solve_robust,
+    solve_robust_budgets,
+)
 from .simulator import UncertaintySet, _rng, empirical_max_residual
 
 DATA_PACKAGE = "robust_lexrank.data"
@@ -207,16 +213,21 @@ def cmd_reproduce_tables(args):
     if corpus.ids != reference["ids"]:
         raise SetupError("packaged cluster and reference tables disagree on ids")
     similarity = build_similarity_matrix(corpus)
+    budgets = [
+        RobustBudget.broadcast(len(corpus), float(label), float(label))
+        for label in reference["budgets"]
+    ]
     graphs = {}
     for label in reference["thresholds"]:
         transition = to_transition(threshold_adjacency(similarity, float(label)))
-        graphs[label] = (transition, normalize_max_one(power_iteration(transition), corpus.ids))
+        graphs[label] = (
+            normalize_max_one(power_iteration(transition), corpus.ids),
+            solve_robust_budgets(transition, budgets, corpus.ids),
+        )
     columns = []
-    for budget_label in reference["budgets"]:
-        eps = float(budget_label)
-        budget = RobustBudget.broadcast(len(corpus), eps, eps)
-        for threshold_label, (transition, plain) in graphs.items():
-            robust = solve_robust(transition, budget, corpus.ids)
+    for index, budget_label in enumerate(reference["budgets"]):
+        for threshold_label, (plain, sweep) in graphs.items():
+            robust = sweep[index]
             for method, computed, expected in (
                 ("lexrank", plain.normalized, reference["lexrank"][threshold_label]),
                 (

@@ -26,10 +26,17 @@ right-hand side nonnegative, and phase one then minimizes the auxiliary
 alone: the model is infeasible when its minimum exceeds ``PHASE1_TOL``.
 An auxiliary still basic at zero leaves on the first nonzero entry of its
 row, and phase two runs without its column.
+
+The costs enter phase two alone, so one tableau serves a sequence of cost
+vectors: ``solve(lp, objectives)`` runs phase one once and each vector's
+phase two from the basis the previous one ended on. That basis is
+feasible whatever the previous status, since an unbounded ray stops the
+loop before it pivots.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -76,12 +83,11 @@ class LinearProgram:
             var_bounds: iterable of ``(low, high)`` pairs; ``None`` means unbounded
                 on that side.
             constraints: iterable of ``(coefficients, relation, rhs)`` triples.
+
+        Every number must be a real number: numpy would also read numeric
+        strings, bytes and bools, and those raise ``ModelError``.
         """
-        c = np.asarray(objective, dtype=float)
-        if c.ndim != 1:
-            raise ModelError("objective must be a vector")
-        if not np.all(np.isfinite(c)):
-            raise ModelError("objective must be finite")
+        c = _cost_vector(objective)
         n = c.size
         bounds = list(var_bounds)
         if len(bounds) != n:
@@ -89,10 +95,13 @@ class LinearProgram:
         try:
             pairs = np.array(bounds, dtype=object).reshape(n, 2)
             unset = np.equal(pairs, None)
-            lo = np.where(unset[:, 0], -np.inf, pairs[:, 0]).astype(float)
-            hi = np.where(unset[:, 1], np.inf, pairs[:, 1]).astype(float)
-        except (TypeError, ValueError):
-            raise ModelError("each bound must be a (low, high) pair of numbers or None") from None
+            real = _real_entries(pairs[~unset])
+        except ValueError:
+            real = False
+        if not real:
+            raise ModelError("each bound must be a (low, high) pair of numbers or None")
+        lo = np.where(unset[:, 0], -np.inf, pairs[:, 0]).astype(float)
+        hi = np.where(unset[:, 1], np.inf, pairs[:, 1]).astype(float)
         if np.isnan(lo).any() or np.isnan(hi).any():
             raise ModelError("variable bounds must not be NaN")
         if np.any(lo == np.inf) or np.any(hi == -np.inf):
@@ -101,6 +110,8 @@ class LinearProgram:
         if not triples:
             return cls(c, lo, hi, np.zeros((0, n)), (), np.zeros(0))
         coeffs, rels, rhs = zip(*triples)
+        if not _real_entries(coeffs):
+            raise ModelError("constraint coefficients must be real numbers")
         try:
             mat = np.array(coeffs, dtype=float)
         except ValueError:
@@ -112,6 +123,8 @@ class LinearProgram:
         unknown = set(rels) - set(RELATIONS)
         if unknown:
             raise ModelError(f"unknown relation {sorted(unknown)[0]!r}")
+        if not _real_entries(rhs):
+            raise ModelError("constraint rhs must be real numbers")
         rhs = np.asarray(rhs, dtype=float)
         if not np.all(np.isfinite(rhs)):
             raise ModelError("constraint rhs must be finite")
@@ -124,6 +137,44 @@ class LinearProgram:
     @property
     def n_rows(self):
         return self.rows.shape[0]
+
+
+def _is_real_type(kind):
+    """Python's and numpy's ints and floats, and other real numbers; not bools."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, (bool, np.bool_))
+
+
+def _real_entries(values):
+    """Whether every entry of ``values``, a possibly nested sequence, is a real number."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind != "O":
+            return values.dtype.kind in "iuf"
+        values = values.flat
+    values = list(values)
+    nested = (list, tuple, np.ndarray)
+    types = set(map(type, values))
+    scalars = types.difference(nested)
+    if not all(map(_is_real_type, scalars)):
+        return False
+    return scalars == types or all(map(_real_entries, [v for v in values if type(v) in nested]))
+
+
+def _cost_vector(values, n=None):
+    """A cost vector as floats; ``ModelError`` unless it holds finite real numbers (``n`` of them)."""
+    try:
+        c = np.asarray(values)
+    except ValueError:  # ragged
+        c = None
+    if c is None or c.ndim != 1:
+        raise ModelError("objective must be a vector")
+    if not _real_entries(values):
+        raise ModelError("objective entries must be real numbers")
+    c = c.astype(float)
+    if not np.all(np.isfinite(c)):
+        raise ModelError("objective must be finite")
+    if n is not None and c.size != n:
+        raise ModelError(f"objective of length {c.size} for {n} variables")
+    return c
 
 
 @dataclass(frozen=True, eq=False)
@@ -225,10 +276,27 @@ class _StandardForm:
         return x
 
 
-def solve(lp: LinearProgram) -> LinearProgramSolution:
-    """Solve a model, returning status rather than raising on infeasible/unbounded."""
+def solve(lp: LinearProgram, objectives=None):
+    """Solve a model, returning status rather than raising on infeasible/unbounded.
+
+    Returns one ``LinearProgramSolution``. With ``objectives``, a sequence
+    of cost vectors of length ``lp.n_vars`` that replaces ``lp.objective``,
+    returns a list of them, one per vector in order: one tableau and one
+    phase one serve them all, and each phase two starts where the previous
+    one ended. Every vector is validated as ``LinearProgram.build``
+    validates the objective.
+    """
+    if objectives is None:
+        costs = [lp.objective]
+    else:
+        costs = [_cost_vector(c, lp.n_vars) for c in objectives]
+    solutions = _solve_each(lp, costs)
+    return solutions[0] if objectives is None else solutions
+
+
+def _solve_each(lp, costs):
     if np.any(lp.lower > lp.upper):
-        return LinearProgramSolution("infeasible", None, None)
+        return [LinearProgramSolution("infeasible", None, None)] * len(costs)
     form = _StandardForm(lp)
     m, ny = form.A.shape
     columns = ny + m
@@ -250,7 +318,7 @@ def solve(lp: LinearProgram) -> LinearProgramSolution:
         if _run_simplex(tableau, basis, phase1, bland_after) != "optimal":
             raise NumericError("phase one cannot be unbounded")
         if phase1[basis] @ tableau[:, -1] > PHASE1_TOL:
-            return LinearProgramSolution("infeasible", None, None)
+            return [LinearProgramSolution("infeasible", None, None)] * len(costs)
         # the slack block is the basis inverse, so the auxiliary's row has a pivot
         if columns in basis:
             row = int(np.argmax(basis == columns))
@@ -260,17 +328,20 @@ def solve(lp: LinearProgram) -> LinearProgramSolution:
             _pivot(tableau, basis, row, int(pivots[0]))
 
     tableau = np.delete(tableau, columns, axis=1)
-    costs = np.zeros(columns)
-    costs[:ny] = form.c
-    if _run_simplex(tableau, basis, costs, bland_after) == "unbounded":
-        return LinearProgramSolution("unbounded", None, None)
-
-    y = np.zeros(columns)
-    y[basis] = tableau[:, -1]
-    x = form.recover(y[:ny])
-    _check_solution(lp, x)
-    x = np.clip(x, lp.lower, lp.upper)
-    return LinearProgramSolution("optimal", x, float(lp.objective @ x))
+    solutions = []
+    for c in costs:
+        priced = np.zeros(columns)
+        priced[:ny] = form._to_y(c)
+        if _run_simplex(tableau, basis, priced, bland_after) == "unbounded":
+            solutions.append(LinearProgramSolution("unbounded", None, None))
+            continue
+        y = np.zeros(columns)
+        y[basis] = tableau[:, -1]
+        x = form.recover(y[:ny])
+        _check_solution(lp, x)
+        x = np.clip(x, lp.lower, lp.upper)
+        solutions.append(LinearProgramSolution("optimal", x, float(c @ x)))
+    return solutions
 
 
 def _check_solution(lp, x):

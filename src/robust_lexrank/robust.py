@@ -21,7 +21,8 @@ HiGHS on the decomposition form rather than assuming it.
 Every model here is one compact LP, written by ``build_robust_program``,
 whose docstring gives the layout. Every solve goes through ``_solve_rank``,
 which builds that model and checks its objective against the certified
-bound.
+bound. The budget enters the model's cost alone, so ``_solve_rank`` builds
+one model for a list of budgets and re-prices its tableau for each.
 """
 
 from __future__ import annotations
@@ -147,7 +148,7 @@ def build_robust_program(
     ``x`` have bounds ``(1, 1)`` and the rest ``(0, 1)``. That model has 3n
     rows and 3n + 1 variables; the solver substitutes the v fixed ones.
     """
-    _check_dims(p, budget)
+    cost = _rank_cost(p, budget)
     n = p.size
     width = 3 * n + 1
     shifted = p.values - np.eye(n)
@@ -166,12 +167,18 @@ def build_robust_program(
         x_bounds = [(1.0, 1.0)] * pinned + [(0.0, 1.0)] * (n - pinned)
     rhs = np.zeros(len(relations) + n)
     rhs[2 * n : -n] = 1.0  # the simplex row's, if there is one
-    cost = np.concatenate([np.zeros(n), np.ones(n), [budget.eps_total], budget.eps_col])
     return LinearProgram.build(
         cost,
         x_bounds + [(0.0, None)] * (2 * n + 1),
         zip(np.vstack(rows + [support]), relations + ["<="] * n, rhs),
     )
+
+
+def _rank_cost(p, budget):
+    """The rank model's cost ``sum(s) + eps1 * t + eps_col @ u`` under ``budget``."""
+    _check_dims(p, budget)
+    n = p.size
+    return np.concatenate([np.zeros(n), np.ones(n), [budget.eps_total], budget.eps_col])
 
 
 def build_growth_program(
@@ -193,36 +200,62 @@ def _bound(p, budget, x) -> float:
     return value + box_l1_support(x, budget).value
 
 
-def _solve_rank(p, budget, pinned=None):
-    """Build and solve a rank model, checking its objective against ``_bound``.
+def _solve_rank(p, budgets, pinned=None):
+    """Build one rank model and solve it under each budget, checking each objective.
 
-    ``pinned`` is passed to ``build_robust_program``. Returns ``(x,
-    objective)``; a non-optimal end raises ``SolverError``.
+    ``pinned`` is passed to ``build_robust_program``, which builds the model
+    under the first budget. Returns one ``(x, objective)`` per budget; a
+    non-optimal end raises ``SolverError``, and an objective that differs
+    from ``_bound`` at its ``x`` raises ``NumericError``.
     """
-    solution = solve(build_robust_program(p, budget, pinned))
-    if solution.status != "optimal":
-        raise SolverError(f"rank program ended {solution.status}")
-    x = solution.x[: p.size]
-    objective = float(solution.objective_value)
-    gap = abs(objective - _bound(p, budget, x))
-    if gap > OBJECTIVE_IDENTITY_TOL * max(1.0, abs(objective)):
-        raise NumericError("objective does not decompose into residual plus norm", gap=gap)
-    return x, objective
+    budgets = list(budgets)
+    if not budgets:
+        raise ParameterError("need at least one budget")
+    program = build_robust_program(p, budgets[0], pinned)
+    costs = [program.objective] + [_rank_cost(p, budget) for budget in budgets[1:]]
+    solutions = solve(program, costs)
+    results = []
+    for budget, solution in zip(budgets, solutions):
+        if solution.status != "optimal":
+            raise SolverError(f"rank program ended {solution.status}")
+        x = solution.x[: p.size]
+        objective = float(solution.objective_value)
+        gap = abs(objective - _bound(p, budget, x))
+        if gap > OBJECTIVE_IDENTITY_TOL * max(1.0, abs(objective)):
+            raise NumericError("objective does not decompose into residual plus norm", gap=gap)
+        results.append((x, objective))
+    return results
+
+
+def solve_robust_budgets(p: TransitionMatrix, budgets, ids=None) -> list[RobustRankResult]:
+    """Solve the fixed-size robust ranking model under each budget in ``budgets``.
+
+    One model serves them all: each budget's simplex starts from the
+    previous budget's optimal vertex. Each result is checked as a
+    ``solve_robust`` result is; an empty list or a budget of the wrong size
+    raises ``ParameterError``.
+    """
+    results = []
+    for x, objective in _solve_rank(p, budgets):
+        total = x.sum()
+        if abs(total - 1.0) > SIMPLEX_INPUT_TOL:
+            raise SolverError("solution drifted off the simplex")
+        x = x / total
+        results.append(
+            RobustRankResult(
+                x1=RankVector(x),
+                x2=np.zeros(0),
+                objective=objective,
+                reported=normalize_max_one(x, ids),
+            )
+        )
+    return results
 
 
 def solve_robust(p: TransitionMatrix, budget: RobustBudget, ids=None) -> RobustRankResult:
     """Solve the fixed-size robust ranking model."""
-    x, objective = _solve_rank(p, budget)
-    total = x.sum()
-    if abs(total - 1.0) > SIMPLEX_INPUT_TOL:
-        raise SolverError("solution drifted off the simplex")
-    x = x / total
-    return RobustRankResult(
-        x1=RankVector(x),
-        x2=np.zeros(0),
-        objective=objective,
-        reported=normalize_max_one(x, ids),
-    )
+    (result,) = solve_robust_budgets(p, [budget], ids)
+    return result
 
 
 def solve_growth(
@@ -257,7 +290,7 @@ def comparative_rank(
     """
     if not 1 <= n_verified <= p.size:
         raise ParameterError(f"n_verified {n_verified} outside 1..{p.size}")
-    x, objective = _solve_rank(p, budget, pinned=n_verified)
+    ((x, objective),) = _solve_rank(p, [budget], pinned=n_verified)
     return ComparativeRankResult(
         reported=normalize_max_one(x, ids),
         simplex_point=x / x.sum(),

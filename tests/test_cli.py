@@ -17,6 +17,7 @@ from robust_lexrank.cli import main
 
 ROOT = pathlib.Path(__file__).parents[1]
 EXPECTED_SESSION = ROOT / "perfbench" / "expected_session.json"
+FIXTURES = ROOT / "tests" / "fixtures"
 
 
 def run_cli(capsys, *argv):
@@ -273,6 +274,15 @@ class TestReproduceTables:
             assert len(column["deviation"]) == 11
             if column["threshold"] == "0.3":
                 assert column["max_deviation"] == 0.0
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_stdout_pinned(self, capsys, fmt):
+        # recorded when each threshold and budget pair was a model of its own;
+        # the csv writer ends its rows with \r\n
+        expected = (FIXTURES / f"reproduce_tables.{fmt}").read_bytes().decode("utf-8")
+        code, stdout, _ = run_cli(capsys, "reproduce-tables", "--format", fmt)
+        assert code == 0
+        assert stdout == expected
 
     def test_deviations_reported_not_hidden(self, capsys):
         _, stdout, _ = run_cli(capsys, "reproduce-tables")

@@ -1,5 +1,6 @@
 """Simplex solver behaviour against hand cases and a vertex-enumeration oracle."""
 
+import dataclasses
 from collections import Counter
 
 import numpy as np
@@ -216,6 +217,69 @@ class TestValidation:
     def test_malformed_bound(self, bound):
         with pytest.raises(ModelError, match="pair"):
             lp([1.0], [bound], [([1.0], "<=", 1.0)])
+
+    def test_numeric_strings_and_bytes_rejected(self):
+        # numpy would read each of these as a number
+        with pytest.raises(ModelError):
+            lp(["1"], [("0.5", b"2")], [(["1"], "<=", "3")])
+
+    @pytest.mark.parametrize(
+        "objective, bound, row, rhs",
+        [
+            pytest.param(["1"], (0.0, None), [1.0], 1.0, id="string-cost"),
+            pytest.param([b"1"], (0.0, None), [1.0], 1.0, id="bytes-cost"),
+            pytest.param([True], (0.0, None), [1.0], 1.0, id="bool-cost"),
+            pytest.param(np.array([True]), (0.0, None), [1.0], 1.0, id="bool-array-cost"),
+            pytest.param([1.0], ("0.5", None), [1.0], 1.0, id="string-bound"),
+            pytest.param([1.0], (0.0, b"2"), [1.0], 1.0, id="bytes-bound"),
+            pytest.param([1.0], (False, None), [1.0], 1.0, id="bool-bound"),
+            pytest.param([1.0], (0.0, None), ["1"], 1.0, id="string-coefficient"),
+            pytest.param([1.0], (0.0, None), [np.bool_(True)], 1.0, id="bool-coefficient"),
+            pytest.param([1.0], (0.0, None), np.array([True]), 1.0, id="bool-array-row"),
+            pytest.param([1.0], (0.0, None), [1.0], "3", id="string-rhs"),
+            pytest.param([1.0], (0.0, None), [1.0], True, id="bool-rhs"),
+        ],
+    )
+    def test_non_real_entry_rejected(self, objective, bound, row, rhs):
+        with pytest.raises(ModelError):
+            lp(objective, [bound], [(row, "<=", rhs)])
+
+    def test_bool_among_floats_rejected(self):
+        # numpy would promote the bool to a float alongside the other entries
+        with pytest.raises(ModelError, match="objective"):
+            lp([True, 1.0], [(0, None)] * 2, [])
+        with pytest.raises(ModelError, match="coefficients"):
+            lp([1.0, 1.0], [(0, None)] * 2, [([1.0, True], "<=", 1.0)])
+        with pytest.raises(ModelError, match="rhs"):
+            lp([1.0, 1.0], [(0, None)] * 2, [([1.0, 1.0], "<=", 1.0), ([1.0, 1.0], "<=", True)])
+
+    def test_numpy_scalars_and_ints_accepted(self):
+        model = lp(
+            np.array([1, 2], dtype=np.int32),
+            [(np.float32(0.5), None), (0, np.int64(3))],
+            [((np.float64(1.0), 1), ">=", np.int8(2))],
+        )
+        assert model.objective.dtype == float
+        assert solve(model).objective_value == pytest.approx(2.0, abs=1e-12)
+
+    @pytest.mark.parametrize(
+        "cost, match",
+        [
+            pytest.param([1.0], "length", id="short"),
+            pytest.param([1.0, 1.0, 1.0], "length", id="long"),
+            pytest.param([1.0, np.nan], "finite", id="nan"),
+            pytest.param([1.0, np.inf], "finite", id="inf"),
+            pytest.param(["1", 1.0], "real", id="string"),
+            pytest.param([b"1", 1.0], "real", id="bytes"),
+            pytest.param([True, 1.0], "real", id="bool"),
+            pytest.param([[1.0, 1.0]], "vector", id="matrix"),
+            pytest.param(1.0, "vector", id="scalar"),
+        ],
+    )
+    def test_each_repriced_cost_validated(self, cost, match):
+        model = lp([1.0, 1.0], [(0, None)] * 2, [([1.0, 1.0], ">=", 1.0)])
+        with pytest.raises(ModelError, match=match):
+            solve(model, [[1.0, 2.0], cost])
 
 
 class TestPivot:
@@ -475,6 +539,75 @@ class TestAgainstHighs:
         assert min(statuses[s] for s in HIGHS_STATUS.values()) >= 50, statuses
 
 
+def with_cost(model, cost):
+    return dataclasses.replace(model, objective=np.asarray(cost, dtype=float))
+
+
+class TestRepricedSolve:
+    """One tableau and one phase one for a sequence of cost vectors."""
+
+    def test_random_mixed_models_against_highs(self):
+        rng = np.random.default_rng(32)
+        statuses = Counter()
+        unbounded_then_optimal = 0
+        for _ in range(300):
+            model = random_mixed_model(rng)
+            costs = rng.integers(-4, 5, size=(int(rng.integers(3, 6)), model.n_vars)).astype(float)
+            results = solve(model, costs)
+            assert len(results) == len(costs)
+            for cost, result in zip(costs, results):
+                expected, value = highs_solve(with_cost(model, cost))
+                assert result.status == expected
+                if expected == "optimal":
+                    assert result.objective_value == pytest.approx(value, abs=1e-8)
+                    assert result.objective_value == cost @ result.x
+                statuses[expected] += 1
+            for before, after in zip(results, results[1:]):
+                unbounded_then_optimal += (before.status, after.status) == ("unbounded", "optimal")
+        assert min(statuses[s] for s in HIGHS_STATUS.values()) >= 150, statuses
+        assert unbounded_then_optimal >= 50
+
+    def test_first_entry_is_the_single_solve(self):
+        rng = np.random.default_rng(33)
+        for _ in range(200):
+            model = random_mixed_model(rng)
+            costs = [model.objective] + list(rng.integers(-4, 5, size=(2, model.n_vars)))
+            first, single = solve(model, costs)[0], solve(model)
+            assert (first.status, first.objective_value) == (single.status, single.objective_value)
+            assert (first.x is None and single.x is None) or np.array_equal(first.x, single.x)
+
+    def test_beale_instance_repriced_terminates(self):
+        # an unbounded cost in the middle leaves a feasible basis behind
+        beale = beale_model()
+        costs = [beale.objective, [-0.5, 100.0, -0.05, 4.0], [1.0, -2.0, -1.0, 3.0], beale.objective]
+        results = solve(beale, costs)
+        assert [r.status for r in results] == ["optimal", "optimal", "unbounded", "optimal"]
+        for cost, result in zip(costs, results):
+            cold = solve(with_cost(beale, cost))
+            assert result.status == cold.status
+            if cold.status == "optimal":
+                assert result.objective_value == pytest.approx(cold.objective_value, abs=1e-9)
+        assert results[-1].objective_value == pytest.approx(-0.05, abs=1e-9)
+
+    def test_phase_one_runs_once(self, monkeypatch):
+        # phase one prices the auxiliary column, one past the others; each
+        # later vector re-prices phase two only
+        model = lp([1.0, 1.0], [(0.0, None)] * 2, [([1.0, 1.0], ">=", 1.0)])
+        calls = loop_inputs(monkeypatch, model, [[1.0, 2.0], [2.0, 1.0], [-1.0, 0.0]])
+        columns = [costs.size for _, _, costs, _ in calls]
+        assert columns == [4, 3, 3, 3]
+
+    def test_infeasible_model_makes_every_entry_infeasible(self):
+        model = lp([1.0], [(0.0, None)], [([1.0], "<=", -1.0)])
+        assert [r.status for r in solve(model, [[1.0], [-1.0]])] == ["infeasible"] * 2
+        crossed = lp([1.0], [(2.0, 1.0)], [])
+        assert [r.status for r in solve(crossed, [[1.0], [-1.0]])] == ["infeasible"] * 2
+
+    def test_no_cost_vector_gives_no_solution(self):
+        model = lp([1.0], [(0.0, None)], [([1.0], "<=", 1.0)])
+        assert solve(model, []) == []
+
+
 def assert_same_pivots(tableau, basis, costs, bland_after):
     """Run the loop and the reference on copies; return the common status."""
     expected, expected_basis = tableau.copy(), basis.copy()
@@ -486,7 +619,7 @@ def assert_same_pivots(tableau, basis, costs, bland_after):
     return status
 
 
-def loop_inputs(monkeypatch, model):
+def loop_inputs(monkeypatch, model, objectives=None):
     """Copies of each ``(tableau, basis, costs, bland_after)`` that solving ``model`` loops on."""
     calls = []
 
@@ -496,7 +629,7 @@ def loop_inputs(monkeypatch, model):
 
     with monkeypatch.context() as patch:
         patch.setattr(lpsolver, "_run_simplex", recorded)
-        solve(model)
+        solve(model, objectives)
     return calls
 
 

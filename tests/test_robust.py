@@ -22,12 +22,14 @@ from robust_lexrank import (
     solve,
     solve_growth,
     solve_robust,
+    solve_robust_budgets,
     to_transition,
     worst_case_upper_bound,
 )
 from robust_lexrank import lpsolver, robust
 from robust_lexrank.errors import NumericError, ParameterError, SolverError
 from robust_lexrank.lpsolver import _StandardForm
+from robust_lexrank.robust import OBJECTIVE_IDENTITY_TOL
 
 
 # The uneven model splits its new columns differently between the two blocks.
@@ -270,6 +272,28 @@ def solve_cases(cluster, eps_values):
     return cases
 
 
+# The cluster's first budget breakpoint at threshold 0.2 (see test_02 in test_acceptance).
+BREAKPOINT_02 = 341 / 33
+
+
+def sweep_cases():
+    """The cluster at threshold 0.2 and the disconnected, isolated and duplicate graphs."""
+    cases = [pytest.param(None, id="cluster-0.2")]
+    for case in adversarial_cases():
+        if case.id in ("disconnected", "isolated", "duplicate"):
+            cases.append(pytest.param(case.values[0], id=case.id))
+    return cases
+
+
+def budget_sweep(n):
+    """Zero, small, either side of the breakpoint, and past saturation at 4 (n - 1)."""
+    return [0.0, 0.01, BREAKPOINT_02 * (1 - 1e-6), BREAKPOINT_02 * (1 + 1e-6), 4 * n + 1.0]
+
+
+def sweep_transition(adjacency, transition_02):
+    return transition_02 if adjacency is None else to_transition(AdjacencyMatrix(adjacency, 0.0))
+
+
 class TestAgainstDecompositionForm:
     """The compact models against the decomposition form of the same objective."""
 
@@ -313,6 +337,71 @@ class TestAgainstDecompositionForm:
             scores = comparative.reported.scores
             assert np.all(scores[:pinned] == 1.0), pinned
             assert np.all((scores[pinned:] >= 0.0) & (scores[pinned:] <= 1.0)), pinned
+
+    @pytest.mark.parametrize("adjacency", sweep_cases())
+    def test_budget_sweeps_match(self, adjacency, transition_02):
+        pytest.importorskip("scipy.optimize")
+        p = sweep_transition(adjacency, transition_02)
+        eps_values = budget_sweep(p.size)
+        results = solve_robust_budgets(p, [uniform_budget(p.size, eps) for eps in eps_values])
+        for eps, result in zip(eps_values, results):
+            reference = decomposition_rank_optimum(p.values, eps, np.full(p.size, eps))
+            assert result.objective == pytest.approx(reference, abs=1e-8), eps
+
+
+class TestSolveRobustBudgets:
+    """One model re-priced across budgets against a cold solve per budget."""
+
+    @pytest.mark.parametrize("adjacency", sweep_cases())
+    def test_each_budget_matches_its_cold_solve(self, adjacency, transition_02):
+        p = sweep_transition(adjacency, transition_02)
+        for order in (1, -1):
+            eps_values = budget_sweep(p.size)[::order]
+            budgets = [uniform_budget(p.size, eps) for eps in eps_values]
+            results = solve_robust_budgets(p, budgets)
+            assert len(results) == len(budgets)
+            for eps, budget, result in zip(eps_values, budgets, results):
+                cold = solve_robust(p, budget)
+                assert result.objective == pytest.approx(cold.objective, abs=1e-9), eps
+                bound = worst_case_upper_bound(result.x1.values, p, budget)
+                assert abs(bound - result.objective) <= OBJECTIVE_IDENTITY_TOL, eps
+                assert result.x1.values.sum() == pytest.approx(1.0, abs=1e-12)
+                assert result.reported.normalized.max() == 1.0
+
+    def test_breakpoint_bracketed_on_the_cluster(self, transition_02):
+        # below the breakpoint the objective is linear in the budget; past
+        # it the optimum leaves that line
+        below, above = solve_robust_budgets(
+            transition_02, [uniform_budget(11, BREAKPOINT_02 * s) for s in (1 - 1e-6, 1 + 1e-6)]
+        )
+        small = solve_robust(transition_02, uniform_budget(11, 1.0)).objective
+        assert below.objective == pytest.approx(small * BREAKPOINT_02 * (1 - 1e-6), rel=1e-9)
+        assert above.objective < small * BREAKPOINT_02 * (1 + 1e-6)
+
+    def test_one_model_for_every_budget(self, transition_01, monkeypatch):
+        builds, solves = [], []
+
+        def counting_build(p, budget, pinned=None):
+            builds.append(pinned)
+            return build_robust_program(p, budget, pinned)
+
+        def counting_solve(program, objectives=None):
+            solves.append(objectives)
+            return lpsolver.solve(program, objectives)
+
+        monkeypatch.setattr(robust, "build_robust_program", counting_build)
+        monkeypatch.setattr(robust, "solve", counting_solve)
+        solve_robust_budgets(transition_01, [uniform_budget(11, eps) for eps in (0.01, 5.0, 10.0)])
+        assert builds == [None]
+        assert len(solves) == 1 and len(solves[0]) == 3
+
+    def test_budget_list_validated(self, transition_01):
+        with pytest.raises(ParameterError):
+            solve_robust_budgets(transition_01, [])
+        with pytest.raises(ParameterError):
+            solve_robust_budgets(transition_01, [uniform_budget(11, 0.1), uniform_budget(10, 0.1)])
+        with pytest.raises(ParameterError):
+            solve_robust_budgets(transition_01, [uniform_budget(10, 0.1), uniform_budget(11, 0.1)])
 
 
 def solve_counting_pivots(program, kernel, monkeypatch):
@@ -379,9 +468,9 @@ class TestGrowthIndependence:
         cases = solve_cases((transition_01, transition_02, transition_03), [0.01, 5.0])
         solves = []
 
-        def counted(program):
+        def counted(program, objectives=None):
             solves.append(program)
-            return lpsolver.solve(program)
+            return lpsolver.solve(program, objectives)
 
         monkeypatch.setattr(robust, "solve", counted)
         for p, budget in cases:
@@ -469,9 +558,11 @@ class TestComparativeRank:
         assert np.all(scores[8:] >= -1e-12)
 
     def test_objective_identity_failure_raises(self, transition_01, monkeypatch):
-        def off_by_one(program):
-            solution = solve(program)
-            return dataclasses.replace(solution, objective_value=solution.objective_value + 1.0)
+        def off_by_one(program, objectives=None):
+            return [
+                dataclasses.replace(solution, objective_value=solution.objective_value + 1.0)
+                for solution in solve(program, objectives)
+            ]
 
         monkeypatch.setattr(robust, "solve", off_by_one)
         with pytest.raises(NumericError):
