@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ParseError
+from .errors import ParameterError, ParseError, real_array
 
 TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -74,12 +74,10 @@ class SimilarityMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = real_array(self.values, "similarities", ParameterError)
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ParameterError("similarity matrix must be square")
-        if not np.all(np.isfinite(values)):
-            raise ParameterError("similarities must be finite")
         asymmetry = values - values.T
         if np.abs(asymmetry, out=asymmetry).max(initial=0.0) > SYMMETRY_TOL:
             raise ParameterError("similarity matrix must be symmetric")

@@ -16,11 +16,12 @@ here calls the LP solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBudgetError, NumericError, ParameterError
+from .errors import DegenerateBudgetError, NumericError, ParameterError, as_count, real_array
+from .errors import real_entries, real_number
 
 DUALITY_TOL = 1e-8
 ATTAINMENT_TOL = 1e-9
@@ -35,16 +36,17 @@ class BudgetedBox:
     eps_col: np.ndarray
 
     def __post_init__(self):
-        col = np.asarray(self.eps_col, dtype=float)
-        object.__setattr__(self, "eps_col", col)
-        if not np.isfinite(self.eps_total) or self.eps_total < 0:
+        if not real_number(self.eps_total) or not 0 <= self.eps_total < np.inf:
             raise ParameterError("total budget must be finite and nonnegative")
-        if col.ndim != 1 or not np.isfinite(col).all() or (col < 0).any():
+        col = real_array(self.eps_col, "per-coordinate caps", ParameterError)
+        object.__setattr__(self, "eps_total", float(self.eps_total))
+        object.__setattr__(self, "eps_col", col)
+        if col.ndim != 1 or (col < 0).any():
             raise ParameterError("per-coordinate caps must be finite and nonnegative")
 
     @classmethod
     def uniform(cls, n, eps_total, eps_each):
-        return cls(float(eps_total), np.full(n, float(eps_each)))
+        return cls(eps_total, np.full(as_count(n, "budget width"), eps_each))
 
     @property
     def size(self):
@@ -67,13 +69,14 @@ class DualCertificate:
 
 @dataclass(frozen=True, eq=False)
 class NormDecomposition:
-    """Split ``x = lam + mu`` achieving the decomposition-norm minimum,
-    with the support certificate its value was checked against."""
+    """Split ``x = lam + mu`` achieving the decomposition-norm minimum, with the
+    support certificate its value was checked against and the ``gap`` between them."""
 
     lam: np.ndarray
     mu: np.ndarray
     value: float
     certificate: DualCertificate
+    gap: float
 
 
 def box_l1_support(x, box: BudgetedBox) -> DualCertificate:
@@ -83,7 +86,7 @@ def box_l1_support(x, box: BudgetedBox) -> DualCertificate:
     decreasing ``|x_j|``, capping each at its box bound. Ties take the
     lower index, so certificates are reproducible.
     """
-    x = _finite(x, "vector", (box.size,))
+    x = real_array(x, "vector entries", ParameterError, (box.size,))
     values, caps = x.tolist(), box.eps_col.tolist()
     z = [0.0] * x.size
     remaining = float(box.eps_total)
@@ -97,17 +100,6 @@ def box_l1_support(x, box: BudgetedBox) -> DualCertificate:
     value = float(z @ x)
     _check_certificate(z, box, ball="l1")
     return DualCertificate(z=z, value=value, ball="l1")
-
-
-def _finite(values, what, shape=None):
-    """``values`` as a float array; ``ParameterError`` unless every entry is
-    finite and, when ``shape`` is given, the array has that shape."""
-    values = np.asarray(values, dtype=float)
-    if shape is not None and values.shape != shape:
-        raise ParameterError(f"{what} of shape {values.shape} where {shape} is needed")
-    if not np.isfinite(values).all():
-        raise ParameterError(f"{what} entries must be finite")
-    return values
 
 
 def _norm(v):
@@ -140,7 +132,7 @@ def decomposition_norm(x, box: BudgetedBox) -> NormDecomposition:
     """
     if box.eps_total <= 0:
         raise DegenerateBudgetError("decomposition norm undefined for zero total budget")
-    x = _finite(x, "vector", (box.size,))
+    x = real_array(x, "vector entries", ParameterError, (box.size,))
     weights = box.eps_col / box.eps_total
     absx = np.abs(x)
     order = np.argsort(-absx, kind="stable")
@@ -162,14 +154,14 @@ def _certified(lam, mu, value, certificate, scale) -> NormDecomposition:
     Any split bounds the norm from above and any feasible ``z`` bounds the
     support ``z @ x`` from below, so ``scale * value`` and the support of
     ``certificate`` must meet within ``DUALITY_TOL`` (relative to the
-    support once it exceeds one).
+    support once it exceeds one). A NaN gap, left by an overflow, fails.
     """
     gap = abs(scale * value - certificate.value)
-    if gap > DUALITY_TOL * max(1.0, abs(certificate.value)):
+    if not gap <= DUALITY_TOL * max(1.0, abs(certificate.value)):
         raise NumericError(
             f"{certificate.ball} decomposition norm disagrees with its support dual", gap=gap
         )
-    return NormDecomposition(lam=lam, mu=mu, value=value, certificate=certificate)
+    return NormDecomposition(lam=lam, mu=mu, value=value, certificate=certificate, gap=gap)
 
 
 def weighted_decomposition_norm(y, weights) -> NormDecomposition:
@@ -189,11 +181,16 @@ def simplex_decomposition_min(m, weights) -> float:
     ``_simplex_minimum_routes``) before being returned; ``m = 0`` is zero by
     convention.
     """
-    value, bound = _simplex_minimum_routes(m, weights)
-    gap = abs(value - bound)
-    if gap > SIMPLEX_MIN_TOL:
+    value, gap = _simplex_minimum(m, weights)
+    if not gap <= SIMPLEX_MIN_TOL:
         raise NumericError("simplex minimum disagrees with its dual bound", gap=gap)
     return value
+
+
+def _simplex_minimum(m, weights):
+    """The simplex minimum and the gap between its two routes, unchecked."""
+    value, bound = _simplex_minimum_routes(m, weights)
+    return value, abs(value - bound)
 
 
 def _simplex_minimum_routes(m, weights):
@@ -203,30 +200,21 @@ def _simplex_minimum_routes(m, weights):
     the uniform point with ``lam = y`` (value ``1/m``) or the vertex of the
     smallest weight with ``mu = y`` (value ``w_k``), whichever is cheaper;
     its value bounds the minimum from above. Dual: the constant ``z`` at
-    ``min(1/m, min_j w_j)``, built from the weights alone and checked to lie
-    in the unit l1 ball and the box of ``weights``. The norm of every ``y``
-    is at least ``z @ y``, which on the simplex is at least ``min_j z_j``: a
-    lower bound.
+    ``min(1/m, min_j w_j)``, which lies in the unit l1 ball and the box of
+    ``weights`` by construction. The norm of every ``y`` is at least ``z @
+    y``, which on the simplex is at least ``min_j z_j``: a lower bound. Both
+    routes take the same comparison, so the two floats are equal.
     """
-    if m < 0:
+    if as_count(m, "simplex dimension") < 0:
         raise ParameterError("simplex dimension must be nonnegative")
     if m == 0:
         return 0.0, 0.0
-    weights = np.asarray(weights, dtype=float)
-    if weights.shape != (m,):
-        raise ParameterError("need one weight per simplex coordinate")
-    if (weights < 0).any():
+    weights = real_array(weights, "weights", ParameterError, (m,))
+    smallest = float(weights.min())
+    if smallest < 0:
         raise ParameterError("weights must be nonnegative")
-    box = BudgetedBox(1.0, weights)
-    k = int(np.argmin(weights))
-    if weights[k] >= 1.0 / m:
-        lam, mu = np.full(m, 1.0 / m), np.zeros(m)
-    else:
-        lam, mu = np.zeros(m), np.eye(m)[k]
-    value = float(lam.max() + weights @ mu)
-    z = np.full(m, min(1.0 / m, weights.min()))
-    _check_certificate(z, box, ball="l1")
-    return value, float(z.min())
+    value = 1.0 / m if smallest >= 1.0 / m else smallest
+    return value, min(1.0 / m, smallest)
 
 
 def box_l2_support(x, box: BudgetedBox) -> DualCertificate:
@@ -241,7 +229,7 @@ def box_l2_support(x, box: BudgetedBox) -> DualCertificate:
     scaling at which the ball becomes active is the largest of the roots
     ``sqrt((eps^2 - C_k) / S_k)``.
     """
-    x = _finite(x, "vector", (box.size,))
+    x = real_array(x, "vector entries", ParameterError, (box.size,))
     signs = np.sign(x)
     absx = np.abs(x)
     z = signs * box.eps_col
@@ -272,7 +260,7 @@ def decomposition_norm_l2(x, box: BudgetedBox) -> NormDecomposition:
     """
     if box.eps_total <= 0:
         raise DegenerateBudgetError("l2 decomposition undefined for zero total budget")
-    x = _finite(x, "vector", (box.size,))
+    x = real_array(x, "vector entries", ParameterError, (box.size,))
     certificate = box_l2_support(x, box)
     if certificate.clamped:
         lam = np.zeros_like(x)
@@ -286,10 +274,12 @@ def decomposition_norm_l2(x, box: BudgetedBox) -> NormDecomposition:
 
 @dataclass(frozen=True, eq=False)
 class FrobeniusWorstCase:
-    """Closed-form worst-case norm with the perturbations that attain it."""
+    """Closed-form worst-case norm with the perturbations that attain it, and
+    the attainment ``gap`` it was checked at."""
 
     value: float
-    maximizers: list[np.ndarray] = field(default_factory=list)
+    maximizers: list[np.ndarray]
+    gap: float
 
 
 def frobenius_worst_case(a0, directions, radii) -> FrobeniusWorstCase:
@@ -298,15 +288,17 @@ def frobenius_worst_case(a0, directions, radii) -> FrobeniusWorstCase:
     The optimum is ``||a0||_2 + sum_i radii[i] * ||a_i||_2``, attained at
     rank-one matrices aligning each block with ``a0``. When ``a0`` is zero
     any unit direction serves; the first basis vector is used for
-    determinism. Attainment is asserted to ``1e-9``.
+    determinism. Attainment is asserted to ``1e-9``; a NaN gap fails.
     """
-    a0 = _finite(a0, "a0")
+    a0 = real_array(a0, "a0 entries", ParameterError)
     if a0.ndim != 1 or a0.size == 0:
         raise ParameterError("a0 must be a nonempty vector")
-    directions = [_finite(a, "direction") for a in directions]
+    if not real_entries(directions):
+        raise ParameterError("directions must be real numbers")
+    directions = [real_array(a, "direction entries", ParameterError) for a in directions]
     if any(a.ndim != 1 for a in directions):
         raise ParameterError("every direction must be a vector")
-    radii = _finite(radii, "radii", (len(directions),))
+    radii = real_array(radii, "radii", ParameterError, (len(directions),))
     if (radii < 0).any():
         raise ParameterError("radii must be nonnegative")
     norm0 = _norm(a0)
@@ -327,6 +319,6 @@ def frobenius_worst_case(a0, directions, radii) -> FrobeniusWorstCase:
         maximizers.append(xi)
         attained = attained + xi @ a
     gap = abs(_norm(attained) - value)
-    if gap > ATTAINMENT_TOL * max(1.0, value):
+    if not gap <= ATTAINMENT_TOL * max(1.0, value):
         raise NumericError("worst-case maximizer fails to attain the bound", gap=gap)
-    return FrobeniusWorstCase(value=value, maximizers=maximizers)
+    return FrobeniusWorstCase(value=value, maximizers=maximizers, gap=gap)

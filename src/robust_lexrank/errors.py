@@ -1,8 +1,13 @@
-"""Exception types shared across the package.
+"""Exception types shared across the package, and the numeric rule that raises them.
 
 Each class carries the process exit code the CLI uses for that error
-family, so failures are distinguishable from shell scripts.
+family, so failures are distinguishable from shell scripts. The rule at the
+end reads every public numeric input; each caller names its error class.
 """
+
+import numbers
+
+import numpy as np
 
 
 class RobustLexRankError(Exception):
@@ -83,3 +88,55 @@ class SetupError(RobustLexRankError, RuntimeError):
     """Required packaged fixture is missing or unreadable."""
 
     exit_code = 8
+
+
+_NESTED = (list, tuple, np.ndarray)
+
+
+def _is_real_type(kind):
+    """Python's and numpy's ints and floats, and other real numbers; not bools."""
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
+def real_number(value):
+    """Whether ``value`` is one real number, not an array or a sequence of them."""
+    return _is_real_type(type(value))
+
+
+def real_entries(values):
+    """Whether ``values``, a number or a possibly nested sequence, holds only real numbers."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind != "O":
+            return values.dtype.kind in "iuf"  # one dtype test
+        values = values.flat
+    elif not isinstance(values, _NESTED):
+        return real_number(values)
+    values = list(values)
+    types = set(map(type, values))
+    scalars = types.difference(_NESTED)
+    if not all(map(_is_real_type, scalars)):
+        return False
+    return scalars == types or all(map(real_entries, [v for v in values if type(v) in _NESTED]))
+
+
+def real_array(values, what, error, shape=None):
+    """``values`` as a float array, else ``error`` naming ``what`` (a plural noun):
+    real numbers that form an array, of ``shape`` if one is given, all finite."""
+    if not real_entries(values):
+        raise error(f"{what} must be real numbers")
+    try:
+        array = np.asarray(values, dtype=float)
+    except ValueError:
+        raise error(f"{what} must not be ragged") from None
+    if shape is not None and array.shape != shape:
+        raise error(f"{what} have shape {array.shape} where {shape} is needed")
+    if not np.isfinite(array).all():
+        raise error(f"{what} must be finite")
+    return array
+
+
+def as_count(value, what):
+    """``value`` as an ``int``; ``ParameterError`` unless it is an integer (not a bool)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ParameterError(f"{what} must be an integer, not {value!r}")
+    return int(value)

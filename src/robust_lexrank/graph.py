@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import SimilarityMatrix
-from .errors import ConstructionError, ParameterError
+from .errors import ConstructionError, ParameterError, real_array, real_number
 
 COLUMN_SUM_TOL = 1e-12
 
@@ -47,14 +47,12 @@ class TransitionMatrix:
     values: np.ndarray
 
     def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
+        values = real_array(self.values, "transition entries", ConstructionError)
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ConstructionError("transition matrix must be square")
         if not values.size:
             raise ConstructionError("transition matrix needs at least one sentence")
-        if not np.all(np.isfinite(values)):
-            raise ConstructionError("transition entries must be finite")
         if np.any(values < 0):
             raise ConstructionError("transition entries must be nonnegative")
         sums = values.sum(axis=0)
@@ -68,8 +66,8 @@ class TransitionMatrix:
 
 def threshold_adjacency(similarity: SimilarityMatrix, threshold: float) -> AdjacencyMatrix:
     """Edge wherever similarity >= threshold; self-loops come from the unit diagonal."""
-    if not 0.0 <= threshold <= 1.0:
-        raise ParameterError(f"threshold {threshold} outside [0, 1]")
+    if not (real_number(threshold) and 0.0 <= threshold <= 1.0):
+        raise ParameterError(f"threshold {threshold!r} outside [0, 1]")
     return AdjacencyMatrix(similarity.values >= threshold, threshold)
 
 

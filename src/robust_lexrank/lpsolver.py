@@ -36,12 +36,11 @@ loop before it pivots.
 
 from __future__ import annotations
 
-import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, NumericError
+from .errors import ModelError, NumericError, real_array, real_entries
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -84,8 +83,7 @@ class LinearProgram:
                 on that side.
             constraints: iterable of ``(coefficients, relation, rhs)`` triples.
 
-        Every number must be a real number: numpy would also read numeric
-        strings, bytes and bools, and those raise ``ModelError``.
+        Every number must be a real number (``errors.real_entries``), else ``ModelError``.
         """
         c = _cost_vector(objective)
         n = c.size
@@ -95,7 +93,7 @@ class LinearProgram:
         try:
             pairs = np.array(bounds, dtype=object).reshape(n, 2)
             unset = np.equal(pairs, None)
-            real = _real_entries(pairs[~unset])
+            real = real_entries(pairs[~unset])
         except ValueError:
             real = False
         if not real:
@@ -110,24 +108,13 @@ class LinearProgram:
         if not triples:
             return cls(c, lo, hi, np.zeros((0, n)), (), np.zeros(0))
         coeffs, rels, rhs = zip(*triples)
-        if not _real_entries(coeffs):
-            raise ModelError("constraint coefficients must be real numbers")
-        try:
-            mat = np.array(coeffs, dtype=float)
-        except ValueError:
-            raise ModelError(f"constraint widths do not match {n} variables") from None
+        mat = real_array(coeffs, "constraint coefficients", ModelError)
         if mat.shape != (len(triples), n):
             raise ModelError(f"constraint width {mat.shape[1:]} does not match {n} variables")
-        if not np.all(np.isfinite(mat)):
-            raise ModelError("constraint coefficients must be finite")
         unknown = set(rels) - set(RELATIONS)
         if unknown:
             raise ModelError(f"unknown relation {sorted(unknown)[0]!r}")
-        if not _real_entries(rhs):
-            raise ModelError("constraint rhs must be real numbers")
-        rhs = np.asarray(rhs, dtype=float)
-        if not np.all(np.isfinite(rhs)):
-            raise ModelError("constraint rhs must be finite")
+        rhs = real_array(rhs, "constraint rhs", ModelError, (len(triples),))
         return cls(c, lo, hi, mat, tuple(rels), rhs)
 
     @property
@@ -139,39 +126,11 @@ class LinearProgram:
         return self.rows.shape[0]
 
 
-def _is_real_type(kind):
-    """Python's and numpy's ints and floats, and other real numbers; not bools."""
-    return issubclass(kind, numbers.Real) and not issubclass(kind, (bool, np.bool_))
-
-
-def _real_entries(values):
-    """Whether every entry of ``values``, a possibly nested sequence, is a real number."""
-    if isinstance(values, np.ndarray):
-        if values.dtype.kind != "O":
-            return values.dtype.kind in "iuf"
-        values = values.flat
-    values = list(values)
-    nested = (list, tuple, np.ndarray)
-    types = set(map(type, values))
-    scalars = types.difference(nested)
-    if not all(map(_is_real_type, scalars)):
-        return False
-    return scalars == types or all(map(_real_entries, [v for v in values if type(v) in nested]))
-
-
 def _cost_vector(values, n=None):
     """A cost vector as floats; ``ModelError`` unless it holds finite real numbers (``n`` of them)."""
-    try:
-        c = np.asarray(values)
-    except ValueError:  # ragged
-        c = None
-    if c is None or c.ndim != 1:
+    c = real_array(values, "objective entries", ModelError)
+    if c.ndim != 1:
         raise ModelError("objective must be a vector")
-    if not _real_entries(values):
-        raise ModelError("objective entries must be real numbers")
-    c = c.astype(float)
-    if not np.all(np.isfinite(c)):
-        raise ModelError("objective must be finite")
     if n is not None and c.size != n:
         raise ModelError(f"objective of length {c.size} for {n} variables")
     return c
@@ -264,7 +223,6 @@ class _StandardForm:
         self.A = np.vstack([rows, caps])
         shifted = lp.rhs - lp.rows @ self.shift
         self.b = np.concatenate([shifted[source] * flip, upper[capped] - lower[capped]])
-        self.c = self._to_y(lp.objective)
 
     def _to_y(self, coefficients):
         """Coefficients on the original variables rewritten on ``y`` (last axis)."""

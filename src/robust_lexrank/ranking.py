@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NormalizationError, ParameterError
+from .errors import ConvergenceError, NormalizationError, ParameterError, as_count, real_array
+from .errors import real_entries, real_number
 from .graph import TransitionMatrix
 
 DEFAULT_TOL = 1e-12
@@ -26,6 +27,8 @@ class RankVector:
     values: np.ndarray
 
     def __post_init__(self):
+        if not real_entries(self.values):
+            raise ParameterError("rank entries must be real numbers")
         values = np.asarray(self.values, dtype=float)
         object.__setattr__(self, "values", values)
         if values.ndim != 1:
@@ -69,9 +72,9 @@ def power_iteration(
     (carrying the last residual) if the budget runs out, which happens
     only for periodic chains that the uniform start does not quotient out.
     """
-    if not 0 < tol < np.inf:
+    if not real_number(tol) or not 0 < tol < np.inf:
         raise ParameterError("tolerance must be positive and finite")
-    if max_iter < 1:
+    if as_count(max_iter, "iteration budget") < 1:
         raise ParameterError("need at least one iteration")
     p = matrix.values
     x = np.full(matrix.size, 1.0 / matrix.size)
@@ -90,11 +93,10 @@ def power_iteration(
 
 def normalize_max_one(ranks, ids=None) -> ReportedRanks:
     """Divide scores by the maximum so the largest reported value is exactly one."""
-    values = ranks.values if isinstance(ranks, RankVector) else np.asarray(ranks, dtype=float)
+    scores = ranks.values if isinstance(ranks, RankVector) else ranks
+    values = real_array(scores, "scores", NormalizationError)
     if values.size == 0:
         raise NormalizationError("nothing to normalize")
-    if not np.all(np.isfinite(values)):
-        raise NormalizationError("scores must be finite")
     top = values.max()
     if top <= 0:
         raise NormalizationError("all scores are zero; max-one normalization undefined")

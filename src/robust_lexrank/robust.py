@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dualnorms import BudgetedBox, box_l1_support
-from .errors import NumericError, ParameterError, SolverError
+from .errors import NumericError, ParameterError, SolverError, as_count, real_array, real_entries
 from .graph import TransitionMatrix
 from .lpsolver import LinearProgram, solve
 from .ranking import RankVector, ReportedRanks, normalize_max_one
@@ -75,6 +75,8 @@ class GrowthModel:
     to_existing_col: np.ndarray
 
     def __post_init__(self):
+        if not real_entries(self.to_existing_col):
+            raise ParameterError("growth budgets must be real numbers")
         col = np.asarray(self.to_existing_col, dtype=float)
         object.__setattr__(self, "to_existing_col", col)
         if col.ndim != 1 or not np.all((col >= 0.0) & (col <= 1.0)):
@@ -83,7 +85,7 @@ class GrowthModel:
     @classmethod
     def balanced(cls, m):
         """Even split of every new column between existing and new sentences."""
-        if m < 0:
+        if as_count(m, "growth rate") < 0:
             raise ParameterError("growth rate must be nonnegative")
         return cls(np.full(m, 0.5))
 
@@ -288,7 +290,7 @@ def comparative_rank(
     The raw scores are reported; dividing by their sum gives a feasible
     simplex point, also returned.
     """
-    if not 1 <= n_verified <= p.size:
+    if not 1 <= as_count(n_verified, "n_verified") <= p.size:
         raise ParameterError(f"n_verified {n_verified} outside 1..{p.size}")
     ((x, objective),) = _solve_rank(p, [budget], pinned=n_verified)
     return ComparativeRankResult(
@@ -308,10 +310,8 @@ def worst_case_upper_bound(
     new block's support is ``GROWTH_PRICE * ||x2||_1`` (see ``GrowthModel``).
     """
     _check_dims(p, budget)
-    x = np.asarray(x, dtype=float)
     m = growth.m if growth is not None else 0
-    if x.shape != (p.size + m,):
-        raise ParameterError(f"candidate of length {x.size}, expected {p.size + m}")
+    x = real_array(x, "candidate entries", ParameterError, (p.size + m,))
     if np.any(x < -SIMPLEX_INPUT_TOL) or abs(x.sum() - 1.0) > SIMPLEX_INPUT_TOL:
         raise ParameterError("candidate must lie on the probability simplex")
     return _bound(p, budget, x[: p.size]) + GROWTH_PRICE * float(np.abs(x[p.size :]).sum())

@@ -23,7 +23,7 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dualnorms import BudgetedBox
-from .errors import ParameterError, SetDefinitionError
+from .errors import ParameterError, SetDefinitionError, as_count, real_array
 from .graph import TransitionMatrix
 from .robust import GrowthModel, RobustBudget, worst_case_upper_bound
 
@@ -285,15 +285,15 @@ def _residuals(q, x):
 
 def residual(q, x) -> float:
     """l1 distance between ``q @ x`` and ``x``."""
-    q = np.asarray(q, dtype=float)
-    x = np.asarray(x, dtype=float)
+    q = real_array(q, "matrix entries", ParameterError)
+    x = real_array(x, "vector entries", ParameterError)
     if q.ndim != 2 or q.shape[0] != q.shape[1] or q.shape[1] != x.size:
         raise ParameterError("matrix and vector dimensions do not match")
     return float(_residuals(q, x))
 
 
 def _extended(x, n, m):
-    x = np.asarray(x, dtype=float)
+    x = real_array(x, "candidate entries", ParameterError)
     if x.shape == (n + m,):
         return x
     if x.shape == (n,):
@@ -311,6 +311,7 @@ def empirical_max_residual(
     bound beyond tolerance; a correct implementation reports zero.
     Samples are drawn, checked and scored a chunk at a time.
     """
+    n_samples = as_count(n_samples, "sample count")
     if n_samples < 1:
         raise ParameterError("need at least one sample")
     _check_set(p, uset)

@@ -117,6 +117,12 @@ class TestRankCommand:
             assert stdout == ""
             assert stderr == "error: tolerance must be positive and finite\n"
 
+    def test_iteration_budget_exhausted(self, capsys):
+        code, stdout, stderr = run_cli(capsys, "rank", "--threshold", "0.2", "--max-iter", "1")
+        assert code == 6
+        assert stdout == ""
+        assert stderr == "error: power iteration stalled at residual 6.061e-02 after 1 iterations\n"
+
 
 class TestRobustCommand:
     def test_saturated_budget_all_ones_low_threshold(self, capsys):

@@ -521,3 +521,69 @@ class TestSimplexDecompositionMin:
                 assert value == pytest.approx(expected, abs=1e-12)
                 for optimum in simplex_minimum_lp(m, weights):
                     assert value == pytest.approx(optimum, abs=1e-12)
+
+    def test_scalar_routes_match_the_split_arrays(self):
+        # the routes as explicit splits and a constant dual point, as they were built before
+        rng = np.random.default_rng(26)
+        for m in range(1, 9):
+            for _ in range(60):
+                weights = rng.choice([0.0, 1.0 / m, rng.uniform(0, 2)], size=m)
+                k = int(np.argmin(weights))
+                if weights[k] >= 1.0 / m:
+                    lam, mu = np.full(m, 1.0 / m), np.zeros(m)
+                else:
+                    lam, mu = np.zeros(m), np.eye(m)[k]
+                value = float(lam.max() + weights @ mu)
+                bound = float(np.full(m, min(1.0 / m, weights.min())).min())
+                assert dualnorms._simplex_minimum_routes(m, weights) == (value, bound)
+                assert dualnorms._simplex_minimum(m, weights) == (value, abs(value - bound))
+
+
+class TestCarriedGaps:
+    """Each result carries the gap its check measured, bit for bit the recomputed one."""
+
+    def test_l1_gap(self):
+        rng = np.random.default_rng(261)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            x = rng.normal(size=n) * rng.uniform(0.5, 2.0)
+            budget = box(rng.uniform(0.0, 3.0) + 1e-9, rng.uniform(0.0, 3.0, size=n))
+            result = decomposition_norm(x, budget)
+            assert result.gap == abs(budget.eps_total * result.value - result.certificate.value)
+
+    def test_l2_gap(self):
+        rng = np.random.default_rng(262)
+        for _ in range(300):
+            n = int(rng.integers(1, 9))
+            x = rng.normal(size=n)
+            budget = box(rng.uniform(0.1, 3.0), rng.uniform(0.0, 3.0, size=n))
+            result = decomposition_norm_l2(x, budget)
+            assert result.gap == abs(result.value - result.certificate.value)
+
+    def test_frobenius_gap(self):
+        rng = np.random.default_rng(263)
+        for _ in range(300):
+            blocks = int(rng.integers(1, 4))
+            a0 = rng.normal(size=int(rng.integers(1, 5)))
+            directions = [rng.normal(size=int(rng.integers(1, 5))) for _ in range(blocks)]
+            best = frobenius_worst_case(a0, directions, rng.uniform(0.0, 2.0, size=blocks))
+            attained = a0.copy()
+            for xi, a in zip(best.maximizers, directions):
+                attained = attained + xi @ a
+            assert best.gap == abs(np.linalg.norm(attained) - best.value)
+
+    def test_overflow_is_not_certified(self):
+        # finite entries whose squares overflow leave a NaN gap, which no check may pass
+        x = np.array([1e308, 1e308])
+        with np.errstate(all="ignore"):
+            with pytest.raises(NumericError, match="disagrees"):
+                decomposition_norm_l2(x, box(1.0, [1.0, 1.0]))
+            with pytest.raises(NumericError, match="attain"):
+                frobenius_worst_case(x, [x], [1.0])
+
+    def test_norm_is_numpys(self):
+        rng = np.random.default_rng(264)
+        for shape in [(0,), (1,), (7,), (3, 4), (5, 1)]:
+            for _ in range(50):
+                v = rng.normal(size=shape) * 10.0 ** rng.integers(-100, 100)
+                assert dualnorms._norm(v) == np.linalg.norm(v)

@@ -1,0 +1,213 @@
+"""The one numeric rule: every public numeric input rejects what is not a real number."""
+
+import numpy as np
+import pytest
+
+from robust_lexrank import (
+    BudgetedBox,
+    GrowthModel,
+    LinearProgram,
+    RankVector,
+    RobustBudget,
+    SimilarityMatrix,
+    TransitionMatrix,
+    UncertaintySet,
+    box_l1_support,
+    box_l2_support,
+    comparative_rank,
+    decomposition_norm,
+    decomposition_norm_l2,
+    empirical_max_residual,
+    fixed_size_residual_check,
+    frobenius_worst_case,
+    normalize_max_one,
+    power_iteration,
+    residual,
+    simplex_decomposition_min,
+    solve,
+    threshold_adjacency,
+    weighted_decomposition_norm,
+    worst_case_upper_bound,
+)
+from robust_lexrank.errors import (
+    ConstructionError,
+    ModelError,
+    NormalizationError,
+    ParameterError,
+    as_count,
+    real_array,
+    real_entries,
+    real_number,
+)
+
+P = TransitionMatrix(np.full((2, 2), 0.5))
+BOX = BudgetedBox(1.0, [0.5, 0.5])
+BUDGET = RobustBudget(0.1, [0.1, 0.1])
+USET = UncertaintySet(BOX, BudgetedBox(0.0, [0.0, 0.0]), GrowthModel.balanced(0))
+MODEL = LinearProgram.build([1.0], [(0.0, None)], [([1.0], ">=", 1.0)])
+SIMILARITY = SimilarityMatrix(np.eye(2))
+X = [0.5, 0.5]
+
+# numpy reads each of these as a number; none of them is one
+NOT_NUMBERS = ["1", b"1", True, None]
+HOLE = object()
+
+
+def fill(template, value):
+    """``template`` with ``value`` in place of ``HOLE``."""
+    if template is HOLE:
+        return value
+    if isinstance(template, list):
+        return [fill(t, value) for t in template]
+    return template
+
+
+# entry point -> (documented error class, call, an input with a HOLE for the bad value).
+# Read as the number numpy makes of it, the bad value fills most templates into a valid
+# input, so a rule that converted it would let the call pass.
+ENTRY_POINTS = {
+    "LinearProgram.build objective": (
+        ModelError, lambda v: LinearProgram.build(v, [(0.0, None)], []), [HOLE]
+    ),
+    # None is a valid bound, so the bad value stands for the whole (low, high) pair
+    "LinearProgram.build bound": (
+        ModelError, lambda v: LinearProgram.build([1.0], [v], []), [HOLE]
+    ),
+    "LinearProgram.build coefficients": (
+        ModelError, lambda v: LinearProgram.build([1.0], [(0.0, None)], [(v, "<=", 1.0)]), [HOLE]
+    ),
+    "LinearProgram.build rhs": (
+        ModelError, lambda v: LinearProgram.build([1.0], [(0.0, None)], [([1.0], "<=", v)]), [HOLE]
+    ),
+    "solve cost": (ModelError, lambda v: solve(MODEL, [v]), [HOLE]),
+    "BudgetedBox total": (ParameterError, lambda v: BudgetedBox(v, [0.5]), [HOLE]),
+    "BudgetedBox caps": (ParameterError, lambda v: BudgetedBox(1.0, v), [HOLE, 0.5]),
+    "BudgetedBox.uniform caps": (
+        ParameterError, lambda v: BudgetedBox.uniform(2, 1.0, v), [HOLE]
+    ),
+    "TransitionMatrix": (ConstructionError, TransitionMatrix, [[HOLE, 0.0], [0.0, 1.0]]),
+    "SimilarityMatrix": (ParameterError, SimilarityMatrix, [[HOLE, 0.0], [0.0, 1.0]]),
+    "RankVector": (ParameterError, RankVector, [HOLE, 0.0]),
+    "GrowthModel": (ParameterError, GrowthModel, [HOLE]),
+    "normalize_max_one": (NormalizationError, normalize_max_one, [HOLE, 0.5]),
+    "worst_case_upper_bound": (
+        ParameterError, lambda v: worst_case_upper_bound(v, P, BUDGET), [HOLE, 0.0]
+    ),
+    "residual matrix": (ParameterError, lambda v: residual(v, X), [[HOLE, 0.0], [0.0, 1.0]]),
+    "residual vector": (ParameterError, lambda v: residual(P.values, v), [HOLE, 0.0]),
+    "empirical_max_residual candidate": (
+        ParameterError, lambda v: empirical_max_residual(P, v, USET, 10), [HOLE, 0.0]
+    ),
+    "fixed_size_residual_check candidate": (
+        ParameterError, lambda v: fixed_size_residual_check(P, v, BOX, 10), [HOLE, 0.0]
+    ),
+    "box_l1_support": (ParameterError, lambda v: box_l1_support(v, BOX), [HOLE, 0.5]),
+    "box_l2_support": (ParameterError, lambda v: box_l2_support(v, BOX), [HOLE, 0.5]),
+    "decomposition_norm": (ParameterError, lambda v: decomposition_norm(v, BOX), [HOLE, 0.5]),
+    "decomposition_norm_l2": (
+        ParameterError, lambda v: decomposition_norm_l2(v, BOX), [HOLE, 0.5]
+    ),
+    "weighted_decomposition_norm weights": (
+        ParameterError, lambda v: weighted_decomposition_norm(X, v), [HOLE, 0.5]
+    ),
+    "frobenius_worst_case a0": (
+        ParameterError, lambda v: frobenius_worst_case(v, [X], [1.0]), [HOLE, 0.5]
+    ),
+    "frobenius_worst_case directions": (
+        ParameterError, lambda v: frobenius_worst_case(X, v, [1.0]), [[HOLE, 0.5]]
+    ),
+    "frobenius_worst_case radii": (
+        ParameterError, lambda v: frobenius_worst_case(X, [X], v), [HOLE]
+    ),
+    "simplex_decomposition_min weights": (
+        ParameterError, lambda v: simplex_decomposition_min(1, v), [HOLE]
+    ),
+    "threshold_adjacency threshold": (
+        ParameterError, lambda v: threshold_adjacency(SIMILARITY, v), [HOLE]
+    ),
+    "power_iteration tol": (ParameterError, lambda v: power_iteration(P, tol=v), [HOLE]),
+}
+
+
+@pytest.mark.parametrize("in_list", [False, True], ids=["bare", "in-list"])
+@pytest.mark.parametrize("bad", NOT_NUMBERS, ids=repr)
+@pytest.mark.parametrize("entry", list(ENTRY_POINTS))
+def test_every_numeric_entry_point_rejects_non_numbers(entry, bad, in_list):
+    error, call, template = ENTRY_POINTS[entry]
+    with pytest.raises(error):
+        call(fill(template, bad) if in_list else bad)
+
+
+# entry point -> call with the bad count in place; each raises ParameterError
+COUNTS = {
+    "power_iteration max_iter": lambda k: power_iteration(P, max_iter=k),
+    "comparative_rank n_verified": lambda k: comparative_rank(P, k, BUDGET),
+    "GrowthModel.balanced": GrowthModel.balanced,
+    "fixed_size_residual_check n_samples": lambda k: fixed_size_residual_check(P, X, BOX, k),
+    "empirical_max_residual n_samples": lambda k: empirical_max_residual(P, X, USET, k),
+    "BudgetedBox.uniform n": lambda k: BudgetedBox.uniform(k, 1.0, 1.0),
+    "simplex_decomposition_min m": lambda k: simplex_decomposition_min(k, [1.0]),
+}
+
+
+@pytest.mark.parametrize(
+    "bad", [2.5, np.float64(1.0), True, np.True_, "1", None], ids=repr
+)
+@pytest.mark.parametrize("entry", list(COUNTS))
+def test_counts_must_be_integers(entry, bad):
+    # a bool is not a count, though Python treats it as the int 1
+    with pytest.raises(ParameterError, match="integer"):
+        COUNTS[entry](bad)
+
+
+@pytest.mark.parametrize("kind", [int, np.int8, np.int64, np.uint16], ids=lambda t: t.__name__)
+@pytest.mark.parametrize("entry", list(COUNTS))
+def test_integer_counts_accepted(entry, kind):
+    COUNTS[entry](kind(1))
+
+
+class TestRule:
+    @pytest.mark.parametrize(
+        "values",
+        [1, 2.5, np.float32(0.5), np.int64(3), [], [1, [2.0, np.array([3])]], np.array([[1.0]]),
+         np.array([1, 2.5], dtype=object)],
+        ids=repr,
+    )
+    def test_real_entries(self, values):
+        assert real_entries(values)
+
+    @pytest.mark.parametrize(
+        "values",
+        ["1", b"1", True, np.bool_(False), None, 1j, {1.0}, [1.0, [None]],
+         np.array(["1"]), np.array([True]), np.array([1.0, "1"], dtype=object)],
+        ids=repr,
+    )
+    def test_not_real_entries(self, values):
+        assert not real_entries(values)
+
+    def test_real_number_is_one_number(self):
+        assert real_number(1) and real_number(np.float64(0.5)) and real_number(float("nan"))
+        assert not any(map(real_number, [[1.0], np.array(1.0), "1", True, None]))
+
+    def test_real_array_checks_in_order(self):
+        with pytest.raises(ModelError, match="^weights must be real numbers$"):
+            real_array([1.0, "2"], "weights", ModelError, (3,))
+        with pytest.raises(ModelError, match="^weights must not be ragged$"):
+            real_array([[1.0], [1.0, 2.0]], "weights", ModelError)
+        with pytest.raises(ModelError, match=r"^weights have shape \(2,\) where \(3,\) is needed$"):
+            real_array([1.0, np.nan], "weights", ModelError, (3,))
+        with pytest.raises(ModelError, match="^weights must be finite$"):
+            real_array([1.0, np.inf], "weights", ModelError, (2,))
+        values = np.array([1.0, 2.0])
+        assert real_array(values, "weights", ModelError) is values
+        assert real_array([1, 2], "weights", ModelError).dtype == float
+
+    def test_as_count(self):
+        assert as_count(np.int64(3), "n") == 3 and type(as_count(np.int64(3), "n")) is int
+        with pytest.raises(ParameterError, match="^n must be an integer, not True$"):
+            as_count(True, "n")
+
+
+def test_sample_count_reported_as_int():
+    report = empirical_max_residual(P, X, USET, np.int64(3))
+    assert type(report.samples) is int

@@ -439,7 +439,7 @@ class TestStandardForm:
             form = _StandardForm(model)
             rows, rhs, cost, recover = loop_standard_form(model)
             assert np.array_equal(form.A, rows)
-            assert np.array_equal(form.c, cost)
+            assert np.array_equal(form._to_y(model.objective), cost)
             # only the shift products may sum in another order
             np.testing.assert_allclose(form.b, rhs, rtol=1e-12, atol=1e-12)
             y = rng.uniform(0, 2, size=form.A.shape[1])

@@ -152,14 +152,15 @@ class TestProgramStructure:
         for p, budget in cases:
             n = p.size
             for pinned in sorted({1, n // 2, n - 1, n}):
-                form = _StandardForm(build_robust_program(p, budget, pinned=pinned))
-                reference = _StandardForm(
-                    substituted_comparative_program(
-                        p.values, budget.eps_total, budget.eps_col, pinned
-                    )
+                model = build_robust_program(p, budget, pinned=pinned)
+                reference_model = substituted_comparative_program(
+                    p.values, budget.eps_total, budget.eps_col, pinned
                 )
+                form, reference = _StandardForm(model), _StandardForm(reference_model)
                 assert np.array_equal(form.A, reference.A), (n, pinned)
-                assert np.array_equal(form.c, reference.c), (n, pinned)
+                assert np.array_equal(
+                    form._to_y(model.objective), reference._to_y(reference_model.objective)
+                ), (n, pinned)
                 # only the pinned right-hand sides may sum in another order
                 np.testing.assert_allclose(form.b, reference.b, rtol=0.0, atol=1e-15)
 
