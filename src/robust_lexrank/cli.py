@@ -286,11 +286,6 @@ def _attainment_gap(rng):
     return dualnorms.frobenius_worst_case(a0, directions, radii).gap
 
 
-def _simplex_minimum_gap(rng):
-    m = int(rng.integers(1, 7))
-    return dualnorms._simplex_minimum(m, rng.uniform(0.0, 2.0, size=m))[1]
-
-
 def cmd_verify(args):
     """Run the dual-norm identity suite on random instances; exit 0 iff clean."""
     if args.instances < 1:
@@ -301,7 +296,6 @@ def cmd_verify(args):
         ("l1 support vs decomposition duality", _l1_duality_gap, dualnorms.DUALITY_TOL),
         ("l2 support vs decomposition duality", _l2_duality_gap, dualnorms.DUALITY_TOL),
         ("frobenius worst case attainment", _attainment_gap, dualnorms.ATTAINMENT_TOL),
-        ("simplex minimum primal vs dual bound", _simplex_minimum_gap, dualnorms.SIMPLEX_MIN_TOL),
     ):
         worst = 0.0
         for _ in range(args.instances):

@@ -8,9 +8,9 @@ l2-ball variant pairs a water-fill support with an l2 decomposition. Both
 decompositions have closed forms, and every evaluation certifies itself by
 weak duality: its split ``x = lam + mu`` bounds the norm from above, the
 support of a feasible ``z`` bounds it from below, and the two must meet. A
-Frobenius worst-case identity and the simplex minimum of the weighted
-decomposition norm, certified the same way, round out the toolkit. Nothing
-here calls the LP solver.
+Frobenius worst-case identity and the closed-form simplex minimum of the
+weighted decomposition norm round out the toolkit. Nothing here calls the
+LP solver.
 """
 
 from __future__ import annotations
@@ -25,7 +25,6 @@ from .errors import real_entries, real_number
 
 DUALITY_TOL = 1e-8
 ATTAINMENT_TOL = 1e-9
-SIMPLEX_MIN_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -46,7 +45,9 @@ class BudgetedBox:
 
     @classmethod
     def uniform(cls, n, eps_total, eps_each):
-        return cls(eps_total, np.full(as_count(n, "budget width"), eps_each))
+        if as_count(n, "budget width") < 0:
+            raise ParameterError("budget width must be nonnegative")
+        return cls(eps_total, np.full(n, eps_each))
 
     @property
     def size(self):
@@ -176,45 +177,24 @@ def weighted_decomposition_norm(y, weights) -> NormDecomposition:
 def simplex_decomposition_min(m, weights) -> float:
     """Exact minimum of the weighted decomposition norm over the probability simplex.
 
-    Closed form: ``1/m`` when every weight is at least ``1/m``, otherwise the
-    smallest weight. The value is certified by weak duality (see
-    ``_simplex_minimum_routes``) before being returned; ``m = 0`` is zero by
-    convention.
-    """
-    value, gap = _simplex_minimum(m, weights)
-    if not gap <= SIMPLEX_MIN_TOL:
-        raise NumericError("simplex minimum disagrees with its dual bound", gap=gap)
-    return value
-
-
-def _simplex_minimum(m, weights):
-    """The simplex minimum and the gap between its two routes, unchecked."""
-    value, bound = _simplex_minimum_routes(m, weights)
-    return value, abs(value - bound)
-
-
-def _simplex_minimum_routes(m, weights):
-    """The simplex minimum as ``(primal value, dual bound)``, unchecked.
-
-    Primal: a simplex point with an explicit split ``y = lam + mu``, either
-    the uniform point with ``lam = y`` (value ``1/m``) or the vertex of the
-    smallest weight with ``mu = y`` (value ``w_k``), whichever is cheaper;
-    its value bounds the minimum from above. Dual: the constant ``z`` at
-    ``min(1/m, min_j w_j)``, which lies in the unit l1 ball and the box of
-    ``weights`` by construction. The norm of every ``y`` is at least ``z @
-    y``, which on the simplex is at least ``min_j z_j``: a lower bound. Both
-    routes take the same comparison, so the two floats are equal.
+    Closed form: ``min(1/m, min_j w_j)``, and ``m = 0`` is zero by
+    convention. The uniform point with ``lam = y`` costs ``1/m`` and the
+    vertex of the smallest weight with ``mu = y`` costs that weight, so the
+    value is attained. It is also a lower bound: the constant ``z`` at the
+    value lies in the unit l1 ball (m entries of at most ``1/m``) and under
+    every cap ``w_j``, so by weak duality the norm of every ``y`` is at least
+    ``z @ y``, which on the simplex is the value itself. The tests check it
+    against the joint LP (``tests/oracles.simplex_minimum_lp``).
     """
     if as_count(m, "simplex dimension") < 0:
         raise ParameterError("simplex dimension must be nonnegative")
     if m == 0:
-        return 0.0, 0.0
+        return 0.0
     weights = real_array(weights, "weights", ParameterError, (m,))
     smallest = float(weights.min())
     if smallest < 0:
         raise ParameterError("weights must be nonnegative")
-    value = 1.0 / m if smallest >= 1.0 / m else smallest
-    return value, min(1.0 / m, smallest)
+    return min(1.0 / m, smallest)
 
 
 def box_l2_support(x, box: BudgetedBox) -> DualCertificate:

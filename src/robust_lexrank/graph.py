@@ -16,7 +16,7 @@ COLUMN_SUM_TOL = 1e-12
 class AdjacencyMatrix:
     """Binary symmetric adjacency; the diagonal is all ones for thresholds <= 1.
 
-    Stored as bool. Numeric input must hold only 0 and 1.
+    Stored as bool. Other input must be real numbers, each 0 or 1.
     """
 
     values: np.ndarray
@@ -25,7 +25,7 @@ class AdjacencyMatrix:
     def __post_init__(self):
         values = np.asarray(self.values)
         if values.dtype != bool:
-            values = np.asarray(values, dtype=float)
+            values = real_array(self.values, "adjacency entries", ParameterError)
             if not np.all((values == 0.0) | (values == 1.0)):
                 raise ParameterError("adjacency entries must be 0 or 1")
             values = values == 1.0

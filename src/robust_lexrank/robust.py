@@ -54,9 +54,6 @@ class RobustBudget(BudgetedBox):
     def broadcast(cls, n, eps1, eps_col_value):
         return cls.uniform(n, eps1, eps_col_value)
 
-    def scaled(self, factor):
-        return RobustBudget(self.eps_total * factor, self.eps_col * factor)
-
 
 @dataclass(frozen=True, eq=False)
 class GrowthModel:
@@ -146,12 +143,15 @@ def build_robust_program(
     ``x >= 0`` the minimum over ``(t, u) >= 0`` is ``box_l1_support(x,
     budget)`` (its LP dual).
 
-    With ``pinned = v`` there is no simplex row: the first v coordinates of
-    ``x`` have bounds ``(1, 1)`` and the rest ``(0, 1)``. That model has 3n
-    rows and 3n + 1 variables; the solver substitutes the v fixed ones.
+    With ``pinned = v``, an integer in 1..n, there is no simplex row: the
+    first v coordinates of ``x`` have bounds ``(1, 1)`` and the rest ``(0,
+    1)``. That model has 3n rows and 3n + 1 variables; the solver
+    substitutes the v fixed ones.
     """
-    cost = _rank_cost(p, budget)
     n = p.size
+    if pinned is not None and not 1 <= as_count(pinned, "n_verified") <= n:
+        raise ParameterError(f"n_verified {pinned} outside 1..{n}")
+    cost = _rank_cost(p, budget)
     width = 3 * n + 1
     shifted = p.values - np.eye(n)
     residual = np.zeros((n, 2, width))
@@ -288,11 +288,11 @@ def comparative_rank(
     substitutes the fixed coordinates as constants, so the model it pivots
     on has 3n - n_verified + 1 columns.
     The raw scores are reported; dividing by their sum gives a feasible
-    simplex point, also returned.
+    simplex point, also returned. ``n_verified`` must be an integer (``None``
+    would drop the pins); ``build_robust_program`` checks its range.
     """
-    if not 1 <= as_count(n_verified, "n_verified") <= p.size:
-        raise ParameterError(f"n_verified {n_verified} outside 1..{p.size}")
-    ((x, objective),) = _solve_rank(p, [budget], pinned=n_verified)
+    pinned = as_count(n_verified, "n_verified")
+    ((x, objective),) = _solve_rank(p, [budget], pinned=pinned)
     return ComparativeRankResult(
         reported=normalize_max_one(x, ids),
         simplex_point=x / x.sum(),

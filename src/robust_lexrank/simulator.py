@@ -77,10 +77,10 @@ class PerturbationSample:
     def __post_init__(self):
         _check_stochastic(self.new_rows, self.new_cols, self.new_corner, self.grown)
 
-    def within_budgets(self, uset: UncertaintySet, tol: float = BUDGET_TOL) -> bool:
-        """Recheck every column and block budget of the uncertainty set."""
+    def within_budgets(self, uset: UncertaintySet) -> bool:
+        """Recheck every column and block budget of the uncertainty set, to ``BUDGET_TOL``."""
         blocks = (self.existing_delta, self.new_rows, self.new_cols, self.new_corner)
-        return bool(_within_budgets(blocks, uset, tol))
+        return bool(_within_budgets(blocks, uset, BUDGET_TOL))
 
 
 def _check_stochastic(new_rows, new_cols, new_corner, grown):

@@ -239,7 +239,7 @@ def test_07_simplex_minimum_exactness():
         worst = max(worst, abs(forced - 1.0 / m))
         for _ in range(50):
             weights = rng.uniform(0.0, 2.0, size=m)
-            value = simplex_decomposition_min(m, weights)  # certified by weak duality
+            value = simplex_decomposition_min(m, weights)  # the closed form
             expected = 1.0 / m if np.all(weights >= 1.0 / m) else float(weights.min())
             worst = max(worst, abs(value - expected))
             for optimum in simplex_minimum_lp(m, weights):  # package simplex, then HiGHS

@@ -502,10 +502,9 @@ class TestSimplexDecompositionMin:
             pytest.param([0.0, 0.0, 0.0], 0.0, id="all-zero"),
         ],
     )
-    def test_edge_weights_both_routes(self, weights, expected):
+    def test_edge_weights_match_the_lp(self, weights, expected):
         weights = np.array(weights)
         m = weights.size
-        assert dualnorms._simplex_minimum_routes(m, weights) == (expected, expected)
         assert simplex_decomposition_min(m, weights) == expected
         for optimum in simplex_minimum_lp(m, weights):
             assert optimum == pytest.approx(expected, abs=1e-12)
@@ -522,21 +521,16 @@ class TestSimplexDecompositionMin:
                 for optimum in simplex_minimum_lp(m, weights):
                     assert value == pytest.approx(optimum, abs=1e-12)
 
-    def test_scalar_routes_match_the_split_arrays(self):
-        # the routes as explicit splits and a constant dual point, as they were built before
+    def test_ties_and_zeros_match_the_lp(self):
+        # weights at 0 and at 1/m exactly, where the two closed-form branches meet
         rng = np.random.default_rng(26)
         for m in range(1, 9):
-            for _ in range(60):
+            for _ in range(6):
                 weights = rng.choice([0.0, 1.0 / m, rng.uniform(0, 2)], size=m)
-                k = int(np.argmin(weights))
-                if weights[k] >= 1.0 / m:
-                    lam, mu = np.full(m, 1.0 / m), np.zeros(m)
-                else:
-                    lam, mu = np.zeros(m), np.eye(m)[k]
-                value = float(lam.max() + weights @ mu)
-                bound = float(np.full(m, min(1.0 / m, weights.min())).min())
-                assert dualnorms._simplex_minimum_routes(m, weights) == (value, bound)
-                assert dualnorms._simplex_minimum(m, weights) == (value, abs(value - bound))
+                value = simplex_decomposition_min(m, weights)
+                assert value == min(1.0 / m, weights.min())
+                for optimum in simplex_minimum_lp(m, weights):
+                    assert value == pytest.approx(optimum, abs=1e-12)
 
 
 class TestCarriedGaps:

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from robust_lexrank import (
+    AdjacencyMatrix,
     BudgetedBox,
     GrowthModel,
     LinearProgram,
@@ -14,6 +15,7 @@ from robust_lexrank import (
     UncertaintySet,
     box_l1_support,
     box_l2_support,
+    build_robust_program,
     comparative_rank,
     decomposition_norm,
     decomposition_norm_l2,
@@ -86,6 +88,9 @@ ENTRY_POINTS = {
         ParameterError, lambda v: BudgetedBox.uniform(2, 1.0, v), [HOLE]
     ),
     "TransitionMatrix": (ConstructionError, TransitionMatrix, [[HOLE, 0.0], [0.0, 1.0]]),
+    "AdjacencyMatrix": (
+        ParameterError, lambda v: AdjacencyMatrix(v, 0.5), [[HOLE, 0.0], [0.0, 1.0]]
+    ),
     "SimilarityMatrix": (ParameterError, SimilarityMatrix, [[HOLE, 0.0], [0.0, 1.0]]),
     "RankVector": (ParameterError, RankVector, [HOLE, 0.0]),
     "GrowthModel": (ParameterError, GrowthModel, [HOLE]),
@@ -142,6 +147,7 @@ def test_every_numeric_entry_point_rejects_non_numbers(entry, bad, in_list):
 COUNTS = {
     "power_iteration max_iter": lambda k: power_iteration(P, max_iter=k),
     "comparative_rank n_verified": lambda k: comparative_rank(P, k, BUDGET),
+    "build_robust_program pinned": lambda k: build_robust_program(P, BUDGET, k),
     "GrowthModel.balanced": GrowthModel.balanced,
     "fixed_size_residual_check n_samples": lambda k: fixed_size_residual_check(P, X, BOX, k),
     "empirical_max_residual n_samples": lambda k: empirical_max_residual(P, X, USET, k),
@@ -150,12 +156,18 @@ COUNTS = {
 }
 
 
-@pytest.mark.parametrize(
-    "bad", [2.5, np.float64(1.0), True, np.True_, "1", None], ids=repr
-)
-@pytest.mark.parametrize("entry", list(COUNTS))
+# a bool is not a count, though Python treats it as the int 1; a None ``pinned``
+# builds the unpinned model, so that one pair is not a bad count
+BAD_COUNTS = [
+    pytest.param(entry, bad, id=f"{entry}-{bad!r}")
+    for bad in [2.5, np.float64(1.0), True, np.True_, "1", None]
+    for entry in COUNTS
+    if not (entry == "build_robust_program pinned" and bad is None)
+]
+
+
+@pytest.mark.parametrize("entry, bad", BAD_COUNTS)
 def test_counts_must_be_integers(entry, bad):
-    # a bool is not a count, though Python treats it as the int 1
     with pytest.raises(ParameterError, match="integer"):
         COUNTS[entry](bad)
 
@@ -164,6 +176,17 @@ def test_counts_must_be_integers(entry, bad):
 @pytest.mark.parametrize("entry", list(COUNTS))
 def test_integer_counts_accepted(entry, kind):
     COUNTS[entry](kind(1))
+
+
+@pytest.mark.parametrize("pinned", [0, -1, 3], ids=["zero", "negative", "n+1"])
+def test_pinned_outside_one_to_n_rejected(pinned):
+    with pytest.raises(ParameterError, match=rf"^n_verified {pinned} outside 1\.\.2$"):
+        build_robust_program(P, BUDGET, pinned)
+
+
+def test_negative_budget_width_rejected():
+    with pytest.raises(ParameterError, match="budget width"):
+        BudgetedBox.uniform(-1, 1.0, 1.0)
 
 
 class TestRule:

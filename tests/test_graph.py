@@ -60,11 +60,15 @@ class TestAdjacencyMatrix:
         assert adjacency.values.dtype == bool
         assert np.array_equal(adjacency.values, path == 1.0)
 
-    @pytest.mark.parametrize("bad", [0.5, np.nan, 2.0], ids=["half", "nan", "two"])
-    def test_non_binary_entry_rejected(self, bad):
+    @pytest.mark.parametrize(
+        "bad, message",
+        [(0.5, "0 or 1"), (np.nan, "must be finite"), (2.0, "0 or 1")],
+        ids=["half", "nan", "two"],
+    )
+    def test_non_binary_entry_rejected(self, bad, message):
         values = np.eye(2)
         values[0, 1] = values[1, 0] = bad
-        with pytest.raises(ParameterError, match="0 or 1"):
+        with pytest.raises(ParameterError, match=message):
             AdjacencyMatrix(values, 0.5)
 
     def test_asymmetric_bool_rejected(self):

@@ -601,7 +601,10 @@ class TestWorstCaseUpperBound:
         base = uniform_budget(11, 0.8)
         x = np.full(11, 1 / 11)
         values = [
-            worst_case_upper_bound(x, transition_02, base.scaled(c)) for c in (0.0, 1.0, 2.0)
+            worst_case_upper_bound(
+                x, transition_02, RobustBudget(base.eps_total * c, base.eps_col * c)
+            )
+            for c in (0.0, 1.0, 2.0)
         ]
         assert values[2] - values[1] == pytest.approx(values[1] - values[0], abs=1e-10)
 
