@@ -5,6 +5,13 @@ lowercasing, splitting on non-alphanumeric runs, no stemming, no stopword
 removal. Inverse document frequency treats each sentence as one document
 and uses a natural log with no smoothing, so a token present in every
 sentence contributes nothing.
+
+Each weight norm and each pair's dot product is a plain left-to-right
+sum of doubles over the sentence's tokens in sorted order, starting at
+0.0. It is written as an explicit loop, not builtin ``sum`` (compensated
+from Python 3.12 on), ``math.fsum`` or ``np.dot``, so the matrix has the
+same bits on every supported Python; ``tests/fixtures/similarity11.csv``
+pins them exactly.
 """
 
 from __future__ import annotations
@@ -110,8 +117,10 @@ def _records(corpus: Corpus) -> list[tuple[int | None, dict, float]]:
         items = sorted(sentence_counts.items())
         group = groups.setdefault(tuple(items), len(groups)) if items else None
         weights = {t: c * idf.get(t, 0.0) for t, c in items}
-        norm = math.sqrt(sum(w * w for w in weights.values()))
-        records.append((group, weights, norm))
+        squares = 0.0
+        for w in weights.values():
+            squares += w * w
+        records.append((group, weights, math.sqrt(squares)))
     return records
 
 
@@ -124,9 +133,12 @@ def _cosine(a, b):
         return 1.0
     if na == 0.0 or nb == 0.0:
         return 0.0
-    # wa is in token order, so this sums over the sorted shared tokens
-    value = sum(w * wb[t] for t, w in wa.items() if t in wb) / (na * nb)
-    return min(value, 1.0)
+    # wa is in token order, so this adds over the sorted shared tokens
+    dot = 0.0
+    for t, w in wa.items():
+        if t in wb:
+            dot += w * wb[t]
+    return min(dot / (na * nb), 1.0)
 
 
 def idf_modified_cosine(a: Sentence, b: Sentence, corpus: Corpus) -> float:

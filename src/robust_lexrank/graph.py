@@ -23,7 +23,10 @@ class AdjacencyMatrix:
     threshold: float
 
     def __post_init__(self):
-        values = np.asarray(self.values)
+        try:
+            values = np.asarray(self.values)
+        except ValueError:
+            raise ParameterError("adjacency entries must not be ragged") from None
         if values.dtype != bool:
             values = real_array(self.values, "adjacency entries", ParameterError)
             if not np.all((values == 0.0) | (values == 1.0)):

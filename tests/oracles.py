@@ -48,8 +48,15 @@ def oracle_similarity_matrix(bodies):
             counts[w] = counts.get(w, 0) + 1
         return {w: c * idf[w] for w, c in sorted(counts.items())}
 
+    def left_to_right(terms):
+        # plain double additions from 0.0, as builtin sum did before 3.12
+        total = 0.0
+        for term in terms:
+            total += term
+        return total
+
     vecs = [weights(d) for d in docs]
-    norms = [math.sqrt(sum(v * v for v in vec.values())) for vec in vecs]
+    norms = [math.sqrt(left_to_right(v * v for v in vec.values())) for vec in vecs]
     matrix = [[0.0] * n for _ in range(n)]
     for i in range(n):
         for j in range(n):
@@ -60,7 +67,7 @@ def oracle_similarity_matrix(bodies):
                 matrix[i][j] = 0.0
                 continue
             shared = sorted(set(vecs[i]) & set(vecs[j]))
-            num = sum(vecs[i][w] * vecs[j][w] for w in shared)
+            num = left_to_right(vecs[i][w] * vecs[j][w] for w in shared)
             matrix[i][j] = min(num / (norms[i] * norms[j]), 1.0)
     return np.array(matrix)
 

@@ -1,5 +1,10 @@
 """Tokenization and similarity-matrix behaviour, pinned by an independent oracle."""
 
+import builtins
+import math
+import random
+import sys
+
 import numpy as np
 import pytest
 
@@ -33,6 +38,31 @@ class TestTokenize:
 
     def test_unicode_quotes_and_apostrophes(self):
         assert tokenize("Iraq’s “commitments”") == ["iraq", "s", "commitments"]
+
+
+_BUILTIN_SUM = builtins.sum
+
+
+def compensated_sum(iterable, start=0):
+    """Builtin ``sum`` as Python 3.12 made it for floats: Neumaier-compensated.
+
+    Only the all-float case with the default start is emulated; anything
+    else goes to the interpreter's own ``sum``.
+    """
+    items = list(iterable)
+    if start != 0 or not all(type(x) is float for x in items):
+        return _BUILTIN_SUM(items, start)
+    total = compensation = 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
 
 
 def two_sentence_corpus(a, b):
@@ -101,6 +131,26 @@ class TestBuildSimilarityMatrix:
     def test_cluster_matches_oracle(self, cluster_corpus, cluster_similarity):
         oracle = oracle_similarity_matrix([s.body for s in cluster_corpus.sentences])
         assert np.array_equal(cluster_similarity.values, oracle)
+
+    def test_fixture_bits_hold_under_compensated_sum(
+        self, cluster_corpus, fixture_similarity, monkeypatch
+    ):
+        # the fixture's bits come from plain left-to-right additions; a
+        # builtin sum on the path would change 46 of its 121 entries on 3.12+
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        values = build_similarity_matrix(cluster_corpus).values
+        oracle = oracle_similarity_matrix([s.body for s in cluster_corpus.sentences])
+        monkeypatch.undo()
+        assert np.array_equal(values, fixture_similarity)
+        assert np.array_equal(oracle, fixture_similarity)
+
+    @pytest.mark.skipif(sys.version_info < (3, 12), reason="builtin sum is compensated from 3.12")
+    def test_compensated_sum_is_the_builtin_one(self):
+        rng = random.Random(3)
+        for _ in range(2000):
+            terms = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20)
+                     for _ in range(rng.randint(0, 12))]
+            assert compensated_sum(terms) == _BUILTIN_SUM(terms), terms
 
     def test_matrix_entries_equal_pairwise_operation(self, cluster_corpus, cluster_similarity):
         for i, a in enumerate(cluster_corpus.sentences):

@@ -71,6 +71,18 @@ class TestAdjacencyMatrix:
         with pytest.raises(ParameterError, match=message):
             AdjacencyMatrix(values, 0.5)
 
+    @pytest.mark.parametrize(
+        "ragged", [[[1, 0], [1]], [[True, False], [True]]], ids=["numbers", "bools"]
+    )
+    def test_ragged_input_rejected(self, ragged):
+        with pytest.raises(ParameterError, match="adjacency entries must not be ragged"):
+            AdjacencyMatrix(ragged, 0.5)
+
+    def test_bool_lists_accepted(self):
+        adjacency = AdjacencyMatrix([[True, False], [False, True]], 0.5)
+        assert adjacency.values.dtype == bool
+        assert np.array_equal(adjacency.values, np.eye(2, dtype=bool))
+
     def test_asymmetric_bool_rejected(self):
         with pytest.raises(ParameterError, match="symmetric"):
             AdjacencyMatrix(np.array([[True, True], [False, True]]), 0.5)
