@@ -11,7 +11,9 @@ sum of doubles over the sentence's tokens in sorted order, starting at
 0.0. It is written as an explicit loop, not builtin ``sum`` (compensated
 from Python 3.12 on), ``math.fsum`` or ``np.dot``, so the matrix has the
 same bits on every supported Python; ``tests/fixtures/similarity11.csv``
-pins them exactly.
+pins them exactly. A pair that shares no token is 0.0 without entering
+the dot loop: the loop would add nothing and the quotient would be the
+same 0.0, so the skip is bit-identical.
 """
 
 from __future__ import annotations
@@ -98,30 +100,36 @@ class SimilarityMatrix:
         return self.values.shape[0]
 
 
-def _records(corpus: Corpus) -> list[tuple[int | None, dict, float]]:
-    """``(multiset id, tf-idf weights in token order, norm)`` of each sentence.
-
-    Sentences with the same token multiset share an id, numbered in corpus
-    order; a token-free sentence has id ``None``. The idf is natural log,
-    one document per sentence.
-    """
-    counts = [Counter(tokenize(s.body)) for s in corpus.sentences]
+def _idf(documents) -> dict[str, float]:
+    """Natural-log idf of each token; each of ``documents`` holds its distinct tokens."""
     document_frequency = Counter()
-    for sentence_counts in counts:
-        # each distinct token of a sentence counts once
-        document_frequency.update(sentence_counts.keys())
-    idf = {t: math.log(len(counts) / df) for t, df in document_frequency.items()}
+    for tokens in documents:
+        document_frequency.update(tokens)
+    return {t: math.log(len(documents) / df) for t, df in document_frequency.items()}
+
+
+def _record(counts: Counter, idf: dict, groups: dict) -> tuple[int | None, dict, float]:
+    """``(multiset id, tf-idf weights in token order, norm)`` of one sentence.
+
+    ``counts`` holds the sentence's token counts. Sentences with the same
+    token multiset share an id from ``groups``, numbered in the order they
+    are first recorded; a token-free sentence has id ``None``.
+    """
+    items = sorted(counts.items())
+    group = groups.setdefault(tuple(items), len(groups)) if items else None
+    weights = {t: c * idf[t] for t, c in items}
+    squares = 0.0
+    for w in weights.values():
+        squares += w * w
+    return group, weights, math.sqrt(squares)
+
+
+def _records(corpus: Corpus) -> list[tuple[int | None, dict, float]]:
+    """The record of each sentence of the corpus, in corpus order."""
+    counts = [Counter(tokenize(s.body)) for s in corpus.sentences]
+    idf = _idf([sentence_counts.keys() for sentence_counts in counts])
     groups = {}
-    records = []
-    for sentence_counts in counts:
-        items = sorted(sentence_counts.items())
-        group = groups.setdefault(tuple(items), len(groups)) if items else None
-        weights = {t: c * idf.get(t, 0.0) for t, c in items}
-        squares = 0.0
-        for w in weights.values():
-            squares += w * w
-        records.append((group, weights, math.sqrt(squares)))
-    return records
+    return [_record(sentence_counts, idf, groups) for sentence_counts in counts]
 
 
 def _cosine(a, b):
@@ -131,7 +139,9 @@ def _cosine(a, b):
     # the defined completion when every shared token has zero idf
     if group_a is not None and group_a == group_b:
         return 1.0
-    if na == 0.0 or nb == 0.0:
+    # with no shared token the loop below adds nothing and the quotient
+    # is 0.0, so returning it here leaves every bit as it was
+    if na == 0.0 or nb == 0.0 or wa.keys().isdisjoint(wb):
         return 0.0
     # wa is in token order, so this adds over the sorted shared tokens
     dot = 0.0
@@ -148,14 +158,18 @@ def idf_modified_cosine(a: Sentence, b: Sentence, corpus: Corpus) -> float:
     whose weight vector has zero norm (no tokens, or only tokens appearing
     in every sentence) has similarity zero against everything except
     itself and token-identical sentences.
+
+    Each call still tokenizes the whole corpus for the idf, so it costs
+    O(corpus tokens); to score many pairs, use ``build_similarity_matrix``,
+    whose entries are the same bits.
     """
-    position = {s: i for i, s in enumerate(corpus.sentences)}
-    if a not in position or b not in position:
+    if a not in corpus.sentences or b not in corpus.sentences:
         raise ParameterError("both sentences must belong to the corpus")
     if a.id == b.id:
         return 1.0
-    records = _records(corpus)
-    return _cosine(records[position[a]], records[position[b]])
+    idf = _idf([set(tokenize(s.body)) for s in corpus.sentences])
+    groups = {}
+    return _cosine(*(_record(Counter(tokenize(s.body)), idf, groups) for s in (a, b)))
 
 
 def build_similarity_matrix(corpus: Corpus) -> SimilarityMatrix:

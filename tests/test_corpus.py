@@ -4,6 +4,7 @@ import builtins
 import math
 import random
 import sys
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from robust_lexrank import (
     read_corpus,
     tokenize,
 )
-from robust_lexrank.corpus import write_matrix_csv
+from robust_lexrank.corpus import _cosine, _records, write_matrix_csv
 from robust_lexrank.errors import ParameterError, ParseError
 
 
@@ -113,6 +114,41 @@ class TestIdfModifiedCosine:
         assert idf_modified_cosine(a, b, corpus) == 0.0
 
 
+class _DotLoopProbe(dict):
+    """Weights that record, or forbid, iteration of their items by the dot loop."""
+
+    def __init__(self, weights, forbid):
+        super().__init__(weights)
+        self.forbid = forbid
+        self.iterated = False
+
+    def items(self):
+        if self.forbid:
+            raise AssertionError("the dot loop ran for a token-disjoint pair")
+        self.iterated = True
+        return super().items()
+
+
+class TestCosineKernel:
+    BODIES = ["alpha beta", "gamma delta", "beta epsilon"]
+
+    @pytest.fixture
+    def records(self):
+        return _records(Corpus.verified(
+            Sentence(f"s{i}", body) for i, body in enumerate(self.BODIES)))
+
+    def test_token_disjoint_pair_skips_the_dot_loop(self, records):
+        group, weights, norm = records[0]
+        assert _cosine((group, _DotLoopProbe(weights, forbid=True), norm), records[1]) == 0.0
+
+    def test_pair_sharing_one_token_runs_the_dot_loop(self, records):
+        group, weights, norm = records[0]
+        probe = _DotLoopProbe(weights, forbid=False)
+        value = _cosine((group, probe, norm), records[2])
+        assert probe.iterated and value > 0.0
+        assert value == oracle_similarity_matrix(self.BODIES)[0, 2]
+
+
 class TestBuildSimilarityMatrix:
     def test_single_sentence(self):
         corpus = Corpus.verified([Sentence("s1", "hello world")])
@@ -175,13 +211,18 @@ class TestBuildSimilarityMatrix:
                 assert idf_modified_cosine(a, b, corpus) == values[i, j], (i, j)
 
     @staticmethod
-    def pair_and_matrix(bodies):
-        """Matrix of the corpus of ``bodies``, after checking the pair API agrees bit for bit."""
+    def pair_and_matrix(bodies, pairs=None):
+        """Matrix of the corpus of ``bodies``, after checking the pair API agrees bit for bit.
+
+        The pair API is checked on the index ``pairs`` given, or on every pair.
+        """
         corpus = Corpus.verified(Sentence(f"s{i}", body) for i, body in enumerate(bodies))
         values = build_similarity_matrix(corpus).values
-        pairwise = [[idf_modified_cosine(a, b, corpus) for b in corpus.sentences]
-                    for a in corpus.sentences]
-        assert np.array_equal(np.array(pairwise), values)
+        if pairs is None:
+            pairs = [(i, j) for i in range(len(bodies)) for j in range(len(bodies))]
+        sentences = corpus.sentences
+        for i, j in pairs:
+            assert idf_modified_cosine(sentences[i], sentences[j], corpus) == values[i, j], (i, j)
         return values
 
     def test_reordered_recased_tokens_are_identical(self):
@@ -200,6 +241,38 @@ class TestBuildSimilarityMatrix:
     def test_different_token_free_sentences_are_dissimilar(self):
         values = self.pair_and_matrix(["!!! ???", "...", "alpha beta"])
         assert values[0, 1] == 0.0 and values[0, 2] == 0.0
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_topic_corpora_match_oracle(self, cluster_corpus, seed):
+        # as the rank-topics benchmark builds them: cluster words, drawn by
+        # frequency, with a per-topic suffix, so topics share no token
+        counts = Counter(t for s in cluster_corpus.sentences for t in tokenize(s.body))
+        words = sorted(counts)
+        probs = np.array([counts[w] for w in words], dtype=float)
+        probs /= probs.sum()
+        rng = np.random.default_rng(seed)
+        n, topics = int(rng.integers(100, 151)), 4
+        topic = [i % topics for i in range(n)] + [None, 1]
+        bodies = [" ".join(words[j] + f"zq{i % topics}"
+                           for j in rng.choice(len(words), size=int(rng.integers(12, 30)), p=probs))
+                  for i in range(n)]
+        # a token-free sentence and a duplicate of sentence 1
+        bodies += ["!!! ???", bodies[1]]
+        cross = [(i, j) for i in range(len(bodies)) for j in range(len(bodies))
+                 if topic[i] != topic[j]]
+        pairs = random.Random(seed).sample(cross, 150) + [
+            (1, n + 1), (n, 0), (0, n), (0, 4), (2, 6), (3, 3)]
+        # a token in every sentence has zero idf: no pair is token-disjoint,
+        # yet the cross-topic similarities stay exactly zero
+        for corpus_bodies in (bodies, [b + " everywhere" for b in bodies]):
+            values = self.pair_and_matrix(corpus_bodies, pairs)
+            assert values[1, n + 1] == values[n + 1, 1] == 1.0
+            # the duplicate pair is 1.0 by definition, where the oracle's
+            # cosine can fall an ulp short
+            oracle = oracle_similarity_matrix(corpus_bodies)
+            oracle[1, n + 1] = oracle[n + 1, 1] = 1.0
+            assert np.array_equal(values, oracle)
+            assert all(values[i, j] == 0.0 for i, j in cross)
 
     def test_permutation_equivariance(self, cluster_corpus, cluster_similarity):
         rng = np.random.default_rng(7)
