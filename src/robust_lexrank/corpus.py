@@ -11,9 +11,15 @@ sum of doubles over the sentence's tokens in sorted order, starting at
 0.0. It is written as an explicit loop, not builtin ``sum`` (compensated
 from Python 3.12 on), ``math.fsum`` or ``np.dot``, so the matrix has the
 same bits on every supported Python; ``tests/fixtures/similarity11.csv``
-pins them exactly. A pair that shares no token is 0.0 without entering
-the dot loop: the loop would add nothing and the quotient would be the
-same 0.0, so the skip is bit-identical.
+pins them exactly.
+
+``build_similarity_matrix`` fills each row with one comprehension over
+the later sentences. Each sentence record carries a ``frozenset`` of its
+tokens, and a pair whose sets are disjoint is 0.0 from that one C-level
+test, with no Python call and no dot loop: the loop would add nothing and
+the quotient would be the same 0.0, so the skip is bit-identical. The
+records hold one string object per distinct token of the corpus, and
+each sentence's token counts are dropped as soon as its record is built.
 """
 
 from __future__ import annotations
@@ -30,6 +36,10 @@ from .errors import ParameterError, ParseError, real_array
 TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
 SYMMETRY_TOL = 1e-12
+
+# rows compared per step of the symmetry check; its temporary is at most
+# this many rows of the matrix
+SYMMETRY_BLOCK_ROWS = 64
 
 
 def tokenize(body: str) -> list[str]:
@@ -87,10 +97,13 @@ class SimilarityMatrix:
         object.__setattr__(self, "values", values)
         if values.ndim != 2 or values.shape[0] != values.shape[1]:
             raise ParameterError("similarity matrix must be square")
-        asymmetry = values - values.T
-        if np.abs(asymmetry, out=asymmetry).max(initial=0.0) > SYMMETRY_TOL:
-            raise ParameterError("similarity matrix must be symmetric")
-        if np.any(values < -SYMMETRY_TOL) or np.any(values > 1 + SYMMETRY_TOL):
+        for start in range(0, values.shape[0], SYMMETRY_BLOCK_ROWS):
+            stop = start + SYMMETRY_BLOCK_ROWS
+            # rows start:stop right of the diagonal against their mirror image
+            asymmetry = values[start:stop, start:] - values[start:, start:stop].T
+            if max(asymmetry.max(), -asymmetry.min()) > SYMMETRY_TOL:
+                raise ParameterError("similarity matrix must be symmetric")
+        if values.min(initial=0.0) < -SYMMETRY_TOL or values.max(initial=1.0) > 1 + SYMMETRY_TOL:
             raise ParameterError("similarities must lie in [0, 1]")
         if values.shape[0] and np.abs(np.diag(values) - 1.0).max() > SYMMETRY_TOL:
             raise ParameterError("similarity diagonal must be one")
@@ -108,8 +121,8 @@ def _idf(documents) -> dict[str, float]:
     return {t: math.log(len(documents) / df) for t, df in document_frequency.items()}
 
 
-def _record(counts: Counter, idf: dict, groups: dict) -> tuple[int | None, dict, float]:
-    """``(multiset id, tf-idf weights in token order, norm)`` of one sentence.
+def _record(counts: Counter, idf: dict, groups: dict) -> tuple[int | None, frozenset, dict, float]:
+    """``(multiset id, token set, tf-idf weights in token order, norm)`` of one sentence.
 
     ``counts`` holds the sentence's token counts. Sentences with the same
     token multiset share an id from ``groups``, numbered in the order they
@@ -117,31 +130,44 @@ def _record(counts: Counter, idf: dict, groups: dict) -> tuple[int | None, dict,
     """
     items = sorted(counts.items())
     group = groups.setdefault(tuple(items), len(groups)) if items else None
-    weights = {t: c * idf[t] for t, c in items}
+    # a token seen once reuses the idf's float object, with the same bits
+    weights = {t: idf[t] if c == 1 else c * idf[t] for t, c in items}
     squares = 0.0
     for w in weights.values():
         squares += w * w
-    return group, weights, math.sqrt(squares)
+    return group, frozenset(weights), weights, math.sqrt(squares)
 
 
-def _records(corpus: Corpus) -> list[tuple[int | None, dict, float]]:
-    """The record of each sentence of the corpus, in corpus order."""
-    counts = [Counter(tokenize(s.body)) for s in corpus.sentences]
+def _records(corpus: Corpus) -> list[tuple[int | None, frozenset, dict, float]]:
+    """The record of each sentence of the corpus, in corpus order.
+
+    Every token is interned through ``vocabulary``, so the records share
+    one string object per distinct token. Each sentence's counts are
+    released once its record is built.
+    """
+    vocabulary = {}
+    counts = []
+    for s in corpus.sentences:
+        tokens = tokenize(s.body)
+        counts.append(Counter(map(vocabulary.setdefault, tokens, tokens)))
     idf = _idf([sentence_counts.keys() for sentence_counts in counts])
     groups = {}
-    return [_record(sentence_counts, idf, groups) for sentence_counts in counts]
+    records = []
+    for i, sentence_counts in enumerate(counts):
+        counts[i] = None
+        records.append(_record(sentence_counts, idf, groups))
+    return records
 
 
 def _cosine(a, b):
-    (group_a, wa, na), (group_b, wb, nb) = a, b
+    """Cosine of two records that share a token; callers test the token sets first."""
+    (group_a, _, wa, na), (group_b, _, wb, nb) = a, b
     # identical nonempty token multisets are fully similar; this is the
     # exact value of the cosine whenever the weight norm is positive and
     # the defined completion when every shared token has zero idf
     if group_a is not None and group_a == group_b:
         return 1.0
-    # with no shared token the loop below adds nothing and the quotient
-    # is 0.0, so returning it here leaves every bit as it was
-    if na == 0.0 or nb == 0.0 or wa.keys().isdisjoint(wb):
+    if na == 0.0 or nb == 0.0:
         return 0.0
     # wa is in token order, so this adds over the sorted shared tokens
     dot = 0.0
@@ -169,7 +195,8 @@ def idf_modified_cosine(a: Sentence, b: Sentence, corpus: Corpus) -> float:
         return 1.0
     idf = _idf([set(tokenize(s.body)) for s in corpus.sentences])
     groups = {}
-    return _cosine(*(_record(Counter(tokenize(s.body)), idf, groups) for s in (a, b)))
+    ra, rb = (_record(Counter(tokenize(s.body)), idf, groups) for s in (a, b))
+    return 0.0 if ra[1].isdisjoint(rb[1]) else _cosine(ra, rb)
 
 
 def build_similarity_matrix(corpus: Corpus) -> SimilarityMatrix:
@@ -177,11 +204,19 @@ def build_similarity_matrix(corpus: Corpus) -> SimilarityMatrix:
     if len(corpus) == 0:
         raise ParseError("corpus is empty")
     records = _records(corpus)
+    # zipping the sets from a list of their own is faster than unpacking
+    # each record in the comprehension
+    token_sets = [record[1] for record in records]
     values = np.eye(len(records))
     for i, a in enumerate(records):
-        values[i, i + 1 :] = values[i + 1 :, i] = [_cosine(a, b) for b in records[i + 1 :]]
-    # free the records before validation allocates its n x n temporary
-    del records
+        disjoint = a[1].isdisjoint
+        row = values[i, i + 1 :]
+        row[:] = [0.0 if disjoint(tokens) else _cosine(a, b)
+                  for tokens, b in zip(token_sets[i + 1 :], records[i + 1 :])]
+        # the column copies the row's array, not the list a second time
+        values[i + 1 :, i] = row
+    # free the records before validation allocates its row blocks
+    del records, token_sets
     return SimilarityMatrix(values)
 
 

@@ -5,6 +5,7 @@ family, so failures are distinguishable from shell scripts. The rule at the
 end reads every public numeric input; each caller names its error class.
 """
 
+import math
 import numbers
 
 import numpy as np
@@ -92,6 +93,10 @@ class SetupError(RobustLexRankError, RuntimeError):
 
 _NESTED = (list, tuple, np.ndarray)
 
+# past this many entries ``real_array`` tests finiteness by the extremes;
+# below it one entrywise test is faster and its bool array is small
+FINITE_BY_EXTREMES_ENTRIES = 1 << 16
+
 
 def _is_real_type(kind):
     """Python's and numpy's ints and floats, and other real numbers; not bools."""
@@ -130,7 +135,13 @@ def real_array(values, what, error, shape=None):
         raise error(f"{what} must not be ragged") from None
     if shape is not None and array.shape != shape:
         raise error(f"{what} have shape {array.shape} where {shape} is needed")
-    if not np.isfinite(array).all():
+    if array.size > FINITE_BY_EXTREMES_ENTRIES:
+        # NaN and infinities reach the extremes, so two reductions need no
+        # entrywise temporary
+        finite = math.isfinite(array.min()) and math.isfinite(array.max())
+    else:
+        finite = np.isfinite(array).all()
+    if not finite:
         raise error(f"{what} must be finite")
     return array
 

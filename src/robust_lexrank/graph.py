@@ -56,7 +56,7 @@ class TransitionMatrix:
             raise ConstructionError("transition matrix must be square")
         if not values.size:
             raise ConstructionError("transition matrix needs at least one sentence")
-        if np.any(values < 0):
+        if values.min() < 0:
             raise ConstructionError("transition entries must be nonnegative")
         sums = values.sum(axis=0)
         if np.abs(sums - 1.0).max(initial=0.0) > COLUMN_SUM_TOL:

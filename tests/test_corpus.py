@@ -20,7 +20,8 @@ from robust_lexrank import (
     read_corpus,
     tokenize,
 )
-from robust_lexrank.corpus import _cosine, _records, write_matrix_csv
+from robust_lexrank import corpus as corpus_module
+from robust_lexrank.corpus import SYMMETRY_BLOCK_ROWS, _record, _records, write_matrix_csv
 from robust_lexrank.errors import ParameterError, ParseError
 
 
@@ -115,38 +116,57 @@ class TestIdfModifiedCosine:
 
 
 class _DotLoopProbe(dict):
-    """Weights that record, or forbid, iteration of their items by the dot loop."""
+    """Weights that log each iteration of their items; only the dot loop iterates them."""
 
-    def __init__(self, weights, forbid):
+    def __init__(self, weights, log):
         super().__init__(weights)
-        self.forbid = forbid
-        self.iterated = False
+        self.log = log
 
     def items(self):
-        if self.forbid:
-            raise AssertionError("the dot loop ran for a token-disjoint pair")
-        self.iterated = True
+        self.log.append(tuple(self))
         return super().items()
 
 
 class TestCosineKernel:
+    # only sentences 0 and 2 share a token
     BODIES = ["alpha beta", "gamma delta", "beta epsilon"]
 
     @pytest.fixture
-    def records(self):
-        return _records(Corpus.verified(
-            Sentence(f"s{i}", body) for i, body in enumerate(self.BODIES)))
+    def corpus(self):
+        return Corpus.verified(Sentence(f"s{i}", body) for i, body in enumerate(self.BODIES))
 
-    def test_token_disjoint_pair_skips_the_dot_loop(self, records):
-        group, weights, norm = records[0]
-        assert _cosine((group, _DotLoopProbe(weights, forbid=True), norm), records[1]) == 0.0
+    @pytest.fixture
+    def dot_loops(self, monkeypatch):
+        """The tokens of the first record of each pair that enters the dot loop, in order."""
+        log = []
 
-    def test_pair_sharing_one_token_runs_the_dot_loop(self, records):
-        group, weights, norm = records[0]
-        probe = _DotLoopProbe(weights, forbid=False)
-        value = _cosine((group, probe, norm), records[2])
-        assert probe.iterated and value > 0.0
-        assert value == oracle_similarity_matrix(self.BODIES)[0, 2]
+        def probed(counts, idf, groups):
+            group, tokens, weights, norm = _record(counts, idf, groups)
+            return group, tokens, _DotLoopProbe(weights, log), norm
+
+        monkeypatch.setattr(corpus_module, "_record", probed)
+        return log
+
+    def test_records_share_one_string_per_token(self, corpus):
+        records = _records(corpus)
+        (_, _, first, _), (_, tokens, third, _) = records[0], records[2]
+        assert tokens == frozenset(third) == {"beta", "epsilon"}
+        assert next(t for t in first if t == "beta") is next(t for t in third if t == "beta")
+
+    def test_matrix_runs_the_dot_loop_only_for_pairs_sharing_a_token(self, corpus, dot_loops):
+        values = build_similarity_matrix(corpus).values
+        assert dot_loops == [("alpha", "beta")]
+        assert np.array_equal(values, oracle_similarity_matrix(self.BODIES))
+
+    def test_pair_runs_the_dot_loop_only_if_it_shares_a_token(self, corpus, dot_loops):
+        oracle = oracle_similarity_matrix(self.BODIES)
+        assert oracle[0, 2] > 0.0
+        for i, j, loops in [(0, 1, []), (1, 2, []), (2, 1, []), (0, 2, [("alpha", "beta")]),
+                            (2, 0, [("beta", "epsilon")])]:
+            dot_loops.clear()
+            value = idf_modified_cosine(corpus.sentences[i], corpus.sentences[j], corpus)
+            assert dot_loops == loops, (i, j)
+            assert value == oracle[i, j], (i, j)
 
 
 class TestBuildSimilarityMatrix:
@@ -286,6 +306,48 @@ class TestValidationAndIo:
     def test_similarity_matrix_rejects_asymmetry(self):
         with pytest.raises(ParameterError):
             SimilarityMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
+
+    @staticmethod
+    def symmetric(n):
+        """A valid similarity matrix of size ``n``, with entries strictly inside (0, 1)."""
+        values = np.random.default_rng(n).uniform(0.25, 0.75, (n, n))
+        values = (values + values.T) / 2
+        np.fill_diagonal(values, 1.0)
+        return values
+
+    @pytest.mark.parametrize("blocks", [1, 2, 3])
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    def test_symmetry_checked_across_block_edges(self, blocks, extra):
+        # n on, one short of and one past a multiple of the block size; rows
+        # on both sides of the first and of the last block edge
+        n = blocks * SYMMETRY_BLOCK_ROWS + extra
+        last = (n - 1) // SYMMETRY_BLOCK_ROWS * SYMMETRY_BLOCK_ROWS
+        edges = {0, SYMMETRY_BLOCK_ROWS - 1, SYMMETRY_BLOCK_ROWS, last - 1, last, n - 1}
+        edges = sorted(edges & set(range(n)))
+        for row in edges:
+            for col in (0, n - 1, (row + 1) % n):
+                if row == col:
+                    continue
+                for gap, ok in [(2e-12, False), (0.5e-12, True)]:
+                    values = self.symmetric(n)
+                    values[row, col] += gap
+                    if ok:
+                        assert SimilarityMatrix(values).size == n
+                    else:
+                        with pytest.raises(ParameterError, match="symmetric"):
+                            SimilarityMatrix(values)
+
+    @pytest.mark.parametrize("entry", [-2e-12, 1 + 2e-12])
+    @pytest.mark.parametrize("where", ["first", "last"])
+    def test_similarity_matrix_rejects_entries_outside_unit_interval(self, entry, where):
+        n = SYMMETRY_BLOCK_ROWS + 3
+        values = self.symmetric(n)
+        i, j = (0, 1) if where == "first" else (n - 2, n - 1)
+        values[i, j] = values[j, i] = entry
+        with pytest.raises(ParameterError, match=r"\[0, 1\]"):
+            SimilarityMatrix(values)
+        values[i, j] = values[j, i] = min(max(entry, -0.5e-12), 1 + 0.5e-12)
+        assert SimilarityMatrix(values).size == n
 
     def test_similarity_matrix_rejects_bad_diagonal(self):
         with pytest.raises(ParameterError):

@@ -32,6 +32,7 @@ from robust_lexrank import (
     worst_case_upper_bound,
 )
 from robust_lexrank.errors import (
+    FINITE_BY_EXTREMES_ENTRIES,
     ConstructionError,
     ModelError,
     NormalizationError,
@@ -224,6 +225,23 @@ class TestRule:
         values = np.array([1.0, 2.0])
         assert real_array(values, "weights", ModelError) is values
         assert real_array([1, 2], "weights", ModelError).dtype == float
+
+    @pytest.mark.parametrize("size", [7, FINITE_BY_EXTREMES_ENTRIES + 1],
+                             ids=["entrywise", "extremes"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    @pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+    def test_real_array_rejects_non_finite_at_either_end(self, size, bad, where):
+        values = np.linspace(-1.0, 1.0, size)
+        assert real_array(values, "weights", ModelError) is values
+        values[where] = bad
+        with pytest.raises(ModelError, match="^weights must be finite$"):
+            real_array(values, "weights", ModelError)
+        with pytest.raises(ModelError, match="^weights must be finite$"):
+            real_array(values.reshape(size, 1), "weights", ModelError)
+
+    def test_real_array_accepts_empty(self):
+        assert real_array([], "weights", ModelError).shape == (0,)
+        assert real_array(np.empty((0, 3)), "weights", ModelError, (0, 3)).shape == (0, 3)
 
     def test_as_count(self):
         assert as_count(np.int64(3), "n") == 3 and type(as_count(np.int64(3), "n")) is int

@@ -188,8 +188,9 @@ def traced_peak(build):
 
 def test_similarity_and_transition_peaks_stay_below_spare_dense_arrays(cluster_corpus):
     # in units of one n x n float array: the similarity stage keeps its
-    # result plus one asymmetry temporary, and the transition stage its
-    # result plus bool arrays; one spare float array per stage exceeds these
+    # result plus the sentence records and one row block of the symmetry
+    # check, and the transition stage its result plus bool arrays; one
+    # spare float array per stage exceeds these
     n = 400
     vocabulary = sorted({t for s in cluster_corpus.sentences for t in tokenize(s.body)})
     rng = np.random.default_rng(3)
@@ -200,5 +201,5 @@ def test_similarity_and_transition_peaks_stay_below_spare_dense_arrays(cluster_c
     unit = 8 * n * n
     similarity, similarity_peak = traced_peak(lambda: build_similarity_matrix(corpus))
     _, transition_peak = traced_peak(lambda: to_transition(threshold_adjacency(similarity, 0.2)))
-    assert similarity_peak / unit < 3.0
+    assert similarity_peak / unit < 2.0
     assert transition_peak / unit < 1.7
