@@ -11,6 +11,23 @@ support of a feasible ``z`` bounds it from below, and the two must meet. A
 Frobenius worst-case identity and the closed-form simplex minimum of the
 weighted decomposition norm round out the toolkit. Nothing here calls the
 LP solver.
+
+The evaluators see a few coordinates per call (``verify`` draws at most
+eight), so their per-coordinate work runs over Python floats taken from one
+``tolist()``: the greedy, the breakpoint prefix sums, the water-fill, the
+split and the certificate's feasibility test. Each sum is an explicit
+left-to-right loop, since builtin ``sum()`` over floats is compensated from
+Python 3.12 on, and each loop reproduces the numpy reduction it stands for,
+NaN and signed zeros included. The sort orders stay stable numpy argsorts.
+The reductions whose bits reach a result stay numpy dot products (``z @ x``,
+``weights @ |mu|``, ``eps_col @ |mu|`` and ``_norm``): BLAS does not add a
+dot product left to right, so a loop would change their last bits.
+``tests/oracles.py`` keeps the earlier whole-array code, and every field
+of every result equals its output bit for bit.
+
+A certificate ``z`` must lie in the ball and under each cap within
+``FEASIBILITY_TOL`` times the radius or cap once that exceeds one, so
+rounding at large budgets does not fail a valid certificate.
 """
 
 from __future__ import annotations
@@ -21,10 +38,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateBudgetError, NumericError, ParameterError, as_count, real_array
-from .errors import real_entries, real_number
+from .errors import real_number
 
 DUALITY_TOL = 1e-8
 ATTAINMENT_TOL = 1e-9
+FEASIBILITY_TOL = 1e-9
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,17 +108,21 @@ def box_l1_support(x, box: BudgetedBox) -> DualCertificate:
     x = real_array(x, "vector entries", ParameterError, (box.size,))
     values, caps = x.tolist(), box.eps_col.tolist()
     z = [0.0] * x.size
-    remaining = float(box.eps_total)
-    for j in np.argsort(-np.abs(x), kind="stable").tolist():
+    remaining = box.eps_total
+    for j in _descending(x):
         if remaining <= 0:
             break
         # a zero entry takes nothing: its sign is zero
         z[j] = ((values[j] > 0) - (values[j] < 0)) * min(caps[j], remaining)
         remaining -= abs(z[j])
-    z = np.array(z, dtype=float)
-    value = float(z @ x)
     _check_certificate(z, box, ball="l1")
-    return DualCertificate(z=z, value=value, ball="l1")
+    z = np.array(z)
+    return DualCertificate(z=z, value=float(z @ x), ball="l1")
+
+
+def _descending(x):
+    """Indices of ``x`` by decreasing ``|x_j|``, the lower index first on ties."""
+    return np.argsort(-np.abs(x), kind="stable").tolist()
 
 
 def _norm(v):
@@ -110,13 +132,23 @@ def _norm(v):
 
 
 def _check_certificate(z, box, ball):
-    magnitude = np.abs(z)
-    norm = magnitude.sum() if ball == "l1" else _norm(z)
-    if norm > box.eps_total + 1e-9:
+    """Raise ``NumericError`` unless the entries ``z`` (floats) lie in the ball
+    and under the caps, each within ``FEASIBILITY_TOL`` times its bound once
+    that bound exceeds one. A NaN entry leaves the ball."""
+    sizes = [abs(v) for v in z]
+    norm = 0.0
+    if ball == "l1":
+        for size in sizes:
+            norm += size
+    else:
+        for size in sizes:
+            norm += size * size
+        norm = math.sqrt(norm)
+    if not norm <= box.eps_total + FEASIBILITY_TOL * max(1.0, box.eps_total):
         raise NumericError(f"certificate leaves the {ball} ball", gap=norm - box.eps_total)
-    excess = magnitude - box.eps_col
-    if excess.max(initial=0.0) > 1e-9:
-        raise NumericError("certificate leaves the box", gap=float(excess.max()))
+    for size, cap in zip(sizes, box.eps_col.tolist()):
+        if size > cap and size - cap > FEASIBILITY_TOL * max(1.0, cap):
+            raise NumericError("certificate leaves the box", gap=size - cap)
 
 
 def decomposition_norm(x, box: BudgetedBox) -> NormDecomposition:
@@ -129,24 +161,41 @@ def decomposition_norm(x, box: BudgetedBox) -> NormDecomposition:
     piecewise linear, with its minimum at zero or at some ``|x_j|``. One
     descending sort of ``|x|`` and prefix sums of ``w`` and ``w |x|``
     evaluate every breakpoint. The value of the split is checked against
-    ``box_l1_support`` (see ``_certified``).
+    ``box_l1_support`` (see ``_certified``), which also validates ``x``.
     """
     if box.eps_total <= 0:
         raise DegenerateBudgetError("decomposition norm undefined for zero total budget")
-    x = real_array(x, "vector entries", ParameterError, (box.size,))
+    certificate = box_l1_support(x, box)
+    x = np.asarray(x, dtype=float)
+    values = x.tolist()
     weights = box.eps_col / box.eps_total
-    absx = np.abs(x)
-    order = np.argsort(-absx, kind="stable")
-    # breakpoint k is the k-th largest |x_j|, then zero; above it lie the first k entries
-    breaks = np.append(absx[order], 0.0)
-    w = weights[order]
-    above = np.concatenate(([0.0], np.cumsum(w)))
-    excess = np.concatenate(([0.0], np.cumsum(w * breaks[:-1])))
-    t = breaks[np.argmin(breaks * (1.0 - above) + excess)]
-    mu = np.sign(x) * np.maximum(absx - t, 0.0)
-    lam = x - mu
-    value = float(np.abs(lam).max(initial=0.0) + weights @ np.abs(mu))
-    return _certified(lam, mu, value, box_l1_support(x, box), box.eps_total)
+    w = weights.tolist()
+    # breakpoint k is the k-th largest |x_j|, then zero; above it lie the first k
+    # entries, whose weights sum to ``above`` and weighted sizes to ``excess``
+    steps = [(abs(values[j]), w[j]) for j in _descending(x)]
+    steps.append((0.0, 0.0))
+    t, least = 0.0, math.inf
+    above = excess = 0.0
+    for size, weight in steps:
+        cost = size * (1.0 - above) + excess
+        # the first least cost, and a NaN cost is least, as ``np.argmin`` has it
+        if not cost >= least:
+            t, least = size, cost
+            if cost != cost:
+                break
+        above += weight
+        excess += weight * size
+    mu, lam, largest = [], [], 0.0
+    for v in values:
+        cut = abs(v) - t
+        part = ((v > 0) - (v < 0)) * (0.0 if cut < 0.0 else cut)
+        mu.append(part)
+        lam.append(v - part)
+        if abs(v - part) > largest:
+            largest = abs(v - part)
+    mu = np.array(mu)
+    value = float(largest + weights @ np.abs(mu))
+    return _certified(np.array(lam), mu, value, certificate, box.eps_total)
 
 
 def _certified(lam, mu, value, certificate, scale) -> NormDecomposition:
@@ -210,23 +259,39 @@ def box_l2_support(x, box: BudgetedBox) -> DualCertificate:
     ``sqrt((eps^2 - C_k) / S_k)``.
     """
     x = real_array(x, "vector entries", ParameterError, (box.size,))
-    signs = np.sign(x)
-    absx = np.abs(x)
-    z = signs * box.eps_col
-    clamped = _norm(z) <= box.eps_total
+    values, caps = x.tolist(), box.eps_col.tolist()
+    signs = [(v > 0) - (v < 0) for v in values]
+    z = [s * cap for s, cap in zip(signs, caps)]
+    clamped = _norm(np.array(z)) <= box.eps_total
     if not clamped:
+        sizes = [abs(v) for v in values]
         # zero entries never clamp and add nothing to S_k: they sort last and are cut off
-        ratio = np.divide(box.eps_col, absx, out=np.full(x.size, np.inf), where=absx > 0)
-        order = np.argsort(ratio, kind="stable")[: np.count_nonzero(absx)]
-        caps_sq = box.eps_col[order] ** 2
-        clamped_sq = np.concatenate(([0.0], np.cumsum(caps_sq[:-1])))
-        free_sq = np.cumsum((absx[order] ** 2)[::-1])[::-1]
-        room = np.maximum(box.eps_total**2 - clamped_sq, 0.0)
-        kappa = math.sqrt((room / free_sq).max())
-        z = signs * np.minimum(box.eps_col, kappa * absx)
-    value = float(z @ x)
+        ratios = [cap / size if size > 0 else math.inf for cap, size in zip(caps, sizes)]
+        order = np.argsort(ratios, kind="stable")[: x.size - sizes.count(0.0)].tolist()
+        free_sq, free = [], 0.0
+        for j in reversed(order):
+            free += sizes[j] * sizes[j]
+            free_sq.append(free)
+        # the largest room / free ratio, NaN if any is (as ``max`` over numpy
+        # arrays); ``eps ** 2`` is libm's pow, which rounds a few squares apart
+        # from ``eps * eps``, so the two are not interchangeable here
+        kappa_sq, clamped_sq, budget_sq = 0.0, 0.0, box.eps_total**2
+        for j, free in zip(order, reversed(free_sq)):
+            room = budget_sq - clamped_sq
+            room = 0.0 if room < 0.0 else room
+            # an underflowed ``free`` divides as IEEE 754 has it
+            ratio = room / free if free else (math.inf if room > 0.0 else math.nan)
+            if ratio > kappa_sq or ratio != ratio:
+                kappa_sq = ratio
+            clamped_sq += caps[j] * caps[j]
+        kappa = math.sqrt(kappa_sq)
+        z = []
+        for s, cap, size in zip(signs, caps, sizes):
+            reach = kappa * size
+            z.append(s * (cap if cap < reach else reach))
     _check_certificate(z, box, ball="l2")
-    return DualCertificate(z=z, value=value, ball="l2", clamped=clamped)
+    z = np.array(z)
+    return DualCertificate(z=z, value=float(z @ x), ball="l2", clamped=clamped)
 
 
 def decomposition_norm_l2(x, box: BudgetedBox) -> NormDecomposition:
@@ -236,17 +301,22 @@ def decomposition_norm_l2(x, box: BudgetedBox) -> NormDecomposition:
     kappa`` (the largest ``|z_j| / |x_j|`` is the scaling ``kappa``, taken by
     every coordinate that does not clamp), or ``lam = 0`` when the fully
     clamped point fits inside the ball. Its value is checked against the
-    support (see ``_certified``).
+    support (see ``_certified``), which also validates ``x``.
     """
     if box.eps_total <= 0:
         raise DegenerateBudgetError("l2 decomposition undefined for zero total budget")
-    x = real_array(x, "vector entries", ParameterError, (box.size,))
     certificate = box_l2_support(x, box)
+    x = np.asarray(x, dtype=float)
     if certificate.clamped:
         lam = np.zeros_like(x)
     else:
-        nonzero = x != 0
-        lam = certificate.z / np.abs(certificate.z[nonzero] / x[nonzero]).max()
+        kappa = 0.0
+        for v, reach in zip(x.tolist(), certificate.z.tolist()):
+            if v:
+                scale = abs(reach / v)
+                if scale > kappa or scale != scale:
+                    kappa = scale
+        lam = certificate.z / kappa
     mu = x - lam
     value = box.eps_total * _norm(lam) + float(box.eps_col @ np.abs(mu))
     return _certified(lam, mu, value, certificate, 1.0)
@@ -273,16 +343,22 @@ def frobenius_worst_case(a0, directions, radii) -> FrobeniusWorstCase:
     a0 = real_array(a0, "a0 entries", ParameterError)
     if a0.ndim != 1 or a0.size == 0:
         raise ParameterError("a0 must be a nonempty vector")
-    if not real_entries(directions):
-        raise ParameterError("directions must be real numbers")
+    # each direction's entries are validated once, by ``real_array``
+    sequence = isinstance(directions, (list, tuple)) or getattr(directions, "ndim", 0) > 0
+    if not sequence:
+        raise ParameterError("directions must be a sequence of vectors")
     directions = [real_array(a, "direction entries", ParameterError) for a in directions]
     if any(a.ndim != 1 for a in directions):
         raise ParameterError("every direction must be a vector")
-    radii = real_array(radii, "radii", ParameterError, (len(directions),))
-    if (radii < 0).any():
+    radii = real_array(radii, "radii", ParameterError, (len(directions),)).tolist()
+    if min(radii, default=0.0) < 0:
         raise ParameterError("radii must be nonnegative")
+    norms = [_norm(a) for a in directions]
+    spread = 0.0
+    for r, norm_a in zip(radii, norms):
+        spread += r * norm_a
     norm0 = _norm(a0)
-    value = norm0 + float(sum(r * _norm(a) for r, a in zip(radii, directions)))
+    value = norm0 + spread
     if norm0 > 0:
         unit0 = a0 / norm0
     else:
@@ -290,12 +366,11 @@ def frobenius_worst_case(a0, directions, radii) -> FrobeniusWorstCase:
         unit0[0] = 1.0
     maximizers = []
     attained = a0.copy()
-    for r, a in zip(radii, directions):
-        norm_a = _norm(a)
+    for r, a, norm_a in zip(radii, directions, norms):
         if norm_a == 0:
             xi = np.zeros((a0.size, a.size))
         else:
-            xi = r * np.outer(unit0, a) / norm_a
+            xi = r * np.multiply.outer(unit0, a) / norm_a
         maximizers.append(xi)
         attained = attained + xi @ a
     gap = abs(_norm(attained) - value)

@@ -124,9 +124,10 @@ def real_entries(values):
     return scalars == types or all(map(real_entries, [v for v in values if type(v) in _NESTED]))
 
 
-def real_array(values, what, error, shape=None):
+def real_array(values, what, error, shape=None, finite=True):
     """``values`` as a float array, else ``error`` naming ``what`` (a plural noun):
-    real numbers that form an array, of ``shape`` if one is given, all finite."""
+    real numbers that form an array, of ``shape`` if one is given, all finite
+    unless ``finite`` is false (for callers whose range test rejects them)."""
     if not real_entries(values):
         raise error(f"{what} must be real numbers")
     try:
@@ -135,6 +136,8 @@ def real_array(values, what, error, shape=None):
         raise error(f"{what} must not be ragged") from None
     if shape is not None and array.shape != shape:
         raise error(f"{what} have shape {array.shape} where {shape} is needed")
+    if not finite:
+        return array
     if array.size > FINITE_BY_EXTREMES_ENTRIES:
         # NaN and infinities reach the extremes, so two reductions need no
         # entrywise temporary

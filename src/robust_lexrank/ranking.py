@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConvergenceError, NormalizationError, ParameterError, as_count, real_array
-from .errors import real_entries, real_number
+from .errors import real_number
 from .graph import TransitionMatrix
 
 DEFAULT_TOL = 1e-12
@@ -27,9 +27,8 @@ class RankVector:
     values: np.ndarray
 
     def __post_init__(self):
-        if not real_entries(self.values):
-            raise ParameterError("rank entries must be real numbers")
-        values = np.asarray(self.values, dtype=float)
+        # the range tests below reject non-finite entries with their own messages
+        values = real_array(self.values, "rank entries", ParameterError, finite=False)
         object.__setattr__(self, "values", values)
         if values.ndim != 1:
             raise ParameterError("rank vector must be one-dimensional")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dualnorms import BudgetedBox, box_l1_support
-from .errors import NumericError, ParameterError, SolverError, as_count, real_array, real_entries
+from .errors import NumericError, ParameterError, SolverError, as_count, real_array
 from .graph import TransitionMatrix
 from .lpsolver import LinearProgram, solve
 from .ranking import RankVector, ReportedRanks, normalize_max_one
@@ -72,9 +72,8 @@ class GrowthModel:
     to_existing_col: np.ndarray
 
     def __post_init__(self):
-        if not real_entries(self.to_existing_col):
-            raise ParameterError("growth budgets must be real numbers")
-        col = np.asarray(self.to_existing_col, dtype=float)
+        # the range test below rejects non-finite budgets with its own message
+        col = real_array(self.to_existing_col, "growth budgets", ParameterError, finite=False)
         object.__setattr__(self, "to_existing_col", col)
         if col.ndim != 1 or not np.all((col >= 0.0) & (col <= 1.0)):
             raise ParameterError("growth budgets must be a vector of entries in [0, 1]")

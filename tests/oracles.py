@@ -14,11 +14,15 @@ simplex loop with a separate branch per pivot rule, pivoting with
 and
 ``substituted_comparative_program``, the comparative model with its pinned
 coordinates substituted by hand, against which the solver's substitution
-of fixed variables is checked.
+of fixed variables is checked. The ``reference_`` dual-norm evaluators are
+the package's earlier whole-array numpy code, against which the
+per-coordinate loops are checked bit for bit; ``compensated_sum`` replays
+the builtin ``sum`` of Python 3.12+ on older interpreters.
 """
 
 from __future__ import annotations
 
+import builtins
 import itertools
 import math
 import re
@@ -26,6 +30,31 @@ import re
 import numpy as np
 
 WORD = re.compile(r"[^\W_]+", re.UNICODE)
+
+
+BUILTIN_SUM = builtins.sum
+
+
+def compensated_sum(iterable, start=0):
+    """Builtin ``sum`` as Python 3.12 made it for floats: Neumaier-compensated.
+
+    Only the all-float case with the default start is emulated; anything
+    else goes to the interpreter's own ``sum``.
+    """
+    items = list(iterable)
+    if start != 0 or not all(type(x) is float for x in items):
+        return BUILTIN_SUM(items, start)
+    total = compensation = 0.0
+    for x in items:
+        t = total + x
+        if abs(total) >= abs(x):
+            compensation += (total - t) + x
+        else:
+            compensation += (x - t) + total
+        total = t
+    if compensation and math.isfinite(compensation):
+        total += compensation
+    return total
 
 
 def oracle_tokenize(text):
@@ -219,6 +248,140 @@ def reference_box_l1_greedy(x, eps_total, eps_col):
         z[j] = np.sign(x[j]) * take
         remaining -= abs(z[j])
     return z
+
+
+# The dual-norm evaluators as whole-array numpy code, copied from the package
+# before it moved their per-coordinate work to Python floats. The package's
+# results must equal theirs bit for bit. Each certificate check keeps the
+# absolute 1e-9 of that code, so large budgets may fail here alone.
+
+
+def _reference_norm(v):
+    v = v.ravel()
+    return math.sqrt(v @ v)
+
+
+def _reference_check_certificate(z, box, ball):
+    from robust_lexrank.errors import NumericError
+
+    magnitude = np.abs(z)
+    norm = magnitude.sum() if ball == "l1" else _reference_norm(z)
+    if norm > box.eps_total + 1e-9:
+        raise NumericError(f"certificate leaves the {ball} ball", gap=norm - box.eps_total)
+    excess = magnitude - box.eps_col
+    if excess.max(initial=0.0) > 1e-9:
+        raise NumericError("certificate leaves the box", gap=float(excess.max()))
+
+
+def reference_box_l1_support(x, box):
+    """``box_l1_support`` from ``reference_box_l1_greedy``."""
+    from robust_lexrank.dualnorms import DualCertificate
+
+    z = reference_box_l1_greedy(x, box.eps_total, box.eps_col)
+    _reference_check_certificate(z, box, ball="l1")
+    return DualCertificate(z=z, value=float(z @ x), ball="l1")
+
+
+def reference_decomposition_norm(x, box):
+    from robust_lexrank.dualnorms import _certified
+    from robust_lexrank.errors import DegenerateBudgetError, ParameterError, real_array
+
+    if box.eps_total <= 0:
+        raise DegenerateBudgetError("decomposition norm undefined for zero total budget")
+    x = real_array(x, "vector entries", ParameterError, (box.size,))
+    weights = box.eps_col / box.eps_total
+    absx = np.abs(x)
+    order = np.argsort(-absx, kind="stable")
+    # breakpoint k is the k-th largest |x_j|, then zero; above it lie the first k entries
+    breaks = np.append(absx[order], 0.0)
+    w = weights[order]
+    above = np.concatenate(([0.0], np.cumsum(w)))
+    excess = np.concatenate(([0.0], np.cumsum(w * breaks[:-1])))
+    t = breaks[np.argmin(breaks * (1.0 - above) + excess)]
+    mu = np.sign(x) * np.maximum(absx - t, 0.0)
+    lam = x - mu
+    value = float(np.abs(lam).max(initial=0.0) + weights @ np.abs(mu))
+    return _certified(lam, mu, value, reference_box_l1_support(x, box), box.eps_total)
+
+
+def reference_box_l2_support(x, box):
+    from robust_lexrank.dualnorms import DualCertificate
+    from robust_lexrank.errors import ParameterError, real_array
+
+    x = real_array(x, "vector entries", ParameterError, (box.size,))
+    signs = np.sign(x)
+    absx = np.abs(x)
+    z = signs * box.eps_col
+    clamped = _reference_norm(z) <= box.eps_total
+    if not clamped:
+        # zero entries never clamp and add nothing to S_k: they sort last and are cut off
+        ratio = np.divide(box.eps_col, absx, out=np.full(x.size, np.inf), where=absx > 0)
+        order = np.argsort(ratio, kind="stable")[: np.count_nonzero(absx)]
+        caps_sq = box.eps_col[order] ** 2
+        clamped_sq = np.concatenate(([0.0], np.cumsum(caps_sq[:-1])))
+        free_sq = np.cumsum((absx[order] ** 2)[::-1])[::-1]
+        room = np.maximum(box.eps_total**2 - clamped_sq, 0.0)
+        kappa = math.sqrt((room / free_sq).max())
+        z = signs * np.minimum(box.eps_col, kappa * absx)
+    value = float(z @ x)
+    _reference_check_certificate(z, box, ball="l2")
+    return DualCertificate(z=z, value=value, ball="l2", clamped=clamped)
+
+
+def reference_decomposition_norm_l2(x, box):
+    from robust_lexrank.dualnorms import _certified
+    from robust_lexrank.errors import DegenerateBudgetError, ParameterError, real_array
+
+    if box.eps_total <= 0:
+        raise DegenerateBudgetError("l2 decomposition undefined for zero total budget")
+    x = real_array(x, "vector entries", ParameterError, (box.size,))
+    certificate = reference_box_l2_support(x, box)
+    if certificate.clamped:
+        lam = np.zeros_like(x)
+    else:
+        nonzero = x != 0
+        lam = certificate.z / np.abs(certificate.z[nonzero] / x[nonzero]).max()
+    mu = x - lam
+    value = box.eps_total * _reference_norm(lam) + float(box.eps_col @ np.abs(mu))
+    return _certified(lam, mu, value, certificate, 1.0)
+
+
+def reference_frobenius_worst_case(a0, directions, radii):
+    from robust_lexrank.dualnorms import ATTAINMENT_TOL, FrobeniusWorstCase
+    from robust_lexrank.errors import NumericError, ParameterError, real_array, real_entries
+
+    a0 = real_array(a0, "a0 entries", ParameterError)
+    if a0.ndim != 1 or a0.size == 0:
+        raise ParameterError("a0 must be a nonempty vector")
+    if not real_entries(directions):
+        raise ParameterError("directions must be real numbers")
+    directions = [real_array(a, "direction entries", ParameterError) for a in directions]
+    if any(a.ndim != 1 for a in directions):
+        raise ParameterError("every direction must be a vector")
+    radii = real_array(radii, "radii", ParameterError, (len(directions),))
+    if (radii < 0).any():
+        raise ParameterError("radii must be nonnegative")
+    norm0 = _reference_norm(a0)
+    value = norm0 + float(sum(r * _reference_norm(a) for r, a in zip(radii, directions)))
+    if norm0 > 0:
+        unit0 = a0 / norm0
+    else:
+        unit0 = np.zeros_like(a0)
+        unit0[0] = 1.0
+    maximizers = []
+    attained = a0.copy()
+    for r, a in zip(radii, directions):
+        norm_a = _reference_norm(a)
+        if norm_a == 0:
+            xi = np.zeros((a0.size, a.size))
+        else:
+            xi = r * np.outer(unit0, a) / norm_a
+        maximizers.append(xi)
+        attained = attained + xi @ a
+    gap = abs(_reference_norm(attained) - value)
+    if not gap <= ATTAINMENT_TOL * max(1.0, value):
+        raise NumericError("worst-case maximizer fails to attain the bound", gap=gap)
+    return FrobeniusWorstCase(value=value, maximizers=maximizers, gap=gap)
 
 
 def sampled_box_l2_max(x, eps_total, eps_col, n_samples, rng):

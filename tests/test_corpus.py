@@ -1,7 +1,6 @@
 """Tokenization and similarity-matrix behaviour, pinned by an independent oracle."""
 
 import builtins
-import math
 import random
 import sys
 from collections import Counter
@@ -9,7 +8,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import oracle_similarity_matrix
+from oracles import BUILTIN_SUM, compensated_sum, oracle_similarity_matrix
 
 from robust_lexrank import (
     Corpus,
@@ -40,31 +39,6 @@ class TestTokenize:
 
     def test_unicode_quotes_and_apostrophes(self):
         assert tokenize("Iraq’s “commitments”") == ["iraq", "s", "commitments"]
-
-
-_BUILTIN_SUM = builtins.sum
-
-
-def compensated_sum(iterable, start=0):
-    """Builtin ``sum`` as Python 3.12 made it for floats: Neumaier-compensated.
-
-    Only the all-float case with the default start is emulated; anything
-    else goes to the interpreter's own ``sum``.
-    """
-    items = list(iterable)
-    if start != 0 or not all(type(x) is float for x in items):
-        return _BUILTIN_SUM(items, start)
-    total = compensation = 0.0
-    for x in items:
-        t = total + x
-        if abs(total) >= abs(x):
-            compensation += (total - t) + x
-        else:
-            compensation += (x - t) + total
-        total = t
-    if compensation and math.isfinite(compensation):
-        total += compensation
-    return total
 
 
 def two_sentence_corpus(a, b):
@@ -206,7 +180,7 @@ class TestBuildSimilarityMatrix:
         for _ in range(2000):
             terms = [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-20, 20)
                      for _ in range(rng.randint(0, 12))]
-            assert compensated_sum(terms) == _BUILTIN_SUM(terms), terms
+            assert compensated_sum(terms) == BUILTIN_SUM(terms), terms
 
     def test_matrix_entries_equal_pairwise_operation(self, cluster_corpus, cluster_similarity):
         for i, a in enumerate(cluster_corpus.sentences):

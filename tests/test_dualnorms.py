@@ -1,5 +1,6 @@
 """Support functions, decomposition norms, and their duality identities."""
 
+import builtins
 import dataclasses
 
 import numpy as np
@@ -8,9 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import (
+    compensated_sum,
     decomposition_lp,
     enumerated_box_l1_max,
     reference_box_l1_greedy,
+    reference_box_l1_support,
+    reference_box_l2_support,
+    reference_decomposition_norm,
+    reference_decomposition_norm_l2,
+    reference_frobenius_worst_case,
     sampled_box_l1_max,
     sampled_box_l2_max,
     simplex_minimum_lp,
@@ -336,6 +343,9 @@ class TestNonFiniteInputs:
             pytest.param(np.zeros(0), [np.ones(2)], [1.0], id="empty-a0"),
             pytest.param(np.ones((2, 2)), [np.ones(4)], [1.0], id="matrix-a0"),
             pytest.param(np.ones(2), [np.ones((3, 2))], [1.0], id="matrix-direction"),
+            pytest.param(np.ones(2), 2.0, [1.0], id="number-directions"),
+            pytest.param(np.ones(2), np.array(2.0), [1.0], id="0d-directions"),
+            pytest.param(np.ones(2), (x for x in [np.ones(2)]), [1.0], id="generator-directions"),
         ],
     )
     def test_frobenius_inputs_rejected(self, a0, directions, radii):
@@ -581,3 +591,159 @@ class TestCarriedGaps:
             for _ in range(50):
                 v = rng.normal(size=shape) * 10.0 ** rng.integers(-100, 100)
                 assert dualnorms._norm(v) == np.linalg.norm(v)
+
+
+def random_dual_norm_instance(rng):
+    """``(x, box)`` with n in 1..70: ties, zero and negative-zero entries, zero and
+    rounded caps, and totals that bind, that the caps exhaust, at the l2 norm of
+    the caps and above it (where the l2 water-fill stays clamped), or zero."""
+    n = int(rng.integers(1, 71))
+    x = rng.normal(size=n) * 10.0 ** rng.integers(-3, 3)
+    if rng.random() < 0.5:
+        x = np.round(x * 4.0) / 4.0
+    x[rng.random(n) < 0.2] = 0.0
+    if rng.random() < 0.1:
+        x[rng.random(n) < 0.3] = -0.0
+    caps = rng.uniform(0.0, 2.0, size=n)
+    if rng.random() < 0.5:
+        caps = np.round(caps * 2.0) / 2.0
+    caps[rng.random(n) < 0.2] = 0.0
+    total = [
+        rng.uniform(0.0, 3.0), rng.uniform(0.0, 0.1), caps.sum(), np.sqrt(caps @ caps),
+        np.sqrt(caps @ caps) * rng.uniform(1.0, 2.0), 0.0,
+    ][int(rng.choice(6, p=[0.3, 0.15, 0.2, 0.15, 0.15, 0.05]))]
+    return x, box(float(total), caps)
+
+
+def assert_same_bits(got, expected):
+    got, expected = np.asarray(got), np.asarray(expected)
+    assert got.shape == expected.shape
+    assert np.array_equal(got, expected)
+    assert np.array_equal(np.signbit(got), np.signbit(expected))
+
+
+def assert_same_certificate(got, expected):
+    assert_same_bits(got.z, expected.z)
+    assert got.value == expected.value and got.ball == expected.ball
+    assert got.clamped == expected.clamped
+
+
+def assert_same_decomposition(got, expected):
+    assert_same_bits(got.lam, expected.lam)
+    assert_same_bits(got.mu, expected.mu)
+    assert got.value == expected.value and got.gap == expected.gap
+    assert_same_certificate(got.certificate, expected.certificate)
+
+
+def compare_with_references(rng, count):
+    """Evaluate ``count`` random instances with the package and with the numpy
+    references and assert equal bits; return how often the l2 support clamped."""
+    clamped = 0
+    for _ in range(count):
+        x, b = random_dual_norm_instance(rng)
+        assert_same_certificate(box_l1_support(x, b), reference_box_l1_support(x, b))
+        certificate = box_l2_support(x, b)
+        assert_same_certificate(certificate, reference_box_l2_support(x, b))
+        clamped += certificate.clamped
+        if b.eps_total > 0:
+            assert_same_decomposition(decomposition_norm(x, b), reference_decomposition_norm(x, b))
+            assert_same_decomposition(
+                decomposition_norm_l2(x, b), reference_decomposition_norm_l2(x, b)
+            )
+        blocks = int(rng.integers(0, 4))
+        a0 = rng.normal(size=int(rng.integers(1, 8))) * (rng.random() > 0.1)
+        directions = [rng.normal(size=int(rng.integers(1, 8))) * (rng.random() > 0.1)
+                      for _ in range(blocks)]
+        radii = rng.uniform(0.0, 2.0, size=blocks) * (rng.random(blocks) > 0.1)
+        got = frobenius_worst_case(a0, directions, radii)
+        expected = reference_frobenius_worst_case(a0, directions, radii)
+        assert got.value == expected.value and got.gap == expected.gap
+        assert len(got.maximizers) == len(expected.maximizers)
+        for xi, reference_xi in zip(got.maximizers, expected.maximizers):
+            assert_same_bits(xi, reference_xi)
+    return clamped
+
+
+class TestMatchesNumpyReference:
+    """Every field of every evaluator equals the earlier whole-array numpy code's
+    bit for bit (``tests/oracles``), signs of zeros included."""
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_random_instances(self, seed):
+        count = 1000
+        clamped = compare_with_references(np.random.default_rng(7000 + seed), count)
+        # both branches of the l2 water-fill are covered
+        assert 0.05 * count < clamped < 0.95 * count
+
+    def test_under_compensated_sum(self, monkeypatch):
+        # builtin sum over floats is compensated from Python 3.12 on; no
+        # evaluator may reach it, so the bits hold under the emulated one
+        monkeypatch.setattr(builtins, "sum", compensated_sum)
+        compare_with_references(np.random.default_rng(7100), 500)
+
+    def test_budgets_whose_power_and_product_differ(self):
+        # ``eps ** 2`` goes through the platform's ``pow``, which rounds a few
+        # squares apart from ``eps * eps``; the water-fill keeps ``pow``
+        rng = np.random.default_rng(7200)
+        budgets = [t for t in rng.uniform(0.1, 3.0, size=20_000).tolist() if t**2 != t * t]
+        if not budgets:
+            pytest.skip("this platform's pow squares every budget as a product does")
+        for total in budgets[:20]:
+            x = rng.normal(size=6)
+            b = box(total, np.full(6, 2.0 * total))
+            assert not box_l2_support(x, b).clamped
+            assert_same_certificate(box_l2_support(x, b), reference_box_l2_support(x, b))
+            assert_same_decomposition(
+                decomposition_norm_l2(x, b), reference_decomposition_norm_l2(x, b)
+            )
+
+    def test_underflowed_squares(self):
+        # the squares of these entries underflow to zero, so the water-fill's
+        # scaling is infinite and the zero entry's reach NaN; the numpy code
+        # returned that NaN certificate, the package rejects it
+        x = np.array([1e-200, -3e-200, 0.0])
+        b = box(0.5, [1.0, 1.0, 1.0])
+        with np.errstate(all="ignore"):
+            reference = reference_box_l2_support(x, b)
+        assert np.isnan(reference.value) and np.isnan(reference.z[2])
+        with pytest.raises(NumericError, match="leaves the l2 ball") as raised:
+            box_l2_support(x, b)
+        assert np.isnan(raised.value.gap)
+
+
+class TestFeasibilityTolerance:
+    """The certificate check's tolerance scales with the ball's radius and each
+    cap once they exceed one, as the duality check scales with the support."""
+
+    @pytest.mark.parametrize("scale", [1e6, 1e7, 1e8, 1e9])
+    def test_large_budgets_pass(self, scale):
+        rng = np.random.default_rng(int(np.log10(scale)))
+        for _ in range(500):
+            n = int(rng.integers(1, 71))
+            x = rng.normal(size=n)
+            caps = rng.uniform(0.0, 3.0, size=n) * scale
+            b = box(rng.choice([rng.uniform(0.0, 3.0) * scale, caps.sum()]), caps)
+            box_l1_support(x, b)
+            box_l2_support(x, b)
+            if b.eps_total > 0:
+                decomposition_norm(x, b)
+                decomposition_norm_l2(x, b)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 1e6, 1e9])
+    @pytest.mark.parametrize("ball", ["l1", "l2"])
+    def test_outside_ball_raises(self, scale, ball):
+        tolerance = dualnorms.FEASIBILITY_TOL * max(1.0, scale)
+        b = box(scale, [2.0 * scale])
+        dualnorms._check_certificate([scale + 0.5 * tolerance], b, ball)
+        with pytest.raises(NumericError, match=f"leaves the {ball} ball") as raised:
+            dualnorms._check_certificate([scale + 2.0 * tolerance], b, ball)
+        assert raised.value.gap == pytest.approx(2.0 * tolerance, rel=1e-6)
+
+    @pytest.mark.parametrize("scale", [0.5, 1.0, 1e6, 1e9])
+    def test_outside_box_raises(self, scale):
+        tolerance = dualnorms.FEASIBILITY_TOL * max(1.0, scale)
+        b = box(4.0 * scale, [0.25, scale])
+        dualnorms._check_certificate([0.0, -(scale + 0.5 * tolerance)], b, "l1")
+        with pytest.raises(NumericError, match="leaves the box") as raised:
+            dualnorms._check_certificate([0.0, -(scale + 2.0 * tolerance)], b, "l1")
+        assert raised.value.gap == pytest.approx(2.0 * tolerance, rel=1e-6)

@@ -190,6 +190,16 @@ def test_negative_budget_width_rejected():
         BudgetedBox.uniform(-1, 1.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "make, what",
+    [(RankVector, "rank entries"), (GrowthModel, "growth budgets")],
+    ids=["RankVector", "GrowthModel"],
+)
+def test_ragged_input_rejected(make, what):
+    with pytest.raises(ParameterError, match=f"^{what} must not be ragged$"):
+        make([[0.5], [0.5, 0.5]])
+
+
 class TestRule:
     @pytest.mark.parametrize(
         "values",
@@ -238,6 +248,12 @@ class TestRule:
             real_array(values, "weights", ModelError)
         with pytest.raises(ModelError, match="^weights must be finite$"):
             real_array(values.reshape(size, 1), "weights", ModelError)
+
+    def test_real_array_leaves_finiteness_to_the_caller(self):
+        values = real_array([np.nan, np.inf], "weights", ModelError, (2,), finite=False)
+        assert np.isnan(values[0]) and values[1] == np.inf
+        with pytest.raises(ModelError, match="^weights must not be ragged$"):
+            real_array([[1.0], [1.0, 2.0]], "weights", ModelError, finite=False)
 
     def test_real_array_accepts_empty(self):
         assert real_array([], "weights", ModelError).shape == (0,)
