@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, real_array
+from .errors import ParameterError, ParseError, all_near, all_within, real_array
 
 TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -101,11 +101,11 @@ class SimilarityMatrix:
             stop = start + SYMMETRY_BLOCK_ROWS
             # rows start:stop right of the diagonal against their mirror image
             asymmetry = values[start:stop, start:] - values[start:, start:stop].T
-            if max(asymmetry.max(), -asymmetry.min()) > SYMMETRY_TOL:
+            if not all_within(asymmetry, -SYMMETRY_TOL, SYMMETRY_TOL):
                 raise ParameterError("similarity matrix must be symmetric")
-        if values.min(initial=0.0) < -SYMMETRY_TOL or values.max(initial=1.0) > 1 + SYMMETRY_TOL:
+        if not all_within(values, -SYMMETRY_TOL, 1 + SYMMETRY_TOL):
             raise ParameterError("similarities must lie in [0, 1]")
-        if values.shape[0] and np.abs(np.diag(values) - 1.0).max() > SYMMETRY_TOL:
+        if not all_near(np.diag(values), 1.0, SYMMETRY_TOL):
             raise ParameterError("similarity diagonal must be one")
 
     @property

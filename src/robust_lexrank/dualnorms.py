@@ -37,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateBudgetError, NumericError, ParameterError, as_count, real_array
-from .errors import real_number
+from .errors import DegenerateBudgetError, NumericError, ParameterError, all_within, as_count
+from .errors import real_array, real_number
 
 DUALITY_TOL = 1e-8
 ATTAINMENT_TOL = 1e-9
@@ -58,7 +58,7 @@ class BudgetedBox:
         col = real_array(self.eps_col, "per-coordinate caps", ParameterError)
         object.__setattr__(self, "eps_total", float(self.eps_total))
         object.__setattr__(self, "eps_col", col)
-        if col.ndim != 1 or (col < 0).any():
+        if col.ndim != 1 or not all_within(col, 0.0):
             raise ParameterError("per-coordinate caps must be finite and nonnegative")
 
     @classmethod
@@ -129,6 +129,15 @@ def _norm(v):
     """Euclidean norm of a float array, bit for bit ``np.linalg.norm``'s."""
     v = v.ravel()
     return math.sqrt(v @ v)
+
+
+def _squares_finite(values):
+    """Whether the squares of the floats ``values`` sum to a finite number, added
+    left to right; a sum past the float range is infinite in every order."""
+    total = 0.0
+    for v in values:
+        total += v * v
+    return math.isfinite(total)
 
 
 def _check_certificate(z, box, ball):
@@ -256,13 +265,16 @@ def box_l2_support(x, box: BudgetedBox) -> DualCertificate:
     squared caps, ``S_k`` the squares of the other entries). At every
     ``kappa`` each ``C_k + kappa^2 S_k`` is at least ``||z||^2``, so the
     scaling at which the ball becomes active is the largest of the roots
-    ``sqrt((eps^2 - C_k) / S_k)``.
+    ``sqrt((eps^2 - C_k) / S_k)``. A total budget whose square overflows
+    (above about 1.34e154) cannot enter them, and when the clamped point
+    does not fit the ball it raises ``NumericError``.
     """
     x = real_array(x, "vector entries", ParameterError, (box.size,))
     values, caps = x.tolist(), box.eps_col.tolist()
     signs = [(v > 0) - (v < 0) for v in values]
     z = [s * cap for s, cap in zip(signs, caps)]
-    clamped = _norm(np.array(z)) <= box.eps_total
+    # squares past the float range make ``_norm`` infinite, and numpy would warn
+    clamped = _squares_finite(z) and _norm(np.array(z)) <= box.eps_total
     if not clamped:
         sizes = [abs(v) for v in values]
         # zero entries never clamp and add nothing to S_k: they sort last and are cut off
@@ -275,7 +287,14 @@ def box_l2_support(x, box: BudgetedBox) -> DualCertificate:
         # the largest room / free ratio, NaN if any is (as ``max`` over numpy
         # arrays); ``eps ** 2`` is libm's pow, which rounds a few squares apart
         # from ``eps * eps``, so the two are not interchangeable here
-        kappa_sq, clamped_sq, budget_sq = 0.0, 0.0, box.eps_total**2
+        try:
+            budget_sq = box.eps_total**2
+        except OverflowError:
+            raise NumericError(
+                f"total budget {box.eps_total:.3e} is too large for the l2 water-fill: "
+                "its square overflows"
+            ) from None
+        kappa_sq, clamped_sq = 0.0, 0.0
         for j, free in zip(order, reversed(free_sq)):
             room = budget_sq - clamped_sq
             room = 0.0 if room < 0.0 else room

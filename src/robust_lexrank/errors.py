@@ -3,6 +3,15 @@
 Each class carries the process exit code the CLI uses for that error
 family, so failures are distinguishable from shell scripts. The rule at the
 end reads every public numeric input; each caller names its error class.
+
+Most inputs here are tiny: a dual-norm coordinate vector, a budget row, one
+column sum per sentence. A numpy call costs about a microsecond whatever
+its size, so an array of at most ``SMALL_ARRAY_ENTRIES`` entries is tested
+over the Python floats of one ``tolist()`` instead: ``real_array``'s
+finiteness test and the range tests ``all_within`` and ``all_near`` that
+the value objects and the simulator run. Each small path makes the same
+comparison on the same doubles as its numpy path, NaN included, so every
+call runs the same test and raises the same error whichever path it takes.
 """
 
 import math
@@ -92,7 +101,14 @@ class SetupError(RobustLexRankError, RuntimeError):
 
 
 _NESTED = (list, tuple, np.ndarray)
+_FLOAT = np.dtype(float)
 
+# up to this many entries the tests below read Python floats from one
+# ``tolist()``, where numpy's fixed cost per call outweighs its speed per
+# entry. Against the numpy path (one process, 2-CPU x86 machine) the
+# finiteness test breaks even at 32-40 entries, the range test at about 12
+# and the distance test at about 24.
+SMALL_ARRAY_ENTRIES = 16
 # past this many entries ``real_array`` tests finiteness by the extremes;
 # below it one entrywise test is faster and its bool array is small
 FINITE_BY_EXTREMES_ENTRIES = 1 << 16
@@ -100,7 +116,10 @@ FINITE_BY_EXTREMES_ENTRIES = 1 << 16
 
 def _is_real_type(kind):
     """Python's and numpy's ints and floats, and other real numbers; not bools."""
-    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+    # ``float`` and ``int`` first: the ABC's subclass test costs a few hundred ns
+    return kind is float or kind is int or (
+        issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+    )
 
 
 def real_number(value):
@@ -128,17 +147,22 @@ def real_array(values, what, error, shape=None, finite=True):
     """``values`` as a float array, else ``error`` naming ``what`` (a plural noun):
     real numbers that form an array, of ``shape`` if one is given, all finite
     unless ``finite`` is false (for callers whose range test rejects them)."""
-    if not real_entries(values):
-        raise error(f"{what} must be real numbers")
-    try:
-        array = np.asarray(values, dtype=float)
-    except ValueError:
-        raise error(f"{what} must not be ragged") from None
+    if type(values) is np.ndarray and values.dtype is _FLOAT:
+        array = values  # real numbers, and ``asarray`` would return it as it is
+    else:
+        if not real_entries(values):
+            raise error(f"{what} must be real numbers")
+        try:
+            array = np.asarray(values, dtype=float)
+        except ValueError:
+            raise error(f"{what} must not be ragged") from None
     if shape is not None and array.shape != shape:
         raise error(f"{what} have shape {array.shape} where {shape} is needed")
     if not finite:
         return array
-    if array.size > FINITE_BY_EXTREMES_ENTRIES:
+    if array.size <= SMALL_ARRAY_ENTRIES:
+        finite = all(map(math.isfinite, array.ravel().tolist()))
+    elif array.size > FINITE_BY_EXTREMES_ENTRIES:
         # NaN and infinities reach the extremes, so two reductions need no
         # entrywise temporary
         finite = math.isfinite(array.min()) and math.isfinite(array.max())
@@ -147,6 +171,24 @@ def real_array(values, what, error, shape=None, finite=True):
     if not finite:
         raise error(f"{what} must be finite")
     return array
+
+
+def all_within(array, low, high=math.inf):
+    """Whether every entry of the float ``array`` lies in ``[low, high]``; a NaN does not."""
+    if array.size <= SMALL_ARRAY_ENTRIES:
+        return all(low <= v <= high for v in array.ravel().tolist())
+    # a NaN reaches the minimum, so an array that passes ``low`` holds none and
+    # needs no test against +inf
+    if not array.min(initial=math.inf) >= low:
+        return False
+    return high == math.inf or bool(array.max(initial=-math.inf) <= high)
+
+
+def all_near(array, target, tol):
+    """Whether every entry of the float ``array`` has ``|v - target| <= tol``; a NaN does not."""
+    if array.size <= SMALL_ARRAY_ENTRIES:
+        return all(abs(v - target) <= tol for v in array.ravel().tolist())
+    return bool(np.abs(array - target).max(initial=0.0) <= tol)
 
 
 def as_count(value, what):

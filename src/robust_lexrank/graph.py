@@ -7,7 +7,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import SimilarityMatrix
-from .errors import ConstructionError, ParameterError, real_array, real_number
+from .errors import ConstructionError, ParameterError, all_near, all_within, real_array
+from .errors import real_number
 
 COLUMN_SUM_TOL = 1e-12
 
@@ -56,10 +57,9 @@ class TransitionMatrix:
             raise ConstructionError("transition matrix must be square")
         if not values.size:
             raise ConstructionError("transition matrix needs at least one sentence")
-        if values.min() < 0:
+        if not all_within(values, 0.0):
             raise ConstructionError("transition entries must be nonnegative")
-        sums = values.sum(axis=0)
-        if np.abs(sums - 1.0).max(initial=0.0) > COLUMN_SUM_TOL:
+        if not all_near(values.sum(axis=0), 1.0, COLUMN_SUM_TOL):
             raise ConstructionError("every transition column must sum to one")
 
     @property

@@ -36,11 +36,12 @@ loop before it pivots.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ModelError, NumericError, real_array, real_entries
+from .errors import ModelError, NumericError, real_array, real_number
 
 RELATIONS = ("<=", "=", ">=")
 
@@ -83,27 +84,26 @@ class LinearProgram:
                 on that side.
             constraints: iterable of ``(coefficients, relation, rhs)`` triples.
 
-        Every number must be a real number (``errors.real_entries``), else ``ModelError``.
+        Every number must be a real number (``errors.real_entries``), else
+        ``ModelError``; a bound pair is a tuple, list or 1-D array of two entries.
         """
         c = _cost_vector(objective)
         n = c.size
         bounds = list(var_bounds)
         if len(bounds) != n:
             raise ModelError(f"{len(bounds)} bounds for {n} variables")
-        try:
-            pairs = np.array(bounds, dtype=object).reshape(n, 2)
-            unset = np.equal(pairs, None)
-            real = real_entries(pairs[~unset])
-        except ValueError:
-            real = False
-        if not real:
-            raise ModelError("each bound must be a (low, high) pair of numbers or None")
-        lo = np.where(unset[:, 0], -np.inf, pairs[:, 0]).astype(float)
-        hi = np.where(unset[:, 1], np.inf, pairs[:, 1]).astype(float)
-        if np.isnan(lo).any() or np.isnan(hi).any():
+        lo, hi = [], []
+        for pair in bounds:
+            if not _bound_pair(pair):
+                raise ModelError("each bound must be a (low, high) pair of numbers or None")
+            low, high = pair
+            lo.append(-math.inf if low is None else float(low))
+            hi.append(math.inf if high is None else float(high))
+        if any(map(math.isnan, lo)) or any(map(math.isnan, hi)):
             raise ModelError("variable bounds must not be NaN")
-        if np.any(lo == np.inf) or np.any(hi == -np.inf):
+        if math.inf in lo or -math.inf in hi:
             raise ModelError("lower bounds must be below +inf and upper bounds above -inf")
+        lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
         triples = list(constraints)
         if not triples:
             return cls(c, lo, hi, np.zeros((0, n)), (), np.zeros(0))
@@ -124,6 +124,16 @@ class LinearProgram:
     @property
     def n_rows(self):
         return self.rows.shape[0]
+
+
+def _bound_pair(pair):
+    """Whether ``pair`` is a tuple, list or 1-D array of two entries, each a real number or None."""
+    if not isinstance(pair, (tuple, list, np.ndarray)) or getattr(pair, "ndim", 1) != 1:
+        return False
+    if len(pair) != 2:
+        return False
+    low, high = pair
+    return (low is None or real_number(low)) and (high is None or real_number(high))
 
 
 def _cost_vector(values, n=None):
@@ -305,15 +315,13 @@ def _solve_each(lp, costs):
 def _check_solution(lp, x):
     if np.any(x < lp.lower - BOUND_TOL) or np.any(x > lp.upper + BOUND_TOL):
         raise NumericError("solution violates variable bounds")
-    if lp.n_rows == 0:
-        return
-    gap = lp.rows @ x - lp.rhs
-    relations = np.array(lp.relations, dtype=object)
-    bad = np.where(
-        relations == "<=",
-        gap > CONSTRAINT_TOL,
-        np.where(relations == ">=", gap < -CONSTRAINT_TOL, np.abs(gap) > CONSTRAINT_TOL),
-    )
-    if bad.any():
-        worst = float(gap[np.argmax(bad)])
-        raise NumericError(f"constraint residual {worst:.3e} exceeds tolerance", gap=worst)
+    # the first row whose residual breaks its relation by more than the tolerance
+    for relation, gap in zip(lp.relations, (lp.rows @ x - lp.rhs).tolist()):
+        if relation == "<=":
+            bad = gap > CONSTRAINT_TOL
+        elif relation == ">=":
+            bad = gap < -CONSTRAINT_TOL
+        else:
+            bad = abs(gap) > CONSTRAINT_TOL
+        if bad:
+            raise NumericError(f"constraint residual {gap:.3e} exceeds tolerance", gap=gap)

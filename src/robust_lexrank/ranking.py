@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConvergenceError, NormalizationError, ParameterError, as_count, real_array
-from .errors import real_number
+from .errors import ConvergenceError, NormalizationError, ParameterError, all_within, as_count
+from .errors import real_array, real_number
 from .graph import TransitionMatrix
 
 DEFAULT_TOL = 1e-12
@@ -33,7 +33,7 @@ class RankVector:
         if values.ndim != 1:
             raise ParameterError("rank vector must be one-dimensional")
         # written so that NaN fails both tests and an infinite entry the sum
-        if not np.all(values >= -SIMPLEX_SUM_TOL):
+        if not all_within(values, -SIMPLEX_SUM_TOL):
             raise ParameterError("rank entries must be nonnegative numbers")
         if not abs(values.sum() - 1.0) <= SIMPLEX_SUM_TOL:
             raise ParameterError("rank entries must sum to one")

@@ -32,7 +32,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .dualnorms import BudgetedBox, box_l1_support
-from .errors import NumericError, ParameterError, SolverError, as_count, real_array
+from .errors import NumericError, ParameterError, SolverError, all_within, as_count, real_array
 from .graph import TransitionMatrix
 from .lpsolver import LinearProgram, solve
 from .ranking import RankVector, ReportedRanks, normalize_max_one
@@ -75,7 +75,7 @@ class GrowthModel:
         # the range test below rejects non-finite budgets with its own message
         col = real_array(self.to_existing_col, "growth budgets", ParameterError, finite=False)
         object.__setattr__(self, "to_existing_col", col)
-        if col.ndim != 1 or not np.all((col >= 0.0) & (col <= 1.0)):
+        if col.ndim != 1 or not all_within(col, 0.0, 1.0):
             raise ParameterError("growth budgets must be a vector of entries in [0, 1]")
 
     @classmethod

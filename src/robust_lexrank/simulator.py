@@ -23,7 +23,8 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dualnorms import BudgetedBox
-from .errors import ParameterError, SetDefinitionError, as_count, real_array
+from .errors import ParameterError, SetDefinitionError, all_near, all_within, as_count
+from .errors import real_array
 from .graph import TransitionMatrix
 from .robust import GrowthModel, RobustBudget, worst_case_upper_bound
 
@@ -80,7 +81,7 @@ class PerturbationSample:
     def within_budgets(self, uset: UncertaintySet) -> bool:
         """Recheck every column and block budget of the uncertainty set, to ``BUDGET_TOL``."""
         blocks = (self.existing_delta, self.new_rows, self.new_cols, self.new_corner)
-        return bool(_within_budgets(blocks, uset, BUDGET_TOL))
+        return _within_budgets(blocks, uset, BUDGET_TOL)
 
 
 def _check_stochastic(new_rows, new_cols, new_corner, grown):
@@ -91,20 +92,27 @@ def _check_stochastic(new_rows, new_cols, new_corner, grown):
     leading axis).
     """
     for name, block in (("new_rows", new_rows), ("new_cols", new_cols), ("new_corner", new_corner)):
-        if block.size and not block.min() >= 0:
+        if not all_within(block, 0.0):
             raise SetDefinitionError(f"{name} block must be nonnegative")
-    if grown.size:
-        if not grown.min() >= 0:
-            raise SetDefinitionError("grown matrix must be nonnegative")
-        if not np.abs(grown.sum(axis=-2) - 1.0).max() <= STOCHASTIC_TOL:
-            raise SetDefinitionError("grown matrix columns must sum to one")
+    if not all_within(grown, 0.0):
+        raise SetDefinitionError("grown matrix must be nonnegative")
+    if not all_near(_column_sums(grown), 1.0, STOCHASTIC_TOL):
+        raise SetDefinitionError("grown matrix columns must sum to one")
 
 
-def _within_budgets(blocks, uset: UncertaintySet, tol: float):
-    """Budget membership of ``(xi, psi, zeta, chi)``, one flag per sample.
+def _column_sums(matrices):
+    """Column sums of a matrix or of each matrix of a stack, as one matmul by
+    ones: numpy's strided reduction over the rows of a stack costs several
+    times more."""
+    return np.ones(matrices.shape[-2]) @ matrices
+
+
+def _within_budgets(blocks, uset: UncertaintySet, tol: float) -> bool:
+    """Whether ``(xi, psi, zeta, chi)`` keeps every budget in every sample.
 
     Blocks are matrices or stacks of them (samples along the leading axis);
     every block keeps its total and each of its column caps within ``tol``.
+    The total is the sum of the column sums, both taken as matmuls by ones.
     An empty block passes on its own.
     """
     growth = uset.growth
@@ -114,15 +122,12 @@ def _within_budgets(blocks, uset: UncertaintySet, tol: float):
         (growth.to_existing_total, growth.to_existing_col),
         (growth.among_new_total, growth.among_new_col),
     )
-    ok = True
     for block, (total, caps) in zip(blocks, limits):
-        magnitude = np.abs(block)
-        ok = (
-            ok
-            & (magnitude.sum(axis=(-2, -1)) <= total + tol)
-            & (magnitude.sum(axis=-2) <= caps + tol).all(axis=-1)
-        )
-    return ok
+        columns = _column_sums(np.abs(block))
+        totals = columns @ np.ones(columns.shape[-1])
+        if not ((totals <= total + tol).all() and (columns <= caps + tol).all()):
+            return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -213,7 +218,9 @@ def _draw_blocks(p: TransitionMatrix, uset: UncertaintySet, rng, count: int):
     masses *= np.minimum(1.0, np.divide(limit, total, out=np.ones(count), where=total > 0))[:, None]
     split = _dirichlet_rows(uniforms[:, n : n + n * m].reshape(count, n, m))
     growth = uniforms[:, n + n * m :].reshape(count, m, n + m)
-    xi = -masses[:, None, :] * p.values
+    # ``to_transition`` leaves ``p.values`` F-ordered; a C-ordered ``xi`` adds
+    # into the C-ordered ``grown`` stack without a strided pass
+    xi = -masses[:, None, :] * np.ascontiguousarray(p.values)
     psi = masses[:, None, :] * split.transpose(0, 2, 1)
     zeta = _dirichlet_rows(growth[:, :, :n]).transpose(0, 2, 1) * uset.growth.to_existing_col
     chi = _dirichlet_rows(growth[:, :, n:]).transpose(0, 2, 1) * uset.growth.among_new_col
@@ -262,7 +269,7 @@ def _draw_checked(p: TransitionMatrix, uset: UncertaintySet, rng, count: int):
     grown[:, n:, :n] = psi
     grown[:, n:, n:] = chi
     _check_stochastic(psi, zeta, chi, grown)
-    if not _within_budgets(blocks, uset, BUDGET_TOL).all():
+    if not _within_budgets(blocks, uset, BUDGET_TOL):
         raise SetDefinitionError("sampler produced an out-of-budget perturbation")
     return blocks, grown
 

@@ -17,7 +17,10 @@ coordinates substituted by hand, against which the solver's substitution
 of fixed variables is checked. The ``reference_`` dual-norm evaluators are
 the package's earlier whole-array numpy code, against which the
 per-coordinate loops are checked bit for bit; ``compensated_sum`` replays
-the builtin ``sum`` of Python 3.12+ on older interpreters.
+the builtin ``sum`` of Python 3.12+ on older interpreters. The input checks
+kept in their earlier all-numpy form (``reference_real_array``,
+``reference_bounds`` and ``reference_check_solution``) are the references
+for the checks that now test small arrays over Python floats.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ from __future__ import annotations
 import builtins
 import itertools
 import math
+import numbers
 import re
 
 import numpy as np
@@ -635,3 +639,97 @@ def reference_perturbation(p, uset, rng):
             chi[:, j] = uset.growth.among_new_col[j] * _flat_dirichlet(u[start + n : start + n + m])
     grown = np.block([[p + xi, zeta], [psi, chi]])
     return xi, psi, zeta, chi, grown
+
+
+_NESTED = (list, tuple, np.ndarray)
+REFERENCE_FINITE_BY_EXTREMES_ENTRIES = 1 << 16
+
+
+def _reference_is_real_type(kind):
+    return issubclass(kind, numbers.Real) and not issubclass(kind, bool)
+
+
+def reference_real_entries(values):
+    """``errors.real_entries`` with its ABC test on every scalar type."""
+    if isinstance(values, np.ndarray):
+        if values.dtype.kind != "O":
+            return values.dtype.kind in "iuf"  # one dtype test
+        values = values.flat
+    elif not isinstance(values, _NESTED):
+        return _reference_is_real_type(type(values))
+    values = list(values)
+    types = set(map(type, values))
+    scalars = types.difference(_NESTED)
+    if not all(map(_reference_is_real_type, scalars)):
+        return False
+    return scalars == types or all(
+        map(reference_real_entries, [v for v in values if type(v) in _NESTED])
+    )
+
+
+def reference_real_array(values, what, error, shape=None, finite=True):
+    """``errors.real_array`` as it was with numpy's entrywise finiteness test on
+    every array up to ``REFERENCE_FINITE_BY_EXTREMES_ENTRIES`` entries."""
+    if not reference_real_entries(values):
+        raise error(f"{what} must be real numbers")
+    try:
+        array = np.asarray(values, dtype=float)
+    except ValueError:
+        raise error(f"{what} must not be ragged") from None
+    if shape is not None and array.shape != shape:
+        raise error(f"{what} have shape {array.shape} where {shape} is needed")
+    if not finite:
+        return array
+    if array.size > REFERENCE_FINITE_BY_EXTREMES_ENTRIES:
+        finite = math.isfinite(array.min()) and math.isfinite(array.max())
+    else:
+        finite = np.isfinite(array).all()
+    if not finite:
+        raise error(f"{what} must be finite")
+    return array
+
+
+def reference_bounds(var_bounds, n):
+    """The ``(lower, upper)`` arrays ``LinearProgram.build`` made of ``n`` bound
+    pairs through one object array, or the ``ModelError`` it raised."""
+    from robust_lexrank.errors import ModelError
+
+    bounds = list(var_bounds)
+    if len(bounds) != n:
+        raise ModelError(f"{len(bounds)} bounds for {n} variables")
+    try:
+        pairs = np.array(bounds, dtype=object).reshape(n, 2)
+        unset = np.equal(pairs, None)
+        real = reference_real_entries(pairs[~unset])
+    except ValueError:
+        real = False
+    if not real:
+        raise ModelError("each bound must be a (low, high) pair of numbers or None")
+    lo = np.where(unset[:, 0], -np.inf, pairs[:, 0]).astype(float)
+    hi = np.where(unset[:, 1], np.inf, pairs[:, 1]).astype(float)
+    if np.isnan(lo).any() or np.isnan(hi).any():
+        raise ModelError("variable bounds must not be NaN")
+    if np.any(lo == np.inf) or np.any(hi == -np.inf):
+        raise ModelError("lower bounds must be below +inf and upper bounds above -inf")
+    return lo, hi
+
+
+def reference_check_solution(lp, x):
+    """``lpsolver._check_solution`` with its relations as an object array."""
+    from robust_lexrank.errors import NumericError
+    from robust_lexrank.lpsolver import BOUND_TOL, CONSTRAINT_TOL
+
+    if np.any(x < lp.lower - BOUND_TOL) or np.any(x > lp.upper + BOUND_TOL):
+        raise NumericError("solution violates variable bounds")
+    if lp.n_rows == 0:
+        return
+    gap = lp.rows @ x - lp.rhs
+    relations = np.array(lp.relations, dtype=object)
+    bad = np.where(
+        relations == "<=",
+        gap > CONSTRAINT_TOL,
+        np.where(relations == ">=", gap < -CONSTRAINT_TOL, np.abs(gap) > CONSTRAINT_TOL),
+    )
+    if bad.any():
+        worst = float(gap[np.argmax(bad)])
+        raise NumericError(f"constraint residual {worst:.3e} exceeds tolerance", gap=worst)

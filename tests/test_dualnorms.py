@@ -711,6 +711,34 @@ class TestMatchesNumpyReference:
         assert np.isnan(raised.value.gap)
 
 
+class TestBudgetOverflow:
+    """Caps and budgets past the square root of the float range, under the
+    suite's ``filterwarnings = error``: no numpy warning escapes."""
+
+    @pytest.mark.parametrize("evaluate", [box_l2_support, decomposition_norm_l2])
+    @pytest.mark.parametrize(
+        "total, caps",
+        [(1e160, [1e160, 1e160]), (1.5e154, [1e154, 1e154]), (1e300, [1e300, 1.0])],
+        ids=["both", "just-above", "one-cap"],
+    )
+    def test_squared_budget_overflow_is_a_numeric_error(self, evaluate, total, caps):
+        with pytest.raises(NumericError, match="too large for the l2 water-fill") as raised:
+            evaluate(np.array([1.0, 2.0]), box(total, caps))
+        assert raised.value.exit_code == 6
+
+    @pytest.mark.parametrize("total", [1.0, 1e150, 1.3e154])
+    def test_overflowing_caps_with_a_finite_squared_budget(self, total):
+        # the clamped point's norm overflows, so it cannot fit the ball; the
+        # water-fill runs as the numpy code ran it, without its overflow warning
+        x, b = np.array([1.0, -2.0, 0.0]), box(total, [1e160, 1e160, 1e300])
+        with np.errstate(all="ignore"):
+            certificate = reference_box_l2_support(x, b)
+            decomposition = reference_decomposition_norm_l2(x, b)
+        assert not certificate.clamped
+        assert_same_certificate(box_l2_support(x, b), certificate)
+        assert_same_decomposition(decomposition_norm_l2(x, b), decomposition)
+
+
 class TestFeasibilityTolerance:
     """The certificate check's tolerance scales with the ball's radius and each
     cap once they exceed one, as the duality check scales with the support."""

@@ -206,7 +206,7 @@ class TestSamplePerturbation:
         blocks, grown = simulator._draw_checked(p, uset, ZeroGenerator(), 2)
         _, psi, zeta, chi = blocks
         simulator._check_stochastic(psi, zeta, chi, grown)
-        assert simulator._within_budgets(blocks, uset, simulator.BUDGET_TOL).all()
+        assert simulator._within_budgets(blocks, uset, simulator.BUDGET_TOL)
         assert np.array_equal(simulator._dirichlet_rows(np.zeros((2, 3, 1))), np.ones((2, 3, 1)))
         assert np.all(zeta == uset.growth.to_existing_col * (1 / 3))
         assert np.all(chi == uset.growth.among_new_col)
