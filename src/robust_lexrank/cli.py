@@ -25,7 +25,7 @@ from .corpus import Corpus, Sentence, build_similarity_matrix, read_corpus, writ
 from .dualnorms import BudgetedBox
 from .errors import ParameterError, ParseError, RobustLexRankError, SetupError
 from .graph import threshold_adjacency, to_transition
-from .ranking import normalize_max_one, power_iteration
+from .ranking import DEFAULT_MAX_ITER, DEFAULT_TOL, normalize_max_one, power_iteration
 from .robust import (
     GrowthModel,
     RobustBudget,
@@ -344,8 +344,8 @@ def build_parser():
     p = commands.add_parser("rank", help="plain ranking via power iteration")
     _add_io_flags(p)
     p.add_argument("--threshold", type=float, required=True)
-    p.add_argument("--tol", type=float, default=1e-12)
-    p.add_argument("--max-iter", dest="max_iter", type=int, default=100_000)
+    p.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    p.add_argument("--max-iter", dest="max_iter", type=int, default=DEFAULT_MAX_ITER)
     p.set_defaults(handler=cmd_rank)
 
     p = commands.add_parser("robust", help="robust ranking via linear programming")

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, ParseError, all_near, all_within, real_array
+from .errors import ParameterError, ParseError, all_within, real_array
 
 TOKEN_RE = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -105,7 +105,7 @@ class SimilarityMatrix:
                 raise ParameterError("similarity matrix must be symmetric")
         if not all_within(values, -SYMMETRY_TOL, 1 + SYMMETRY_TOL):
             raise ParameterError("similarities must lie in [0, 1]")
-        if not all_near(np.diag(values), 1.0, SYMMETRY_TOL):
+        if not all_within(np.diag(values) - 1.0, -SYMMETRY_TOL, SYMMETRY_TOL):
             raise ParameterError("similarity diagonal must be one")
 
     @property

@@ -267,7 +267,8 @@ def box_l2_support(x, box: BudgetedBox) -> DualCertificate:
     scaling at which the ball becomes active is the largest of the roots
     ``sqrt((eps^2 - C_k) / S_k)``. A total budget whose square overflows
     (above about 1.34e154) cannot enter them, and when the clamped point
-    does not fit the ball it raises ``NumericError``.
+    does not fit the ball it raises ``NumericError``; so do entries whose
+    squares overflow every ``S_k``, which would leave ``kappa`` at zero.
     """
     x = real_array(x, "vector entries", ParameterError, (box.size,))
     values, caps = x.tolist(), box.eps_col.tolist()
@@ -303,6 +304,10 @@ def box_l2_support(x, box: BudgetedBox) -> DualCertificate:
             if ratio > kappa_sq or ratio != ratio:
                 kappa_sq = ratio
             clamped_sq += caps[j] * caps[j]
+        if kappa_sq == 0.0 and budget_sq > 0.0 and free_sq[-1] == math.inf:
+            raise NumericError(
+                "entries are too large for the l2 water-fill: their squares overflow"
+            )
         kappa = math.sqrt(kappa_sq)
         z = []
         for s, cap, size in zip(signs, caps, sizes):

@@ -3,15 +3,16 @@
 Each class carries the process exit code the CLI uses for that error
 family, so failures are distinguishable from shell scripts. The rule at the
 end reads every public numeric input; each caller names its error class.
+``real_array`` rejects every array that is not finite, whoever calls it.
 
 Most inputs here are tiny: a dual-norm coordinate vector, a budget row, one
 column sum per sentence. A numpy call costs about a microsecond whatever
-its size, so an array of at most ``SMALL_ARRAY_ENTRIES`` entries is tested
-over the Python floats of one ``tolist()`` instead: ``real_array``'s
-finiteness test and the range tests ``all_within`` and ``all_near`` that
-the value objects and the simulator run. Each small path makes the same
-comparison on the same doubles as its numpy path, NaN included, so every
-call runs the same test and raises the same error whichever path it takes.
+its size, so ``real_array``'s finiteness test and the range test
+``all_within`` have two size paths: an array of at most
+``SMALL_ARRAY_ENTRIES`` entries is read as the Python floats of one
+``tolist()``, a larger one goes through numpy. Both paths make the same
+comparison on the same doubles, NaN included, so every call runs the same
+test and raises the same error whichever path it takes.
 """
 
 import math
@@ -106,12 +107,8 @@ _FLOAT = np.dtype(float)
 # up to this many entries the tests below read Python floats from one
 # ``tolist()``, where numpy's fixed cost per call outweighs its speed per
 # entry. Against the numpy path (one process, 2-CPU x86 machine) the
-# finiteness test breaks even at 32-40 entries, the range test at about 12
-# and the distance test at about 24.
+# finiteness test breaks even at 32-40 entries and the range test at about 12.
 SMALL_ARRAY_ENTRIES = 16
-# past this many entries ``real_array`` tests finiteness by the extremes;
-# below it one entrywise test is faster and its bool array is small
-FINITE_BY_EXTREMES_ENTRIES = 1 << 16
 
 
 def _is_real_type(kind):
@@ -143,10 +140,9 @@ def real_entries(values):
     return scalars == types or all(map(real_entries, [v for v in values if type(v) in _NESTED]))
 
 
-def real_array(values, what, error, shape=None, finite=True):
+def real_array(values, what, error, shape=None):
     """``values`` as a float array, else ``error`` naming ``what`` (a plural noun):
-    real numbers that form an array, of ``shape`` if one is given, all finite
-    unless ``finite`` is false (for callers whose range test rejects them)."""
+    real numbers that form an array, of ``shape`` if one is given, all finite."""
     if type(values) is np.ndarray and values.dtype is _FLOAT:
         array = values  # real numbers, and ``asarray`` would return it as it is
     else:
@@ -156,16 +152,12 @@ def real_array(values, what, error, shape=None, finite=True):
             array = np.asarray(values, dtype=float)
         except ValueError:
             raise error(f"{what} must not be ragged") from None
+        except OverflowError:  # a Python int past the float range
+            raise error(f"{what} must be finite") from None
     if shape is not None and array.shape != shape:
         raise error(f"{what} have shape {array.shape} where {shape} is needed")
-    if not finite:
-        return array
     if array.size <= SMALL_ARRAY_ENTRIES:
         finite = all(map(math.isfinite, array.ravel().tolist()))
-    elif array.size > FINITE_BY_EXTREMES_ENTRIES:
-        # NaN and infinities reach the extremes, so two reductions need no
-        # entrywise temporary
-        finite = math.isfinite(array.min()) and math.isfinite(array.max())
     else:
         finite = np.isfinite(array).all()
     if not finite:
@@ -182,13 +174,6 @@ def all_within(array, low, high=math.inf):
     if not array.min(initial=math.inf) >= low:
         return False
     return high == math.inf or bool(array.max(initial=-math.inf) <= high)
-
-
-def all_near(array, target, tol):
-    """Whether every entry of the float ``array`` has ``|v - target| <= tol``; a NaN does not."""
-    if array.size <= SMALL_ARRAY_ENTRIES:
-        return all(abs(v - target) <= tol for v in array.ravel().tolist())
-    return bool(np.abs(array - target).max(initial=0.0) <= tol)
 
 
 def as_count(value, what):

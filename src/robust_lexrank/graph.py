@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .corpus import SimilarityMatrix
-from .errors import ConstructionError, ParameterError, all_near, all_within, real_array
+from .errors import ConstructionError, ParameterError, all_within, real_array
 from .errors import real_number
 
 COLUMN_SUM_TOL = 1e-12
@@ -59,7 +59,7 @@ class TransitionMatrix:
             raise ConstructionError("transition matrix needs at least one sentence")
         if not all_within(values, 0.0):
             raise ConstructionError("transition entries must be nonnegative")
-        if not all_near(values.sum(axis=0), 1.0, COLUMN_SUM_TOL):
+        if not all_within(values.sum(axis=0) - 1.0, -COLUMN_SUM_TOL, COLUMN_SUM_TOL):
             raise ConstructionError("every transition column must sum to one")
 
     @property

@@ -97,8 +97,11 @@ class LinearProgram:
             if not _bound_pair(pair):
                 raise ModelError("each bound must be a (low, high) pair of numbers or None")
             low, high = pair
-            lo.append(-math.inf if low is None else float(low))
-            hi.append(math.inf if high is None else float(high))
+            try:
+                lo.append(-math.inf if low is None else float(low))
+                hi.append(math.inf if high is None else float(high))
+            except OverflowError:  # a Python int past the float range
+                raise ModelError("variable bounds must lie in the float range") from None
         if any(map(math.isnan, lo)) or any(map(math.isnan, hi)):
             raise ModelError("variable bounds must not be NaN")
         if math.inf in lo or -math.inf in hi:
@@ -313,15 +316,17 @@ def _solve_each(lp, costs):
 
 
 def _check_solution(lp, x):
-    if np.any(x < lp.lower - BOUND_TOL) or np.any(x > lp.upper + BOUND_TOL):
+    """Raise ``NumericError`` unless ``x`` keeps its bounds and every row its
+    relation, within the tolerances; a NaN entry or residual keeps neither."""
+    if not ((x >= lp.lower - BOUND_TOL).all() and (x <= lp.upper + BOUND_TOL).all()):
         raise NumericError("solution violates variable bounds")
     # the first row whose residual breaks its relation by more than the tolerance
     for relation, gap in zip(lp.relations, (lp.rows @ x - lp.rhs).tolist()):
         if relation == "<=":
-            bad = gap > CONSTRAINT_TOL
+            kept = gap <= CONSTRAINT_TOL
         elif relation == ">=":
-            bad = gap < -CONSTRAINT_TOL
+            kept = gap >= -CONSTRAINT_TOL
         else:
-            bad = abs(gap) > CONSTRAINT_TOL
-        if bad:
+            kept = abs(gap) <= CONSTRAINT_TOL
+        if not kept:
             raise NumericError(f"constraint residual {gap:.3e} exceeds tolerance", gap=gap)

@@ -27,12 +27,11 @@ class RankVector:
     values: np.ndarray
 
     def __post_init__(self):
-        # the range tests below reject non-finite entries with their own messages
-        values = real_array(self.values, "rank entries", ParameterError, finite=False)
+        values = real_array(self.values, "rank entries", ParameterError)
         object.__setattr__(self, "values", values)
         if values.ndim != 1:
             raise ParameterError("rank vector must be one-dimensional")
-        # written so that NaN fails both tests and an infinite entry the sum
+        # finite entries; a sum past the float range is infinite and fails the last test
         if not all_within(values, -SIMPLEX_SUM_TOL):
             raise ParameterError("rank entries must be nonnegative numbers")
         if not abs(values.sum() - 1.0) <= SIMPLEX_SUM_TOL:

@@ -72,8 +72,7 @@ class GrowthModel:
     to_existing_col: np.ndarray
 
     def __post_init__(self):
-        # the range test below rejects non-finite budgets with its own message
-        col = real_array(self.to_existing_col, "growth budgets", ParameterError, finite=False)
+        col = real_array(self.to_existing_col, "growth budgets", ParameterError)
         object.__setattr__(self, "to_existing_col", col)
         if col.ndim != 1 or not all_within(col, 0.0, 1.0):
             raise ParameterError("growth budgets must be a vector of entries in [0, 1]")

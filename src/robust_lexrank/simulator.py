@@ -23,12 +23,10 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .dualnorms import BudgetedBox
-from .errors import ParameterError, SetDefinitionError, all_near, all_within, as_count
-from .errors import real_array
-from .graph import TransitionMatrix
+from .errors import ParameterError, SetDefinitionError, all_within, as_count, real_array
+from .graph import COLUMN_SUM_TOL, TransitionMatrix
 from .robust import GrowthModel, RobustBudget, worst_case_upper_bound
 
-STOCHASTIC_TOL = 1e-12
 VIOLATION_TOL = 1e-9
 BUDGET_TOL = 1e-9
 # Stacked matrix entries per chunk of samples: the batched checks and
@@ -96,7 +94,7 @@ def _check_stochastic(new_rows, new_cols, new_corner, grown):
             raise SetDefinitionError(f"{name} block must be nonnegative")
     if not all_within(grown, 0.0):
         raise SetDefinitionError("grown matrix must be nonnegative")
-    if not all_near(_column_sums(grown), 1.0, STOCHASTIC_TOL):
+    if not all_within(_column_sums(grown) - 1.0, -COLUMN_SUM_TOL, COLUMN_SUM_TOL):
         raise SetDefinitionError("grown matrix columns must sum to one")
 
 

@@ -577,11 +577,12 @@ class TestCarriedGaps:
             assert best.gap == abs(np.linalg.norm(attained) - best.value)
 
     def test_overflow_is_not_certified(self):
-        # finite entries whose squares overflow leave a NaN gap, which no check may pass
+        # finite entries whose squares overflow: the water-fill raises before
+        # any numpy arithmetic, and the Frobenius check's NaN gap fails
         x = np.array([1e308, 1e308])
+        with pytest.raises(NumericError, match="their squares overflow"):
+            decomposition_norm_l2(x, box(1.0, [1.0, 1.0]))
         with np.errstate(all="ignore"):
-            with pytest.raises(NumericError, match="disagrees"):
-                decomposition_norm_l2(x, box(1.0, [1.0, 1.0]))
             with pytest.raises(NumericError, match="attain"):
                 frobenius_worst_case(x, [x], [1.0])
 
@@ -725,6 +726,23 @@ class TestBudgetOverflow:
         with pytest.raises(NumericError, match="too large for the l2 water-fill") as raised:
             evaluate(np.array([1.0, 2.0]), box(total, caps))
         assert raised.value.exit_code == 6
+
+    @pytest.mark.parametrize("evaluate", [box_l2_support, decomposition_norm_l2])
+    def test_overflowing_entries_leave_no_scaling(self, evaluate):
+        # every free sum of squares is infinite, which left ``kappa`` at zero
+        # and the certificate ``z = 0`` with value 0.0
+        with pytest.raises(NumericError, match="their squares overflow") as raised:
+            evaluate(np.array([1e308, -1e308]), box(1.0, [1.0, 1.0]))
+        assert raised.value.exit_code == 6
+
+    def test_one_overflowing_square_keeps_its_scaling(self):
+        # the infinite sum belongs to the entry that clamps first; the
+        # other entry's finite sum sets ``kappa``
+        certificate = box_l2_support(np.array([1e308, 1.0]), box(1.0, [1e-300, 1.0]))
+        assert certificate.z.tolist() == [1e-300, 1.0]
+        certificate = box_l2_support(np.array([1e308, 1.0, 1.0]), box(1.0, [1e-300, 1.0, 1.0]))
+        assert not certificate.clamped
+        assert certificate.z.tolist() == pytest.approx([1e-300, 0.5**0.5, 0.5**0.5])
 
     @pytest.mark.parametrize("total", [1.0, 1e150, 1.3e154])
     def test_overflowing_caps_with_a_finite_squared_budget(self, total):

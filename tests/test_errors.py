@@ -32,7 +32,7 @@ from robust_lexrank import (
     worst_case_upper_bound,
 )
 from robust_lexrank.errors import (
-    FINITE_BY_EXTREMES_ENTRIES,
+    SMALL_ARRAY_ENTRIES,
     ConstructionError,
     ModelError,
     NormalizationError,
@@ -236,8 +236,7 @@ class TestRule:
         assert real_array(values, "weights", ModelError) is values
         assert real_array([1, 2], "weights", ModelError).dtype == float
 
-    @pytest.mark.parametrize("size", [7, FINITE_BY_EXTREMES_ENTRIES + 1],
-                             ids=["entrywise", "extremes"])
+    @pytest.mark.parametrize("size", [7, 65_537], ids=["floats", "numpy"])
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
     @pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
     def test_real_array_rejects_non_finite_at_either_end(self, size, bad, where):
@@ -249,11 +248,14 @@ class TestRule:
         with pytest.raises(ModelError, match="^weights must be finite$"):
             real_array(values.reshape(size, 1), "weights", ModelError)
 
-    def test_real_array_leaves_finiteness_to_the_caller(self):
-        values = real_array([np.nan, np.inf], "weights", ModelError, (2,), finite=False)
-        assert np.isnan(values[0]) and values[1] == np.inf
-        with pytest.raises(ModelError, match="^weights must not be ragged$"):
-            real_array([[1.0], [1.0, 2.0]], "weights", ModelError, finite=False)
+    @pytest.mark.parametrize(
+        "values", [[10**400], [1.0, -(10**400)], [[1.0], [10**400]],
+                   np.array([1.0, 10**400], dtype=object)],
+        ids=["int", "negative", "nested", "object-array"],
+    )
+    def test_int_past_the_float_range_is_not_finite(self, values):
+        with pytest.raises(ModelError, match="^weights must be finite$"):
+            real_array(values, "weights", ModelError)
 
     def test_real_array_accepts_empty(self):
         assert real_array([], "weights", ModelError).shape == (0,)
@@ -268,3 +270,79 @@ class TestRule:
 def test_sample_count_reported_as_int():
     report = empirical_max_residual(P, X, USET, np.int64(3))
     assert type(report.samples) is int
+
+
+def wide(v):
+    """A box as wide as the vector ``v``."""
+    return BudgetedBox.uniform(v.size, 1.0, 0.5)
+
+
+# array input -> (error class, what its message names, call with the array in place).
+# Each call reads its array through ``real_array`` before any length test.
+NON_FINITE_INPUTS = {
+    "BudgetedBox caps": (ParameterError, "per-coordinate caps", lambda v: BudgetedBox(1.0, v)),
+    "RankVector": (ParameterError, "rank entries", RankVector),
+    "GrowthModel": (ParameterError, "growth budgets", GrowthModel),
+    "SimilarityMatrix": (ParameterError, "similarities", SimilarityMatrix),
+    "TransitionMatrix": (ConstructionError, "transition entries", TransitionMatrix),
+    "AdjacencyMatrix": (ParameterError, "adjacency entries", lambda v: AdjacencyMatrix(v, 0.5)),
+    "LinearProgram.build objective": (
+        ModelError, "objective entries", lambda v: LinearProgram.build(v, [], [])
+    ),
+    "LinearProgram.build coefficients": (
+        ModelError, "constraint coefficients",
+        lambda v: LinearProgram.build([1.0], [(0.0, None)], [(v, "<=", 1.0)]),
+    ),
+    "LinearProgram.build rhs": (
+        ModelError, "constraint rhs",
+        lambda v: LinearProgram.build([1.0], [(0.0, None)], [([1.0], "<=", r) for r in v]),
+    ),
+    "solve cost": (ModelError, "objective entries", lambda v: solve(MODEL, [v])),
+    "box_l1_support": (ParameterError, "vector entries", lambda v: box_l1_support(v, wide(v))),
+    "box_l2_support": (ParameterError, "vector entries", lambda v: box_l2_support(v, wide(v))),
+    "decomposition_norm": (
+        ParameterError, "vector entries", lambda v: decomposition_norm(v, wide(v))
+    ),
+    "decomposition_norm_l2": (
+        ParameterError, "vector entries", lambda v: decomposition_norm_l2(v, wide(v))
+    ),
+    "frobenius_worst_case a0": (
+        ParameterError, "a0 entries", lambda v: frobenius_worst_case(v, [X], [1.0])
+    ),
+    "frobenius_worst_case directions": (
+        ParameterError, "direction entries", lambda v: frobenius_worst_case(X, [v], [1.0])
+    ),
+    "simplex_decomposition_min weights": (
+        ParameterError, "weights", lambda v: simplex_decomposition_min(v.size, v)
+    ),
+    "normalize_max_one": (NormalizationError, "scores", normalize_max_one),
+    "residual matrix": (ParameterError, "matrix entries", lambda v: residual(v, X)),
+    "residual vector": (ParameterError, "vector entries", lambda v: residual(P.values, v)),
+    "worst_case_upper_bound candidate": (
+        ParameterError, "candidate entries",
+        lambda v: worst_case_upper_bound(v, P, BUDGET, GrowthModel.balanced(v.size - P.size)),
+    ),
+    "empirical_max_residual candidate": (
+        ParameterError, "candidate entries", lambda v: empirical_max_residual(P, v, USET, 10)
+    ),
+    "fixed_size_residual_check candidate": (
+        ParameterError, "candidate entries", lambda v: fixed_size_residual_check(P, v, BOX, 10)
+    ),
+}
+# inputs read as matrices get a square of about the same number of entries
+SQUARE = {"SimilarityMatrix", "TransitionMatrix", "AdjacencyMatrix", "residual matrix"}
+CUT = SMALL_ARRAY_ENTRIES
+# (vector entries, square side): below, at and above the small-input cut, and large
+SIZES = [(CUT - 1, 3), (CUT, 4), (CUT + 1, 5), (65_537, 257)]
+
+
+@pytest.mark.parametrize("entries, side", SIZES, ids=["below-cut", "at-cut", "above-cut", "65537"])
+@pytest.mark.parametrize("where", [0, -1], ids=["first", "last"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+@pytest.mark.parametrize("entry", list(NON_FINITE_INPUTS))
+def test_every_array_input_rejects_non_finite(entry, bad, where, entries, side):
+    error, what, call = NON_FINITE_INPUTS[entry]
+    values = np.eye(side) if entry in SQUARE else np.full(entries, 1.0 / entries)
+    values.flat[where] = bad
+    with pytest.raises(error, match=f"^{what} must be finite$"):
+        call(values)

@@ -158,6 +158,22 @@ class TestSolutionCheck:
         with pytest.raises(NumericError, match="variable bounds"):
             solve(self.model())
 
+    @pytest.mark.parametrize("entry", [np.nan, np.inf], ids=["nan", "inf"])
+    def test_non_finite_point_raises(self, entry):
+        model = lp([1.0], [(0.0, 1.0)], [([1.0], "<=", 0.5)])
+        with pytest.raises(NumericError, match="^solution violates variable bounds$"):
+            lpsolver._check_solution(model, np.array([entry]))
+
+    @pytest.mark.parametrize("relation", ["<=", "=", ">="])
+    def test_nan_residual_raises(self, relation):
+        # a NaN right-hand side, which only a hand-built model can hold
+        model = LinearProgram(
+            np.zeros(1), np.zeros(1), np.ones(1), np.ones((1, 1)), (relation,), np.array([np.nan])
+        )
+        with pytest.raises(NumericError, match="^constraint residual nan exceeds") as raised:
+            lpsolver._check_solution(model, np.array([0.5]))
+        assert np.isnan(raised.value.gap)
+
     def test_residue_within_tolerance_is_clipped(self, monkeypatch):
         monkeypatch.setattr(_StandardForm, "recover", lambda self, y: np.array([1.0 + 5e-10]))
         result = solve(self.model())
@@ -181,6 +197,13 @@ class TestValidation:
     def test_non_finite_coefficient(self):
         with pytest.raises(ModelError, match="coefficients"):
             lp([1.0, 1.0], [(0, None), (0, None)], [([np.inf, 1.0], "<=", 1.0)])
+
+    @pytest.mark.parametrize(
+        "pair", [(10**400, None), (None, -(10**400)), (0, 10**400)], ids=["low", "high", "+high"]
+    )
+    def test_int_bound_past_the_float_range(self, pair):
+        with pytest.raises(ModelError, match="^variable bounds must lie in the float range$"):
+            lp([1.0], [pair], [])
 
     def test_nan_bound(self):
         with pytest.raises(ModelError, match="bounds"):
