@@ -53,10 +53,16 @@ class BudgetedBox:
     eps_col: np.ndarray
 
     def __post_init__(self):
-        if not real_number(self.eps_total) or not 0 <= self.eps_total < np.inf:
+        total = math.nan
+        if real_number(self.eps_total) and 0 <= self.eps_total:
+            try:
+                total = float(self.eps_total)
+            except OverflowError:  # a Python int past the float range
+                pass
+        if not 0 <= total < math.inf:
             raise ParameterError("total budget must be finite and nonnegative")
         col = real_array(self.eps_col, "per-coordinate caps", ParameterError)
-        object.__setattr__(self, "eps_total", float(self.eps_total))
+        object.__setattr__(self, "eps_total", total)
         object.__setattr__(self, "eps_col", col)
         if col.ndim != 1 or not all_within(col, 0.0):
             raise ParameterError("per-coordinate caps must be finite and nonnegative")

@@ -31,10 +31,12 @@ class RankVector:
         object.__setattr__(self, "values", values)
         if values.ndim != 1:
             raise ParameterError("rank vector must be one-dimensional")
-        # finite entries; a sum past the float range is infinite and fails the last test
         if not all_within(values, -SIMPLEX_SUM_TOL):
             raise ParameterError("rank entries must be nonnegative numbers")
-        if not abs(values.sum() - 1.0) <= SIMPLEX_SUM_TOL:
+        # finite entries whose sum passes the float range sum to inf, which fails the test
+        with np.errstate(over="ignore"):
+            total = values.sum()
+        if not abs(total - 1.0) <= SIMPLEX_SUM_TOL:
             raise ParameterError("rank entries must sum to one")
 
     def __len__(self):

@@ -143,42 +143,58 @@ def build_robust_program(
 
     With ``pinned = v``, an integer in 1..n, there is no simplex row: the
     first v coordinates of ``x`` have bounds ``(1, 1)`` and the rest ``(0,
-    1)``. That model has 3n rows and 3n + 1 variables; the solver
-    substitutes the v fixed ones.
+    1)``. A pinned coordinate's support row reads ``t + u_j >= 1``, so at
+    the optimum each of the v excesses is ``max(0, 1 - t)``: one variable
+    ``w`` in their place, priced at ``sum(eps_col[:v])``, and one row ``t +
+    w >= 1`` where the simplex row was, stand for them all. Variables ``(x,
+    s, t, w, u_v .. u_{n-1})``: 3n - v + 2 of them, and 3n - v + 1 rows;
+    the solver substitutes the v fixed coordinates, so it pivots on 3n - 2v
+    + 2 columns.
     """
     n = p.size
     if pinned is not None and not 1 <= as_count(pinned, "n_verified") <= n:
         raise ParameterError(f"n_verified {pinned} outside 1..{n}")
-    cost = _rank_cost(p, budget)
-    width = 3 * n + 1
+    cost = _rank_cost(p, budget, pinned)
+    v = pinned or 0
+    width = cost.size
+    matrix = np.zeros((3 * n + 1 - v, width))
     shifted = p.values - np.eye(n)
-    residual = np.zeros((n, 2, width))
-    residual[:, 0, :n] = shifted
-    residual[:, 1, :n] = -shifted
-    residual[:, :, n : 2 * n] = -np.eye(n)[:, None, :]
-    support = np.hstack([np.eye(n, 2 * n), -np.ones((n, 1)), -np.eye(n)])
-    rows = [residual.reshape(2 * n, width)]
-    relations = ["<="] * (2 * n)
+    matrix[0 : 2 * n : 2, :n] = shifted
+    matrix[1 : 2 * n : 2, :n] = -shifted
+    matrix[np.arange(2 * n), n + np.arange(2 * n) // 2] = -1.0
+    # row 2n is the simplex row or the verified block's support row; then
+    # x_j - t - u_j <= 0 for each coordinate that is not pinned
+    generated = np.arange(n - v)
+    support = matrix[2 * n + 1 :]
+    support[generated, v + generated] = 1.0
+    support[:, 2 * n] = -1.0
+    support[generated, width - (n - v) + generated] = -1.0
+    relations = ["<="] * len(matrix)
     if pinned is None:
         x_bounds = [(0.0, None)] * n
-        rows.append(np.concatenate([np.ones(n), np.zeros(1 + 2 * n)]))
-        relations.append("=")
+        matrix[2 * n, :n] = 1.0
+        relations[2 * n] = "="
     else:
-        x_bounds = [(1.0, 1.0)] * pinned + [(0.0, 1.0)] * (n - pinned)
-    rhs = np.zeros(len(relations) + n)
-    rhs[2 * n : -n] = 1.0  # the simplex row's, if there is one
+        x_bounds = [(1.0, 1.0)] * v + [(0.0, 1.0)] * (n - v)
+        matrix[2 * n, 2 * n : 2 * n + 2] = 1.0
+        relations[2 * n] = ">="
+    rhs = np.zeros(len(matrix))
+    rhs[2 * n] = 1.0
     return LinearProgram.build(
-        cost,
-        x_bounds + [(0.0, None)] * (2 * n + 1),
-        zip(np.vstack(rows + [support]), relations + ["<="] * n, rhs),
+        cost, x_bounds + [(0.0, None)] * (width - n), zip(matrix, relations, rhs)
     )
 
 
-def _rank_cost(p, budget):
-    """The rank model's cost ``sum(s) + eps1 * t + eps_col @ u`` under ``budget``."""
+def _rank_cost(p, budget, pinned=None):
+    """The cost ``sum(s) + eps1 * t + eps_col @ u`` of ``build_robust_program``'s
+    model under ``budget``; with ``pinned = v`` the v pinned excesses are one
+    ``w`` at ``sum(eps_col[:v])``."""
     _check_dims(p, budget)
     n = p.size
-    return np.concatenate([np.zeros(n), np.ones(n), [budget.eps_total], budget.eps_col])
+    verified = [] if pinned is None else [budget.eps_col[:pinned].sum()]
+    return np.concatenate(
+        [np.zeros(n), np.ones(n), [budget.eps_total], verified, budget.eps_col[pinned:]]
+    )
 
 
 def build_growth_program(
@@ -212,7 +228,7 @@ def _solve_rank(p, budgets, pinned=None):
     if not budgets:
         raise ParameterError("need at least one budget")
     program = build_robust_program(p, budgets[0], pinned)
-    costs = [program.objective] + [_rank_cost(p, budget) for budget in budgets[1:]]
+    costs = [program.objective] + [_rank_cost(p, budget, pinned) for budget in budgets[1:]]
     solutions = solve(program, costs)
     results = []
     for budget, solution in zip(budgets, solutions):
@@ -282,9 +298,11 @@ def comparative_rank(
 
     Same objective as the robust model, but the simplex constraint is
     replaced by fixing the first ``n_verified`` coordinates to one and
-    boxing the rest into [0, 1], both through variable bounds. The solver
-    substitutes the fixed coordinates as constants, so the model it pivots
-    on has 3n - n_verified + 1 columns.
+    boxing the rest into [0, 1], both through variable bounds. The
+    verified block's support rows fold into one row and one variable (see
+    ``build_robust_program``), so with v = ``n_verified`` the model has 3n -
+    v + 1 rows and 3n - v + 2 variables; the solver substitutes the fixed
+    coordinates as constants and pivots on 3n - 2v + 2 columns.
     The raw scores are reported; dividing by their sum gives a feasible
     simplex point, also returned. ``n_verified`` must be an integer (``None``
     would drop the pins); ``build_robust_program`` checks its range.

@@ -545,9 +545,11 @@ def substituted_comparative_program(p, eps1, eps_col, pinned):
     The first ``pinned`` coordinates of ``x`` are constants at one and have
     no column: ``x`` keeps its n - pinned free coordinates, boxed into
     ``[0, 1]``, the residual rows take ``-+(P - I)[:, :pinned] @ 1`` as
-    right-hand sides, the support rows take ``-1`` for the pinned ones, and
-    there is no simplex row. Variables ``(x free, s, t, u)``: 3n - pinned +
-    1 of them, and 3n rows.
+    right-hand sides, and there is no simplex row. Each pinned support row
+    would read ``-t - u_j <= -1``; one row ``-t - w <= -1``, with ``w``
+    priced at the pinned caps' sum, stands for them all, and the free
+    coordinates keep theirs. Variables ``(x free, s, t, w, u free)``: 3n - 2
+    * pinned + 2 of them, and 3n - pinned + 1 rows.
     """
     from robust_lexrank.lpsolver import LinearProgram
 
@@ -555,23 +557,28 @@ def substituted_comparative_program(p, eps1, eps_col, pinned):
     n = p.shape[0]
     free = n - pinned
     head = free + n
-    width = head + 1 + n
+    width = head + 2 + free
     shifted = p - np.eye(n)
     residual = np.zeros((n, 2, width))
     residual[:, 0, :free] = shifted[:, pinned:]
     residual[:, 1, :free] = -shifted[:, pinned:]
     residual[:, :, free:head] = -np.eye(n)[:, None, :]
-    support = np.hstack([np.eye(n, head, -pinned), -np.ones((n, 1)), -np.eye(n)])
+    verified = np.zeros((1, width))
+    verified[0, head : head + 2] = -1.0
+    support = np.hstack(
+        [np.eye(free, head), -np.ones((free, 1)), np.zeros((free, 1)), -np.eye(free)]
+    )
     rhs = np.outer(shifted[:, :pinned].sum(axis=1), [-1.0, 1.0]).ravel()
-    offset = np.concatenate([np.ones(pinned), np.zeros(free)])
-    cost = np.concatenate([np.zeros(free), np.ones(n), [eps1], eps_col])
+    cost = np.concatenate(
+        [np.zeros(free), np.ones(n), [eps1, eps_col[:pinned].sum()], eps_col[pinned:]]
+    )
     return LinearProgram.build(
         cost,
-        [(0.0, 1.0)] * free + [(0.0, None)] * (2 * n + 1),
+        [(0.0, 1.0)] * free + [(0.0, None)] * (2 * n + 2 - pinned),
         zip(
-            np.vstack([residual.reshape(2 * n, width), support]),
-            ["<="] * (3 * n),
-            np.concatenate([rhs, -offset]),
+            np.vstack([residual.reshape(2 * n, width), verified, support]),
+            ["<="] * (3 * n + 1 - pinned),
+            np.concatenate([rhs, [-1.0], np.zeros(free)]),
         ),
     )
 

@@ -352,6 +352,23 @@ class TestNonFiniteInputs:
         with pytest.raises(ParameterError):
             frobenius_worst_case(a0, directions, radii)
 
+    @pytest.mark.parametrize(
+        "total",
+        [10**400, -(10**400), np.float32(np.inf), np.longdouble("1e400"), np.nan],
+        ids=["int-past-float-range", "negative-int", "float32-inf", "longdouble-past-float-range",
+             "nan"],
+    )
+    def test_total_budget_outside_the_float_range_rejected(self, total):
+        # a ParameterError, not the OverflowError of converting the total to a float
+        with pytest.raises(ParameterError, match="^total budget must be finite and nonnegative$"):
+            BudgetedBox(total, [1.0])
+
+    def test_float32_totals_convert_without_warning(self):
+        # the largest float32 is a finite float; the suite turns warnings into errors
+        largest = np.finfo(np.float32).max
+        assert BudgetedBox(largest, [1.0]).eps_total == float(largest)
+        assert type(BudgetedBox(np.float32(0.5), [1.0]).eps_total) is float
+
 
 class TestWeightedDecompositionNorm:
     def test_basis_vector_unit_weights(self):

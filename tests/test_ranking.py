@@ -113,3 +113,10 @@ class TestRankVector:
         for bad in ([np.nan, 1.0], [np.inf, -np.inf], [np.inf, 1.0]):
             with pytest.raises(ParameterError, match="^rank entries must be finite$"):
                 RankVector(np.array(bad))
+
+    @pytest.mark.parametrize("size", [2, 65_537], ids=["floats", "numpy"])
+    def test_sum_past_the_float_range_does_not_sum_to_one(self, size):
+        # finite entries whose sum overflows; under the suite's
+        # filterwarnings = error an overflow warning would fail this test
+        with pytest.raises(ParameterError, match="^rank entries must sum to one$"):
+            RankVector(np.full(size, 1e308))

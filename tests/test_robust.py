@@ -130,18 +130,28 @@ class TestProgramStructure:
         rng = np.random.default_rng(8)
         n = 5
         p = TransitionMatrix(random_stochastic(n, rng))
+        budget = RobustBudget(0.5, rng.uniform(0.0, 1.0, size=n))
         for pinned in (1, 3, n):
-            program = build_robust_program(p, uniform_budget(n, 0.5), pinned=pinned)
-            # (x, s, t, u) as written, the pinned coordinates fixed at one
-            assert program.n_vars == 3 * n + 1
+            program = build_robust_program(p, budget, pinned=pinned)
+            # (x, s, t, w, u of the generated sentences), the pinned
+            # coordinates fixed at one
+            assert program.n_vars == 3 * n - pinned + 2
             fixed = program.lower == program.upper
             assert fixed.sum() == pinned
             assert np.all(fixed[:pinned]) and np.all(program.lower[:pinned] == 1.0)
-            # residual rows in both directions and one support row per x
-            assert program.n_rows == 3 * n
+            # w costs what the pinned excesses it replaces cost together
+            assert program.objective[2 * n] == budget.eps_total
+            assert program.objective[2 * n + 1] == budget.eps_col[:pinned].sum()
+            assert np.array_equal(program.objective[2 * n + 2 :], budget.eps_col[pinned:])
+            # residual rows in both directions, the verified block's one
+            # support row t + w >= 1, and one support row per generated x
+            assert program.n_rows == 3 * n - pinned + 1
+            assert program.relations[2 * n] == ">=" and program.rhs[2 * n] == 1.0
+            assert np.flatnonzero(program.rows[2 * n]).tolist() == [2 * n, 2 * n + 1]
             # the fixed coordinates take no column and no cap row; the free
             # ones' [0, 1] boxes add one cap row each
-            assert _StandardForm(program).A.shape == (3 * n + n - pinned, 3 * n - pinned + 1)
+            form = _StandardForm(program)
+            assert form.A.shape == (3 * n - pinned + 1 + n - pinned, 3 * n - 2 * pinned + 2)
 
     def test_comparative_standard_form_matches_substitution(
         self, transition_01, transition_02, transition_03
@@ -574,6 +584,93 @@ class TestComparativeRank:
             comparative_rank(transition_01, 0, uniform_budget(11, 1.0))
         with pytest.raises(ParameterError):
             comparative_rank(transition_01, 12, uniform_budget(11, 1.0))
+
+
+def verified_block_budgets(n, v, rng):
+    """Budgets that stress the verified block's one support row, by name.
+
+    Zero and uneven caps on the verified block, and caps whose sum over it
+    exceeds the total budget, so that ``t >= 1`` and ``w = 0``: once at a
+    small total and once past saturation at 4 (n - 1).
+    """
+    zero = rng.uniform(0.0, 0.5, size=n)
+    zero[:v] = 0.0
+    uneven = rng.uniform(0.0, 0.5, size=n)
+    uneven[: v : 2] = 0.0
+    return {
+        "zero-verified-caps": RobustBudget(0.3, zero),
+        "uneven-caps": RobustBudget(0.7, uneven),
+        "caps-above-total": RobustBudget(0.2, np.full(n, 0.5)),
+        "saturated": RobustBudget(4.0 * n, np.full(n, 4.0 * n + 1.0)),
+    }
+
+
+def comparative_graphs():
+    rng = np.random.default_rng(34)
+    disconnected = np.zeros((9, 9))
+    disconnected[:5, :5] = random_adjacency(5, 0.7, rng)
+    disconnected[5:, 5:] = random_adjacency(4, 0.7, rng)
+    return [
+        pytest.param(random_adjacency(12, 0.3, rng), id="random-12"),
+        pytest.param(disconnected, id="disconnected-9"),
+        pytest.param(random_adjacency(30, 0.15, rng), id="random-30"),
+    ]
+
+
+class TestComparativeModel:
+    """The comparative model, whose v pinned support rows are one row ``t + w >= 1``."""
+
+    @pytest.mark.parametrize("adjacency", comparative_graphs())
+    def test_matches_decomposition_form(self, adjacency):
+        pytest.importorskip("scipy.optimize")
+        p = to_transition(AdjacencyMatrix(adjacency, 0.0))
+        n = p.size
+        for v in sorted({1, 2, n // 2, n}):
+            for name, budget in verified_block_budgets(n, v, np.random.default_rng(v)).items():
+                result = comparative_rank(p, v, budget)
+                reference = decomposition_rank_optimum(
+                    p.values, budget.eps_total, budget.eps_col, pinned=v
+                )
+                assert result.objective == pytest.approx(reference, abs=1e-8), (v, name)
+                scores = result.reported.scores
+                assert np.all(scores[:v] == 1.0), (v, name)
+                assert np.all((scores[v:] >= 0.0) & (scores[v:] <= 1.0)), (v, name)
+
+    @pytest.mark.parametrize("adjacency", comparative_graphs())
+    def test_verified_row_slack_when_caps_exceed_total(self, adjacency):
+        # below the verified caps' sum the total is the cheaper price: t
+        # covers the pinned coordinates and w = max(0, 1 - t) is zero
+        p = to_transition(AdjacencyMatrix(adjacency, 0.0))
+        n = p.size
+        for v in sorted({1, n // 2, n}):
+            for name in ("caps-above-total", "saturated"):
+                budget = verified_block_budgets(n, v, np.random.default_rng(v))[name]
+                solution = solve(build_robust_program(p, budget, pinned=v))
+                assert solution.status == "optimal"
+                t, w = solution.x[2 * n], solution.x[2 * n + 1]
+                assert t >= 1.0 - 1e-12 and w == 0.0, (v, name, t, w)
+
+    @pytest.mark.parametrize("adjacency", comparative_graphs())
+    def test_repriced_solves_match_separate_solves(self, adjacency):
+        # one comparative model re-priced for each budget, against one
+        # comparative_rank per budget: the re-priced costs keep the pinned
+        # layout. A re-priced solve starts from the previous optimal vertex,
+        # so where the optimum is not unique it may end on another optimal
+        # point; each point must still attain its budget's optimum.
+        p = to_transition(AdjacencyMatrix(adjacency, 0.0))
+        n = p.size
+        for v in sorted({1, n // 2, n}):
+            budgets = list(verified_block_budgets(n, v, np.random.default_rng(v)).values())
+            budgets.insert(1, uniform_budget(n, 0.01))
+            for order in (1, -1):
+                runs = robust._solve_rank(p, budgets[::order], pinned=v)
+                for k, (budget, (x, objective)) in enumerate(zip(budgets[::order], runs)):
+                    alone = comparative_rank(p, v, budget)
+                    assert objective == pytest.approx(alone.objective, rel=1e-12, abs=1e-12), v
+                    assert robust._bound(p, budget, x) == pytest.approx(objective, abs=1e-9), v
+                    assert np.all(x[:v] == 1.0) and np.all((x >= 0.0) & (x <= 1.0)), v
+                    if k == 0:  # the first budget's solve is the cold one
+                        assert np.array_equal(x, alone.reported.scores), v
 
 
 class TestWorstCaseUpperBound:
