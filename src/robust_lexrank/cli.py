@@ -23,7 +23,7 @@ import numpy as np
 from . import dualnorms
 from .corpus import Corpus, Sentence, build_similarity_matrix, read_corpus, write_matrix_csv
 from .dualnorms import BudgetedBox
-from .errors import ParameterError, ParseError, RobustLexRankError, SetupError
+from .errors import NumericError, ParameterError, ParseError, RobustLexRankError, SetupError
 from .graph import threshold_adjacency, to_transition
 from .ranking import DEFAULT_MAX_ITER, DEFAULT_TOL, normalize_max_one, power_iteration
 from .robust import (
@@ -84,15 +84,14 @@ def _read_eps_col(path):
 
 
 def _budget_for(n, args) -> RobustBudget:
-    if getattr(args, "eps_col_file", None):
+    if args.eps_col_file:
         return RobustBudget(args.eps1, _read_eps_col(args.eps_col_file))
     return RobustBudget.broadcast(n, args.eps1, args.eps_col)
 
 
-def _emit(payload, args, csv_rows=None, csv_header=None):
+def _emit(payload, args, csv_rows, csv_header=None):
     """Write JSON (default) or CSV; CSV provenance rides in comment lines."""
-    fmt = getattr(args, "format", "json")
-    if fmt == "json":
+    if args.format == "json":
         text = json.dumps(payload, indent=2)
     else:
         buffer = io.StringIO()
@@ -101,12 +100,10 @@ def _emit(payload, args, csv_rows=None, csv_header=None):
         writer = csv.writer(buffer)
         if csv_header:
             writer.writerow(csv_header)
-        for row in csv_rows or []:
-            writer.writerow(row)
+        writer.writerows(csv_rows)
         text = buffer.getvalue().rstrip("\n")
-    output = getattr(args, "output", None)
-    if output:
-        with open(output, "w", encoding="utf-8") as handle:
+    if args.output:
+        with open(args.output, "w", encoding="utf-8") as handle:
             handle.write(text + "\n")
     else:
         print(text)
@@ -204,7 +201,7 @@ def cmd_simulate(args):
     )
     payload = {"config": config, "report": report.as_dict()}
     _emit(payload, args, csv_rows=[list(report.as_dict().values())])
-    return 0 if report.violations == 0 else 6
+    return 0 if report.violations == 0 else NumericError.exit_code
 
 
 def cmd_reproduce_tables(args):
@@ -303,7 +300,7 @@ def cmd_verify(args):
         ok = worst <= tolerance
         failures += 0 if ok else 1
         print(f"{'PASS' if ok else 'FAIL'} {label}: worst gap {worst:.3e} (tolerance {tolerance:g})")
-    return 0 if failures == 0 else 6
+    return 0 if failures == 0 else NumericError.exit_code
 
 
 def _add_io_flags(parser, with_format=True):

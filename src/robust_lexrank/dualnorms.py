@@ -344,7 +344,7 @@ def decomposition_norm_l2(x, box: BudgetedBox) -> NormDecomposition:
         for v, reach in zip(x.tolist(), certificate.z.tolist()):
             if v:
                 scale = abs(reach / v)
-                if scale > kappa or scale != scale:
+                if scale > kappa:
                     kappa = scale
         lam = certificate.z / kappa
     mu = x - lam

@@ -46,7 +46,9 @@ class ModelError(RobustLexRankError, ValueError):
 
 
 class SetDefinitionError(RobustLexRankError, ValueError):
-    """Uncertainty-set budgets that admit no feasible perturbation."""
+    """Uncertainty set or sampled perturbation that breaks its definition: new-row
+    budgets of another width than the existing ones, a negative or
+    non-stochastic block, or a draw outside its budgets."""
 
     exit_code = 5
 

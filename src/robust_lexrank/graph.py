@@ -67,6 +67,11 @@ class TransitionMatrix:
         return self.values.shape[0]
 
 
+def _residuals(q, x):
+    """l1 distances between ``q @ x`` and ``x``, one per matrix of a stack."""
+    return np.abs(q @ x - x).sum(axis=-1)
+
+
 def threshold_adjacency(similarity: SimilarityMatrix, threshold: float) -> AdjacencyMatrix:
     """Edge wherever similarity >= threshold; self-loops come from the unit diagonal."""
     if not (real_number(threshold) and 0.0 <= threshold <= 1.0):

@@ -27,13 +27,14 @@ one model for a list of budgets and re-prices its tableau for each.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .dualnorms import BudgetedBox, box_l1_support
 from .errors import NumericError, ParameterError, SolverError, all_within, as_count, real_array
-from .graph import TransitionMatrix
+from .graph import TransitionMatrix, _residuals
 from .lpsolver import LinearProgram, solve
 from .ranking import RankVector, ReportedRanks, normalize_max_one
 
@@ -145,8 +146,9 @@ def build_robust_program(
     first v coordinates of ``x`` have bounds ``(1, 1)`` and the rest ``(0,
     1)``. A pinned coordinate's support row reads ``t + u_j >= 1``, so at
     the optimum each of the v excesses is ``max(0, 1 - t)``: one variable
-    ``w`` in their place, priced at ``sum(eps_col[:v])``, and one row ``t +
-    w >= 1`` where the simplex row was, stand for them all. Variables ``(x,
+    ``w`` in their place, priced at ``sum(eps_col[:v])`` (held at 0 if that
+    sum overflows), and one row ``t + w >= 1`` where the simplex row was,
+    stand for them all. Variables ``(x,
     s, t, w, u_v .. u_{n-1})``: 3n - v + 2 of them, and 3n - v + 1 rows;
     the solver substitutes the v fixed coordinates, so it pivots on 3n - 2v
     + 2 columns.
@@ -178,20 +180,27 @@ def build_robust_program(
         x_bounds = [(1.0, 1.0)] * v + [(0.0, 1.0)] * (n - v)
         matrix[2 * n, 2 * n : 2 * n + 2] = 1.0
         relations[2 * n] = ">="
+    bounds = x_bounds + [(0.0, None)] * (width - n)
+    if not math.isfinite(cost[2 * n + 1]):
+        # the verified caps sum past the float range (only w's price can): hold
+        # w at 0 instead. Any price at or above eps1 leaves w = 0 at some
+        # optimum, since moving w's mass onto t costs eps1 per unit and keeps
+        # every generated row
+        cost[2 * n + 1] = 0.0
+        bounds[2 * n + 1] = (0.0, 0.0)
     rhs = np.zeros(len(matrix))
     rhs[2 * n] = 1.0
-    return LinearProgram.build(
-        cost, x_bounds + [(0.0, None)] * (width - n), zip(matrix, relations, rhs)
-    )
+    return LinearProgram.build(cost, bounds, zip(matrix, relations, rhs))
 
 
 def _rank_cost(p, budget, pinned=None):
     """The cost ``sum(s) + eps1 * t + eps_col @ u`` of ``build_robust_program``'s
     model under ``budget``; with ``pinned = v`` the v pinned excesses are one
-    ``w`` at ``sum(eps_col[:v])``."""
+    ``w`` at ``sum(eps_col[:v])``, infinite if that sum leaves the float range."""
     _check_dims(p, budget)
     n = p.size
-    verified = [] if pinned is None else [budget.eps_col[:pinned].sum()]
+    with np.errstate(over="ignore"):
+        verified = [] if pinned is None else [budget.eps_col[:pinned].sum()]
     return np.concatenate(
         [np.zeros(n), np.ones(n), [budget.eps_total], verified, budget.eps_col[pinned:]]
     )
@@ -212,8 +221,7 @@ def build_growth_program(
 
 def _bound(p, budget, x) -> float:
     """Residual at ``x`` plus the support of ``x`` over the budget."""
-    value = float(np.abs(p.values @ x - x).sum())
-    return value + box_l1_support(x, budget).value
+    return float(_residuals(p.values, x)) + box_l1_support(x, budget).value
 
 
 def _solve_rank(p, budgets, pinned=None):

@@ -18,13 +18,14 @@ nothing is drawn for a single sentence without growth.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from .dualnorms import BudgetedBox
 from .errors import ParameterError, SetDefinitionError, all_within, as_count, real_array
-from .graph import COLUMN_SUM_TOL, TransitionMatrix
+from .graph import COLUMN_SUM_TOL, TransitionMatrix, _residuals
 from .robust import GrowthModel, RobustBudget, worst_case_upper_bound
 
 VIOLATION_TOL = 1e-9
@@ -57,10 +58,14 @@ class UncertaintySet:
         return self.growth.m
 
     def to_robust_budget(self) -> RobustBudget:
-        return RobustBudget(
-            self.existing.eps_total + self.new_rows.eps_total,
-            self.existing.eps_col + self.new_rows.eps_col,
-        )
+        """The existing and new-row budgets added; ``ParameterError`` if a sum
+        leaves the float range."""
+        with np.errstate(over="ignore"):
+            total = self.existing.eps_total + self.new_rows.eps_total
+            col = self.existing.eps_col + self.new_rows.eps_col
+        if not (math.isfinite(total) and np.isfinite(col).all()):
+            raise ParameterError("combined existing and new-row budget must be finite")
+        return RobustBudget(total, col)
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,7 +84,7 @@ class PerturbationSample:
     def within_budgets(self, uset: UncertaintySet) -> bool:
         """Recheck every column and block budget of the uncertainty set, to ``BUDGET_TOL``."""
         blocks = (self.existing_delta, self.new_rows, self.new_cols, self.new_corner)
-        return _within_budgets(blocks, uset, BUDGET_TOL)
+        return _within_budgets(blocks, uset)
 
 
 def _check_stochastic(new_rows, new_cols, new_corner, grown):
@@ -105,11 +110,11 @@ def _column_sums(matrices):
     return np.ones(matrices.shape[-2]) @ matrices
 
 
-def _within_budgets(blocks, uset: UncertaintySet, tol: float) -> bool:
+def _within_budgets(blocks, uset: UncertaintySet) -> bool:
     """Whether ``(xi, psi, zeta, chi)`` keeps every budget in every sample.
 
     Blocks are matrices or stacks of them (samples along the leading axis);
-    every block keeps its total and each of its column caps within ``tol``.
+    every block keeps its total and each of its column caps within ``BUDGET_TOL``.
     The total is the sum of the column sums, both taken as matmuls by ones.
     An empty block passes on its own.
     """
@@ -123,7 +128,7 @@ def _within_budgets(blocks, uset: UncertaintySet, tol: float) -> bool:
     for block, (total, caps) in zip(blocks, limits):
         columns = _column_sums(np.abs(block))
         totals = columns @ np.ones(columns.shape[-1])
-        if not ((totals <= total + tol).all() and (columns <= caps + tol).all()):
+        if not ((totals <= total + BUDGET_TOL).all() and (columns <= caps + BUDGET_TOL).all()):
             return False
     return True
 
@@ -213,7 +218,7 @@ def _draw_blocks(p: TransitionMatrix, uset: UncertaintySet, rng, count: int):
     masses = uniforms[:, :n] * high
     total = masses.sum(axis=1)
     limit = min(uset.existing.eps_total, uset.new_rows.eps_total)
-    masses *= np.minimum(1.0, np.divide(limit, total, out=np.ones(count), where=total > 0))[:, None]
+    masses *= np.divide(limit, total, out=np.ones(count), where=total > limit)[:, None]
     split = _dirichlet_rows(uniforms[:, n : n + n * m].reshape(count, n, m))
     growth = uniforms[:, n + n * m :].reshape(count, m, n + m)
     # ``to_transition`` leaves ``p.values`` F-ordered; a C-ordered ``xi`` adds
@@ -248,8 +253,8 @@ def _paired_shifts(p: TransitionMatrix, box: BudgetedBox, rng, count: int):
     columns = np.arange(n)
     masses = uniforms[:, n:] * np.minimum(box.eps_col / 2.0, p.values[donor, columns])
     moved = 2.0 * masses.sum(axis=1)
-    scale = np.divide(box.eps_total, moved, out=np.ones(count), where=moved > 0)
-    masses *= np.minimum(1.0, scale)[:, None]
+    scale = np.divide(box.eps_total, moved, out=np.ones(count), where=moved > box.eps_total)
+    masses *= scale[:, None]
     samples = np.arange(count)[:, None]
     xi[samples, donor, columns] = -masses
     xi[samples, receiver, columns] = masses
@@ -267,7 +272,7 @@ def _draw_checked(p: TransitionMatrix, uset: UncertaintySet, rng, count: int):
     grown[:, n:, :n] = psi
     grown[:, n:, n:] = chi
     _check_stochastic(psi, zeta, chi, grown)
-    if not _within_budgets(blocks, uset, BUDGET_TOL):
+    if not _within_budgets(blocks, uset):
         raise SetDefinitionError("sampler produced an out-of-budget perturbation")
     return blocks, grown
 
@@ -281,11 +286,6 @@ def sample_perturbation(p: TransitionMatrix, uset: UncertaintySet, seed=None) ->
     _check_set(p, uset)
     blocks, grown = _draw_checked(p, uset, _rng(seed), 1)
     return PerturbationSample(*(block[0] for block in blocks), grown[0])
-
-
-def _residuals(q, x):
-    """l1 distances between ``q @ x`` and ``x``, one per matrix of a stack."""
-    return np.abs(q @ x - x).sum(axis=-1)
 
 
 def residual(q, x) -> float:

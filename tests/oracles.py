@@ -674,7 +674,7 @@ def reference_real_entries(values):
     )
 
 
-def reference_real_array(values, what, error, shape=None, finite=True):
+def reference_real_array(values, what, error, shape=None):
     """``errors.real_array`` as it was with numpy's entrywise finiteness test on
     every array up to ``REFERENCE_FINITE_BY_EXTREMES_ENTRIES`` entries."""
     if not reference_real_entries(values):
@@ -685,8 +685,6 @@ def reference_real_array(values, what, error, shape=None, finite=True):
         raise error(f"{what} must not be ragged") from None
     if shape is not None and array.shape != shape:
         raise error(f"{what} have shape {array.shape} where {shape} is needed")
-    if not finite:
-        return array
     if array.size > REFERENCE_FINITE_BY_EXTREMES_ENTRIES:
         finite = math.isfinite(array.min()) and math.isfinite(array.max())
     else:

@@ -579,6 +579,23 @@ class TestComparativeRank:
         with pytest.raises(NumericError):
             comparative_rank(transition_01, 8, uniform_budget(11, 0.01))
 
+    @pytest.mark.parametrize("eps1", [0.0, 0.3, 2.0])
+    @pytest.mark.parametrize("v", [2, 4, 11])
+    def test_verified_price_past_the_float_range(self, transition_01, eps1, v):
+        # the verified caps sum past the float range, so the folded excess w is
+        # held at 0 rather than priced (the suite turns numpy's overflow
+        # warning into an error); any price at or above eps1 gives the optimum
+        # that verified caps lowered to eps1 give
+        budget = RobustBudget.broadcast(11, eps1, 1e308)
+        result = comparative_rank(transition_01, v, budget)
+        caps = np.full(11, 1e308)
+        caps[:v] = eps1
+        lowered = comparative_rank(transition_01, v, RobustBudget(eps1, caps))
+        assert abs(result.objective - lowered.objective) <= 1e-12 * abs(lowered.objective)
+        program = build_robust_program(transition_01, budget, v)
+        w = 2 * 11 + 1  # after x, s and t
+        assert program.lower[w] == program.upper[w] == program.objective[w] == 0.0
+
     def test_verified_count_validated(self, transition_01):
         with pytest.raises(ParameterError):
             comparative_rank(transition_01, 0, uniform_budget(11, 1.0))

@@ -206,7 +206,7 @@ class TestSamplePerturbation:
         blocks, grown = simulator._draw_checked(p, uset, ZeroGenerator(), 2)
         _, psi, zeta, chi = blocks
         simulator._check_stochastic(psi, zeta, chi, grown)
-        assert simulator._within_budgets(blocks, uset, simulator.BUDGET_TOL)
+        assert simulator._within_budgets(blocks, uset)
         assert np.array_equal(simulator._dirichlet_rows(np.zeros((2, 3, 1))), np.ones((2, 3, 1)))
         assert np.all(zeta == uset.growth.to_existing_col * (1 / 3))
         assert np.all(chi == uset.growth.among_new_col)
@@ -214,6 +214,30 @@ class TestSamplePerturbation:
         for block, expected in zip(blocks + (grown,), reference):
             assert np.array_equal(block[0], expected)
             assert np.array_equal(block[1], expected)
+
+    @pytest.mark.parametrize("m", [0, 2])
+    def test_scale_down_at_the_top_of_the_float_range(self, m):
+        # a total budget of 1e308 over a moved mass below 0.5, so 1e308 over
+        # that mass leaves the float range: the scale-down divides only where
+        # the mass exceeds the budget, so no quotient overflows (the suite
+        # turns numpy's warning into an error), and the draw is the one a
+        # smaller budget that also binds nowhere gives
+        p = TransitionMatrix(random_stochastic(11, np.random.default_rng(3)))
+        top = make_uset(11, m, 1e308, 0.02, 1e308, 0.02)
+        below = make_uset(11, m, 1e300, 0.02, 1e300, 0.02)
+        for seed in range(5):
+            drawn = sample_perturbation(p, top, seed=seed)
+            assert np.array_equal(drawn.grown, sample_perturbation(p, below, seed=seed).grown)
+            assert 0.0 < np.abs(drawn.existing_delta).sum() < 0.5
+
+    def test_combined_budget_past_the_float_range_rejected(self):
+        # each budget is finite, their sums are not
+        for total, cap in ((1e308, 0.1), (0.1, 1e308)):
+            uset = make_uset(3, 1, total, cap, total, cap)
+            with pytest.raises(ParameterError, match="combined existing and new-row budget"):
+                uset.to_robust_budget()
+            with pytest.raises(ParameterError, match="combined existing and new-row budget"):
+                empirical_max_residual(TransitionMatrix(np.eye(3)), np.full(3, 1 / 3), uset, 5)
 
     def test_width_mismatch_rejected(self):
         p = TransitionMatrix(np.eye(3))

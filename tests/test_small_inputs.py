@@ -325,7 +325,7 @@ class TestNoCheckDropped:
     def test_out_of_budget_stack(self):
         for n, m, count in self.STACKS:
             _, uset, (blocks, _) = self.draw(n, m, count)
-            assert simulator._within_budgets(blocks, uset, simulator.BUDGET_TOL)
+            assert simulator._within_budgets(blocks, uset)
             for index in range(4):
                 if not blocks[index].size:
                     continue
@@ -333,7 +333,7 @@ class TestNoCheckDropped:
                     inflated = list(blocks)
                     inflated[index] = blocks[index].copy()
                     inflated[index][-1, -1, -1] += bump
-                    assert not simulator._within_budgets(inflated, uset, simulator.BUDGET_TOL)
+                    assert not simulator._within_budgets(inflated, uset)
 
     def test_stack_over_its_totals(self):
         # every column within its cap, the block totals over their budgets
@@ -345,7 +345,7 @@ class TestNoCheckDropped:
                     BudgetedBox(new_rows, uset.new_rows.eps_col),
                     uset.growth,
                 )
-                within = simulator._within_budgets(blocks, tight, simulator.BUDGET_TOL)
+                within = simulator._within_budgets(blocks, tight)
                 assert within == (m == 0 and existing == 0.5), (n, m, count, existing)
 
     def test_out_of_budget_draw_raises(self, monkeypatch):
