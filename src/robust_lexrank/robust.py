@@ -27,7 +27,6 @@ one model for a list of budgets and re-prices its tableau for each.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -137,21 +136,21 @@ def build_robust_program(
     inf-norm weight of the support dual) and ``u`` (n, per-column excess
     over ``t``): 3n + 1 of them, all nonnegative. Rows ``-s <= P x - x <=
     s`` interleaved per sentence, then ``sum(x) = 1``, then ``x_j - t - u_j
-    <= 0``: 3n + 1 of them. The cost ``sum(s) + eps1 * t + eps_col @ u``
-    bounds residual plus the support of ``x`` over the budget: for fixed
-    ``x >= 0`` the minimum over ``(t, u) >= 0`` is ``box_l1_support(x,
-    budget)`` (its LP dual).
+    <= 0``: 3n + 1 of them. The cost ``sum(s) + eps1 * t + eps_col @ u``,
+    on the budget's exact clamped form (see ``_rank_cost``), bounds residual
+    plus the support of ``x`` over the budget: for fixed ``x >= 0`` the
+    minimum over ``(t, u) >= 0`` is ``box_l1_support(x, budget)`` (its LP
+    dual).
 
     With ``pinned = v``, an integer in 1..n, there is no simplex row: the
     first v coordinates of ``x`` have bounds ``(1, 1)`` and the rest ``(0,
     1)``. A pinned coordinate's support row reads ``t + u_j >= 1``, so at
     the optimum each of the v excesses is ``max(0, 1 - t)``: one variable
-    ``w`` in their place, priced at ``sum(eps_col[:v])`` (held at 0 if that
-    sum overflows), and one row ``t + w >= 1`` where the simplex row was,
-    stand for them all. Variables ``(x,
-    s, t, w, u_v .. u_{n-1})``: 3n - v + 2 of them, and 3n - v + 1 rows;
-    the solver substitutes the v fixed coordinates, so it pivots on 3n - 2v
-    + 2 columns.
+    ``w`` in their place, priced at ``min(sum(eps_col[:v]), eps1)``, and one
+    row ``t + w >= 1`` where the simplex row was, stand for them all.
+    Variables ``(x, s, t, w, u_v .. u_{n-1})``: 3n - v + 2 of them, and 3n -
+    v + 1 rows; the solver substitutes the v fixed coordinates, so it pivots
+    on 3n - 2v + 2 columns.
     """
     n = p.size
     if pinned is not None and not 1 <= as_count(pinned, "n_verified") <= n:
@@ -181,13 +180,6 @@ def build_robust_program(
         matrix[2 * n, 2 * n : 2 * n + 2] = 1.0
         relations[2 * n] = ">="
     bounds = x_bounds + [(0.0, None)] * (width - n)
-    if not math.isfinite(cost[2 * n + 1]):
-        # the verified caps sum past the float range (only w's price can): hold
-        # w at 0 instead. Any price at or above eps1 leaves w = 0 at some
-        # optimum, since moving w's mass onto t costs eps1 per unit and keeps
-        # every generated row
-        cost[2 * n + 1] = 0.0
-        bounds[2 * n + 1] = (0.0, 0.0)
     rhs = np.zeros(len(matrix))
     rhs[2 * n] = 1.0
     return LinearProgram.build(cost, bounds, zip(matrix, relations, rhs))
@@ -195,15 +187,17 @@ def build_robust_program(
 
 def _rank_cost(p, budget, pinned=None):
     """The cost ``sum(s) + eps1 * t + eps_col @ u`` of ``build_robust_program``'s
-    model under ``budget``; with ``pinned = v`` the v pinned excesses are one
-    ``w`` at ``sum(eps_col[:v])``, infinite if that sum leaves the float range."""
+    model on ``budget`` clamped: caps ``min(eps_j, eps1)`` and radius ``min(eps1,
+    sum of caps)`` cut out the same set. With ``pinned = v`` the v pinned
+    excesses are one ``w`` at ``min(sum(caps[:v]), eps1)``, always finite: any
+    price at or above ``eps1`` gives every ``x`` the same support."""
     _check_dims(p, budget)
     n = p.size
-    with np.errstate(over="ignore"):
-        verified = [] if pinned is None else [budget.eps_col[:pinned].sum()]
-    return np.concatenate(
-        [np.zeros(n), np.ones(n), [budget.eps_total], verified, budget.eps_col[pinned:]]
-    )
+    caps = np.minimum(budget.eps_col, budget.eps_total)
+    with np.errstate(over="ignore"):  # a sum past the float range is clamped away
+        eps1 = min(budget.eps_total, caps.sum())
+        verified = [] if pinned is None else [min(caps[:pinned].sum(), eps1)]
+    return np.concatenate([np.zeros(n), np.ones(n), [eps1], verified, caps[pinned:]])
 
 
 def build_growth_program(
@@ -307,7 +301,8 @@ def comparative_rank(
     Same objective as the robust model, but the simplex constraint is
     replaced by fixing the first ``n_verified`` coordinates to one and
     boxing the rest into [0, 1], both through variable bounds. The
-    verified block's support rows fold into one row and one variable (see
+    verified block's support rows fold into one row and one variable ``w``,
+    priced at ``min(sum(eps_col[:v]), eps1)`` on the clamped caps (see
     ``build_robust_program``), so with v = ``n_verified`` the model has 3n -
     v + 1 rows and 3n - v + 2 variables; the solver substitutes the fixed
     coordinates as constants and pivots on 3n - 2v + 2 columns.

@@ -11,10 +11,11 @@ simplex pivot as one dense rank-one update, against which the package's
 column-sparse pivot is checked bit for bit, ``reference_run_simplex``, the
 simplex loop with a separate branch per pivot rule, pivoting with
 ``dense_pivot``, against which the package's loop is checked bit for bit,
-and
 ``substituted_comparative_program``, the comparative model with its pinned
 coordinates substituted by hand, against which the solver's substitution
-of fixed variables is checked. The ``reference_`` dual-norm evaluators are
+of fixed variables is checked, and ``unclamped_rank_program``, a rank
+model priced at its raw budget, against which the clamped prices are
+checked. The ``reference_`` dual-norm evaluators are
 the package's earlier whole-array numpy code, against which the
 per-coordinate loops are checked bit for bit; ``compensated_sum`` replays
 the builtin ``sum`` of Python 3.12+ on older interpreters. The input checks
@@ -546,13 +547,20 @@ def substituted_comparative_program(p, eps1, eps_col, pinned):
     no column: ``x`` keeps its n - pinned free coordinates, boxed into
     ``[0, 1]``, the residual rows take ``-+(P - I)[:, :pinned] @ 1`` as
     right-hand sides, and there is no simplex row. Each pinned support row
-    would read ``-t - u_j <= -1``; one row ``-t - w <= -1``, with ``w``
-    priced at the pinned caps' sum, stands for them all, and the free
-    coordinates keep theirs. Variables ``(x free, s, t, w, u free)``: 3n - 2
-    * pinned + 2 of them, and 3n - pinned + 1 rows.
+    would read ``-t - u_j <= -1``; one row ``-t - w <= -1`` stands for them
+    all, and the free coordinates keep theirs. Variables ``(x free, s, t, w,
+    u free)``: 3n - 2 * pinned + 2 of them, and 3n - pinned + 1 rows.
+
+    The prices are the budget's clamped form: each cap at most ``eps1``,
+    ``eps1`` at most the clamped caps' sum, and ``w`` at the pinned clamped
+    caps' sum or ``eps1``, whichever is less.
     """
     from robust_lexrank.lpsolver import LinearProgram
 
+    eps_col = np.minimum(eps_col, eps1)
+    with np.errstate(over="ignore"):
+        eps1 = min(eps1, eps_col.sum())
+        verified_price = min(eps_col[:pinned].sum(), eps1)
     p = np.asarray(p, dtype=float)
     n = p.shape[0]
     free = n - pinned
@@ -570,7 +578,7 @@ def substituted_comparative_program(p, eps1, eps_col, pinned):
     )
     rhs = np.outer(shifted[:, :pinned].sum(axis=1), [-1.0, 1.0]).ravel()
     cost = np.concatenate(
-        [np.zeros(free), np.ones(n), [eps1, eps_col[:pinned].sum()], eps_col[pinned:]]
+        [np.zeros(free), np.ones(n), [eps1, verified_price], eps_col[pinned:]]
     )
     return LinearProgram.build(
         cost,
@@ -580,6 +588,32 @@ def substituted_comparative_program(p, eps1, eps_col, pinned):
             ["<="] * (3 * n + 1 - pinned),
             np.concatenate([rhs, [-1.0], np.zeros(free)]),
         ),
+    )
+
+
+def unclamped_rank_program(program, eps1, eps_col, pinned=None):
+    """``program``, a model of ``build_robust_program``, priced at the raw budget.
+
+    The rows and bounds are ``program``'s; the cost is ``sum(s) + eps1 * t +
+    eps_col @ u`` with every cap and ``eps1`` as given, and with ``pinned``
+    the folded excess ``w`` at the pinned caps' sum. Where that sum
+    leaves the float range ``w`` is held at 0, as an infinite price holds it.
+    """
+    from robust_lexrank.lpsolver import LinearProgram
+
+    eps_col = np.asarray(eps_col, dtype=float)
+    n = eps_col.size
+    bounds = list(zip(program.lower, program.upper))
+    verified = []
+    if pinned is not None:
+        with np.errstate(over="ignore"):
+            verified = [eps_col[:pinned].sum()]
+        if verified[0] == np.inf:
+            verified = [0.0]
+            bounds[2 * n + 1] = (0.0, 0.0)
+    cost = np.concatenate([np.zeros(n), np.ones(n), [eps1], verified, eps_col[pinned:]])
+    return LinearProgram.build(
+        cost, bounds, zip(program.rows, program.relations, program.rhs)
     )
 
 

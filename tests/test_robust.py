@@ -6,7 +6,12 @@ import numpy as np
 import pytest
 
 from conftest import random_stochastic
-from oracles import decomposition_rank_optimum, dense_pivot, substituted_comparative_program
+from oracles import (
+    decomposition_rank_optimum,
+    dense_pivot,
+    substituted_comparative_program,
+    unclamped_rank_program,
+)
 
 from robust_lexrank import (
     AdjacencyMatrix,
@@ -139,10 +144,14 @@ class TestProgramStructure:
             fixed = program.lower == program.upper
             assert fixed.sum() == pinned
             assert np.all(fixed[:pinned]) and np.all(program.lower[:pinned] == 1.0)
-            # w costs what the pinned excesses it replaces cost together
-            assert program.objective[2 * n] == budget.eps_total
-            assert program.objective[2 * n + 1] == budget.eps_col[:pinned].sum()
-            assert np.array_equal(program.objective[2 * n + 2 :], budget.eps_col[pinned:])
+            # the budget's clamped form: each cap at most eps1, eps1 at most
+            # the caps' sum, and w, which costs what the pinned excesses it
+            # replaces cost together, at most eps1
+            caps = np.minimum(budget.eps_col, budget.eps_total)
+            eps1 = min(budget.eps_total, caps.sum())
+            assert program.objective[2 * n] == eps1
+            assert program.objective[2 * n + 1] == min(caps[:pinned].sum(), eps1)
+            assert np.array_equal(program.objective[2 * n + 2 :], caps[pinned:])
             # residual rows in both directions, the verified block's one
             # support row t + w >= 1, and one support row per generated x
             assert program.n_rows == 3 * n - pinned + 1
@@ -582,10 +591,10 @@ class TestComparativeRank:
     @pytest.mark.parametrize("eps1", [0.0, 0.3, 2.0])
     @pytest.mark.parametrize("v", [2, 4, 11])
     def test_verified_price_past_the_float_range(self, transition_01, eps1, v):
-        # the verified caps sum past the float range, so the folded excess w is
-        # held at 0 rather than priced (the suite turns numpy's overflow
-        # warning into an error); any price at or above eps1 gives the optimum
-        # that verified caps lowered to eps1 give
+        # the verified caps sum past the float range, but clamped to eps1
+        # first they price the folded excess w at eps1, a finite price (the
+        # suite turns numpy's overflow warning into an error); any price at or
+        # above eps1 gives the optimum that verified caps lowered to eps1 give
         budget = RobustBudget.broadcast(11, eps1, 1e308)
         result = comparative_rank(transition_01, v, budget)
         caps = np.full(11, 1e308)
@@ -594,7 +603,8 @@ class TestComparativeRank:
         assert abs(result.objective - lowered.objective) <= 1e-12 * abs(lowered.objective)
         program = build_robust_program(transition_01, budget, v)
         w = 2 * 11 + 1  # after x, s and t
-        assert program.lower[w] == program.upper[w] == program.objective[w] == 0.0
+        assert program.objective[w] == eps1
+        assert (program.lower[w], program.upper[w]) == (0.0, np.inf)
 
     def test_verified_count_validated(self, transition_01):
         with pytest.raises(ParameterError):
@@ -688,6 +698,70 @@ class TestComparativeModel:
                     assert np.all(x[:v] == 1.0) and np.all((x >= 0.0) & (x <= 1.0)), v
                     if k == 0:  # the first budget's solve is the cold one
                         assert np.array_equal(x, alone.reported.scores), v
+
+
+def clamp_budgets(n, v, rng):
+    """Budgets on which the clamps of the rank model's prices bind, by name.
+
+    Caps above the total, the verified ones summing to 0.4, below it, so
+    that only the caps' clamp binds while a generated cap is left; a total
+    above the caps' sum; verified caps summing past the total; and verified
+    caps summing past the float range, once with the caps' clamp binding too
+    and once alone, under a total of 1.5e308. ``v`` is the number of pinned
+    coordinates, 0 for none.
+    """
+    above = rng.uniform(0.6, 3.0, size=n)
+    above[:v] = 0.4 / n
+    verified = np.arange(n) < v
+    return {
+        "caps-above-total": RobustBudget(0.5, above),
+        "total-above-caps": RobustBudget(0.5, rng.uniform(0.0, 0.4 / n, size=n)),
+        "verified-past-total": RobustBudget(0.5, np.full(n, 0.3)),
+        "verified-past-float-range": RobustBudget(0.3, np.where(verified, 1e308, 0.2)),
+        "verified-sum-past-float-range": RobustBudget(1.5e308, np.where(verified, 1e308, 0.01)),
+    }
+
+
+def clamp_binds(budget, pinned):
+    """Whether clamping changes any price of the rank model, from plain sums."""
+    caps, eps1 = budget.eps_col.tolist(), budget.eps_total
+    verified_past_total = pinned is not None and sum(caps[:pinned]) > eps1
+    return max(caps) > eps1 or eps1 > sum(caps) or verified_past_total
+
+
+class TestExactClamps:
+    """Caps above the total, a total above the caps' sum, and verified caps
+    summing past the total leave the budget set as it is, so the clamped
+    prices give every unclamped optimum."""
+
+    @pytest.mark.parametrize("adjacency, eps1, eps_col", adversarial_cases())
+    def test_clamped_optimum_is_the_unclamped_one(self, adjacency, eps1, eps_col):
+        pytest.importorskip("scipy.optimize")
+        p = to_transition(AdjacencyMatrix(adjacency, 0.0))
+        n = p.size
+        for pinned in [None] + sorted({1, 2, n // 2, n}):
+            v = pinned or 0
+            budgets = {"own": RobustBudget(eps1, eps_col)}
+            budgets.update(clamp_budgets(n, v, np.random.default_rng(v)))
+            for name, budget in budgets.items():
+                label = (pinned, name)
+                program = build_robust_program(p, budget, pinned)
+                raw = unclamped_rank_program(program, budget.eps_total, budget.eps_col, pinned)
+                # the raw prices bit for bit where no clamp binds, other ones where one does
+                same = np.array_equal(program.objective, raw.objective)
+                assert same == (not clamp_binds(budget, pinned)), label
+                clamped, unclamped = solve(program), solve(raw)
+                assert clamped.status == unclamped.status == "optimal", label
+                objective = clamped.objective_value
+                scale = max(1.0, abs(unclamped.objective_value))
+                assert abs(objective - unclamped.objective_value) <= 1e-12 * scale, label
+                # HiGHS reads a cost of 1e20 or more as infinite, so it cannot
+                # price a total of 1.5e308; the unclamped solve covers that one
+                if budget.eps_total < 1e20:
+                    reference = decomposition_rank_optimum(
+                        p.values, budget.eps_total, budget.eps_col, pinned=pinned
+                    )
+                    assert abs(objective - reference) <= 1e-8 * max(1.0, abs(reference)), label
 
 
 class TestWorstCaseUpperBound:
