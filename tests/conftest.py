@@ -1,4 +1,6 @@
+import os
 import pathlib
+import subprocess
 import sys
 
 import numpy as np
@@ -6,6 +8,7 @@ import pytest
 
 sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
+import robust_lexrank
 from robust_lexrank import (
     build_similarity_matrix,
     threshold_adjacency,
@@ -55,3 +58,21 @@ def random_stochastic(n, rng):
     """Column-stochastic matrix with strictly positive entries."""
     matrix = rng.uniform(0.1, 1.0, size=(n, n))
     return matrix / matrix.sum(axis=0, keepdims=True)
+
+
+def run_python(*args, cwd):
+    """``python *args`` in a child process that imports the package this process imported.
+
+    The directory holding ``robust_lexrank`` leads the child's ``PYTHONPATH``:
+    ``src`` in a checkout, site-packages where the package is installed.
+    """
+    package_dir = pathlib.Path(robust_lexrank.__file__).parents[1]
+    path = os.pathsep.join(filter(None, [str(package_dir), os.environ.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        encoding="utf-8",
+        env=dict(os.environ, PYTHONPATH=path),
+        cwd=cwd,
+        timeout=120,
+    )

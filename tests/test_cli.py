@@ -3,14 +3,13 @@
 import importlib
 import importlib.util
 import json
-import os
 import pathlib
-import subprocess
-import sys
 from importlib import resources
 
 import numpy as np
 import pytest
+
+from conftest import run_python
 
 from robust_lexrank import cli, dualnorms
 from robust_lexrank.cli import main
@@ -480,15 +479,7 @@ class TestEntryPoint:
 
     @staticmethod
     def run_module(*argv):
-        path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-        return subprocess.run(
-            [sys.executable, "-m", "robust_lexrank.cli", *argv],
-            capture_output=True,
-            encoding="utf-8",
-            env=dict(os.environ, PYTHONPATH=path),
-            cwd=ROOT,
-            timeout=120,
-        )
+        return run_python("-m", "robust_lexrank.cli", *argv, cwd=ROOT)
 
     def test_stdout_matches_in_process(self, capsys):
         child = self.run_module("rank", "--threshold", "0.2")

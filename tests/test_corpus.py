@@ -261,6 +261,8 @@ class TestBuildSimilarityMatrix:
         for corpus_bodies in (bodies, [b + " everywhere" for b in bodies]):
             values = self.pair_and_matrix(corpus_bodies, pairs)
             assert values[1, n + 1] == values[n + 1, 1] == 1.0
+            # the same-topic pairs of ``pairs`` share a token
+            assert values[0, 4] > 0.0 and values[2, 6] > 0.0
             # the duplicate pair is 1.0 by definition, where the oracle's
             # cosine can fall an ulp short
             oracle = oracle_similarity_matrix(corpus_bodies)
