@@ -52,6 +52,7 @@ PHASE1_TOL = 1e-7
 RATIO_TIE_TOL = 1e-12
 HARD_ITERATION_CAP = 200_000
 SPARSE_PIVOT_CELLS = 20_000
+COST_SCALE_EXPONENT = 128
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,15 +175,24 @@ def _run_simplex(tableau, basis, costs, bland_after):
 
     Returns "optimal" or "unbounded". Dantzig entering rule with
     lowest-index ties until ``bland_after`` iterations, then Bland's rule.
+    Costs whose largest binary exponent passes ``COST_SCALE_EXPONENT`` are
+    priced at that exponent, so the reduced costs cannot overflow: the
+    costs and the pricing tolerance take the same power of two, which
+    keeps every pricing comparison as it was.
     """
     if not costs.size:
         return "optimal"  # no column to enter
+    price_tol = PIVOT_TOL
+    shift = COST_SCALE_EXPONENT - math.frexp(abs(costs).max())[1]
+    if shift < 0:
+        costs = np.ldexp(costs, shift)
+        price_tol = math.ldexp(PIVOT_TOL, shift)
     for iteration in range(HARD_ITERATION_CAP + 1):
         bland = iteration >= bland_after
         reduced = costs - costs[basis] @ tableau[:, :-1]
         # Bland's rule enters on the first negative reduced cost, Dantzig's on the least
-        enter = (reduced < -PIVOT_TOL).argmax() if bland else reduced.argmin()
-        if not reduced[enter] < -PIVOT_TOL:
+        enter = (reduced < -price_tol).argmax() if bland else reduced.argmin()
+        if not reduced[enter] < -price_tol:
             return "optimal"
         column = tableau[:, enter]
         rows = (column > PIVOT_TOL).nonzero()[0]

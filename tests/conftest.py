@@ -10,6 +10,7 @@ sys.path.insert(0, str(pathlib.Path(__file__).parent))
 
 import robust_lexrank
 from robust_lexrank import (
+    RobustBudget,
     build_similarity_matrix,
     threshold_adjacency,
     to_transition,
@@ -58,6 +59,11 @@ def random_stochastic(n, rng):
     """Column-stochastic matrix with strictly positive entries."""
     matrix = rng.uniform(0.1, 1.0, size=(n, n))
     return matrix / matrix.sum(axis=0, keepdims=True)
+
+
+def uniform_budget(n, eps):
+    """Total ``eps`` and every one of the ``n`` caps ``eps``."""
+    return RobustBudget.broadcast(n, eps, eps)
 
 
 def run_python(*args, cwd):

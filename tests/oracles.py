@@ -3,7 +3,9 @@
 Everything here deliberately avoids the package's own code paths:
 similarity is recomputed with plain dicts and ``math``, and linear
 programs are solved by enumerating basic solutions or by HiGHS. Slow and
-simple on purpose. The exceptions are ``decomposition_lp`` and
+simple on purpose. ``highs`` is the only route from a ``LinearProgram`` to
+HiGHS; ``decomposition_rank_optimum``, an independent formulation, passes
+its own arrays to ``linprog``. The exceptions are ``decomposition_lp`` and
 ``simplex_minimum_lp``, which write the decomposition norm and its simplex
 minimum as LPs and solve them with the package's simplex as well as HiGHS,
 as differential checks on their closed forms, and ``dense_pivot``, the
@@ -33,6 +35,7 @@ import numbers
 import re
 
 import numpy as np
+import pytest
 
 WORD = re.compile(r"[^\W_]+", re.UNICODE)
 
@@ -451,28 +454,39 @@ def simplex_minimum_lp(m, weights):
 
 def _both_optima(program):
     """Optimal values of ``program`` from ``lpsolver.solve`` and from HiGHS."""
-    from scipy.optimize import linprog
-
     from robust_lexrank import lpsolver
 
     ours = lpsolver.solve(program)
     assert ours.status == "optimal"
-    rows = np.asarray(program.rows)
-    relations = np.asarray(program.relations)
-    upper = relations == "<="
-    equal = relations == "="
-    highs = linprog(
+    status, value = highs(program)
+    assert status == "optimal", status
+    return float(ours.objective_value), value
+
+
+HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+
+
+def highs(program):
+    """Status and optimal value (``None`` unless optimal) of a ``LinearProgram``
+    from scipy's HiGHS: ``>=`` rows go negated into ``A_ub``, ``=`` rows into
+    ``A_eq``. Skips the calling test without scipy."""
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    relations = np.array(program.relations, dtype=object)
+    sign = np.where(relations == ">=", -1.0, 1.0)
+    inequality = relations != "="
+    result = linprog(
         program.objective,
-        A_ub=rows[upper] if upper.any() else None,
-        b_ub=program.rhs[upper] if upper.any() else None,
-        A_eq=rows[equal] if equal.any() else None,
-        b_eq=program.rhs[equal] if equal.any() else None,
+        A_ub=(program.rows * sign[:, None])[inequality],
+        b_ub=(program.rhs * sign)[inequality],
+        A_eq=program.rows[~inequality],
+        b_eq=program.rhs[~inequality],
         bounds=list(zip(program.lower, program.upper)),
         method="highs",
     )
-    if highs.status != 0:
-        raise RuntimeError(f"HiGHS ended with status {highs.status}: {highs.message}")
-    return float(ours.objective_value), float(highs.fun)
+    if result.status not in HIGHS_STATUS:
+        raise RuntimeError(f"HiGHS ended with status {result.status}: {result.message}")
+    status = HIGHS_STATUS[result.status]
+    return status, float(result.fun) if status == "optimal" else None
 
 
 def decomposition_rank_optimum(p, eps1, eps_col, growth=None, pinned=None):

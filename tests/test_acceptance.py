@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from conftest import random_stochastic
+from conftest import random_stochastic, uniform_budget
 from oracles import simplex_minimum_lp
 
 from robust_lexrank import (
@@ -56,10 +56,6 @@ def report(number, name, passed, detail=""):
     suffix = f" ({detail})" if detail else ""
     print(f"acceptance {number:>2} {name}: {'PASS' if passed else 'FAIL'}{suffix}")
     return passed
-
-
-def uniform_budget(n, eps):
-    return RobustBudget.broadcast(n, eps, eps)
 
 
 def test_01_high_threshold_ranks_all_equal(transition_03, cluster_corpus):

@@ -470,14 +470,12 @@ class TestDecompositionOracle:
 
     @pytest.mark.parametrize("x, total, caps", ORACLE_CASES)
     def test_closed_form_matches_lp(self, x, total, caps):
-        pytest.importorskip("scipy.optimize")
         x, budget = np.array(x), box(total, caps)
         value = decomposition_norm(x, budget).value
         for optimum in decomposition_lp(x, budget):
             assert abs(optimum - value) <= 1e-12 * max(1.0, abs(value))
 
     def test_random_instances_match_lp(self):
-        pytest.importorskip("scipy.optimize")
         rng = np.random.default_rng(5)
         for _ in range(40):
             n = int(rng.integers(1, 9))

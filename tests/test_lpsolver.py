@@ -6,7 +6,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import dense_pivot, enumerate_lp_optimum, reference_run_simplex
+from oracles import dense_pivot, enumerate_lp_optimum, highs, reference_run_simplex
 
 from robust_lexrank import LinearProgram, lpsolver, solve
 from robust_lexrank.errors import ModelError, NumericError
@@ -41,6 +41,11 @@ class TestHandCases:
     def test_unbounded(self):
         model = lp([-1.0], [(0.0, None)], [])
         assert solve(model).status == "unbounded"
+
+    def test_costs_past_2_to_128_keep_unit_prices(self):
+        # the costs and the pricing tolerance scale down together, so x1 still enters
+        model = lp([-1.0, 1e308], [(0.0, 1.0), (0.0, None)], [([1.0, -1.0], "<=", 5.0)])
+        assert solve(model).objective_value == -1.0
 
     def test_bounds_only_optimum(self):
         # no rows at all: each variable sits at its cheaper finite bound
@@ -525,25 +530,47 @@ def random_mixed_model(rng):
     return lp(rng.integers(-4, 5, size=n).astype(float), bounds, constraints)
 
 
-HIGHS_STATUS = {0: "optimal", 2: "infeasible", 3: "unbounded"}
+def mixed_hand_model():
+    """One row of each relation; ``x`` is lower-only, upper-only, boxed, free and fixed.
 
-
-def highs_solve(model):
-    """Status and objective of ``model`` from scipy's HiGHS."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    relations = np.array(model.relations)
-    sign = np.where(relations == ">=", -1.0, 1.0)
-    upper = relations != "="
-    result = linprog(
-        model.objective,
-        A_ub=(model.rows * sign[:, None])[upper],
-        b_ub=(model.rhs * sign)[upper],
-        A_eq=model.rows[~upper],
-        b_eq=model.rhs[~upper],
-        bounds=list(zip(model.lower, model.upper)),
-        method="highs",
+    The ``=`` row sets ``x4 = -1``, ``x2`` rises to 3, the ``<=`` row caps
+    ``x3`` at 1 and the ``>=`` row lifts ``x1`` from 1 to 3: the unique
+    optimum ``(3, 3, 1, -1, 2)`` at -6, or -8 without the ``>=`` row.
+    """
+    return lp(
+        [1.0, -3.0, -1.0, 1.0, 1.0],
+        [(1.0, None), (None, 3.0), (0.0, 2.0), (None, None), (2.0, 2.0)],
+        [
+            ([0.0, 1.0, 1.0, 0.0, 0.0], "<=", 4.0),
+            ([0.0, 0.0, 0.0, 1.0, 1.0], "=", 1.0),
+            ([1.0, 0.0, 1.0, 0.0, 0.0], ">=", 4.0),
+        ],
     )
-    return HIGHS_STATUS[result.status], result.fun
+
+
+class TestHighsAdapter:
+    """``oracles.highs`` and the package's simplex on hand-solved models."""
+
+    @pytest.mark.parametrize(
+        "model, status, value",
+        [
+            pytest.param(mixed_hand_model(), "optimal", -6.0, id="mixed"),
+            pytest.param(lp([1.0], [(None, None)], [([1.0], ">=", 1.0)]), "optimal", 1.0,
+                         id="greater-equal"),
+            pytest.param(lp([1.0], [(0.0, 1.0)], [([1.0], ">=", 2.0)]), "infeasible", None,
+                         id="infeasible"),
+            pytest.param(lp([1.0], [(None, None)], [([1.0], "<=", 1.0)]), "unbounded", None,
+                         id="unbounded"),
+        ],
+    )
+    def test_hand_solved(self, model, status, value):
+        expected = (status, pytest.approx(value, abs=1e-9) if value is not None else None)
+        assert highs(model) == expected
+        result = solve(model)
+        assert (result.status, result.objective_value) == expected
+
+    def test_mixed_vertex(self):
+        assert solve(mixed_hand_model()).x == pytest.approx([3.0, 3.0, 1.0, -1.0, 2.0], abs=1e-9)
 
 
 class TestAgainstHighs:
@@ -553,13 +580,13 @@ class TestAgainstHighs:
         statuses = Counter()
         for _ in range(300):
             model = random_mixed_model(rng)
-            expected, value = highs_solve(model)
+            expected, value = highs(model)
             result = solve(model)
             assert result.status == expected
             if expected == "optimal":
                 assert result.objective_value == pytest.approx(value, abs=1e-8)
             statuses[expected] += 1
-        assert min(statuses[s] for s in HIGHS_STATUS.values()) >= 50, statuses
+        assert len(statuses) == 3 and min(statuses.values()) >= 50, statuses
 
 
 def with_cost(model, cost):
@@ -579,7 +606,7 @@ class TestRepricedSolve:
             results = solve(model, costs)
             assert len(results) == len(costs)
             for cost, result in zip(costs, results):
-                expected, value = highs_solve(with_cost(model, cost))
+                expected, value = highs(with_cost(model, cost))
                 assert result.status == expected
                 if expected == "optimal":
                     assert result.objective_value == pytest.approx(value, abs=1e-8)
@@ -587,7 +614,7 @@ class TestRepricedSolve:
                 statuses[expected] += 1
             for before, after in zip(results, results[1:]):
                 unbounded_then_optimal += (before.status, after.status) == ("unbounded", "optimal")
-        assert min(statuses[s] for s in HIGHS_STATUS.values()) >= 150, statuses
+        assert len(statuses) == 3 and min(statuses.values()) >= 150, statuses
         assert unbounded_then_optimal >= 50
 
     def test_first_entry_is_the_single_solve(self):

@@ -5,10 +5,11 @@ import dataclasses
 import numpy as np
 import pytest
 
-from conftest import random_stochastic
+from conftest import random_stochastic, uniform_budget
 from oracles import (
     decomposition_rank_optimum,
     dense_pivot,
+    highs,
     substituted_comparative_program,
     unclamped_rank_program,
 )
@@ -53,41 +54,6 @@ def growth_support_set(to_col):
     among_col = 1.0 - to_col
     m = to_col.size
     return to_col.sum() + among_col.sum() + m, to_col + among_col + 1.0
-
-
-def uniform_budget(n, eps):
-    return RobustBudget.broadcast(n, eps, eps)
-
-
-def scipy_reference_solve(program):
-    """Cross-check oracle: the same model through an unrelated solver."""
-    linprog = pytest.importorskip("scipy.optimize").linprog
-    a_ub, b_ub, a_eq, b_eq = [], [], [], []
-    for row, rel, rhs in zip(program.rows, program.relations, program.rhs):
-        if rel == "<=":
-            a_ub.append(row)
-            b_ub.append(rhs)
-        elif rel == ">=":
-            a_ub.append(-row)
-            b_ub.append(-rhs)
-        else:
-            a_eq.append(row)
-            b_eq.append(rhs)
-    bounds = [
-        (None if lo == -np.inf else lo, None if hi == np.inf else hi)
-        for lo, hi in zip(program.lower, program.upper)
-    ]
-    result = linprog(
-        program.objective,
-        A_ub=np.array(a_ub) if a_ub else None,
-        b_ub=np.array(b_ub) if b_ub else None,
-        A_eq=np.array(a_eq) if a_eq else None,
-        b_eq=np.array(b_eq) if b_eq else None,
-        bounds=bounds,
-        method="highs",
-    )
-    assert result.status == 0
-    return result.fun
 
 
 class TestProgramStructure:
@@ -241,7 +207,7 @@ class TestSolveRobust:
         for transition, eps in ((transition_01, 0.01), (transition_01, 5.0), (transition_02, 10.0)):
             program = build_robust_program(transition, uniform_budget(11, eps))
             ours = solve_robust(transition, uniform_budget(11, eps)).objective
-            assert ours == pytest.approx(scipy_reference_solve(program), abs=1e-8)
+            assert highs(program) == ("optimal", pytest.approx(ours, abs=1e-8))
 
     def test_objective_identity(self, transition_02):
         budget = uniform_budget(11, 0.7)
@@ -564,10 +530,8 @@ class TestComparativeRank:
             for row, rel, rhs in zip(program.rows, program.relations, program.rhs)
             if rel != "="
         ]
-        reference = scipy_reference_solve(
-            LinearProgram.build(program.objective, list(zip(lower, upper)), keep)
-        )
-        assert result.objective == pytest.approx(reference, abs=1e-8)
+        reference = highs(LinearProgram.build(program.objective, list(zip(lower, upper)), keep))
+        assert reference == ("optimal", pytest.approx(result.objective, abs=1e-8))
         assert result.reported.scores[2] <= 1.0 + 1e-12
 
     def test_generated_never_beats_verified(self, transition_01):

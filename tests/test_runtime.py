@@ -58,6 +58,8 @@ COMMANDS = [
     # a total far above the caps' sum, priced at that sum
     ("robust --threshold 0.1 --eps1 1e308 --eps-col 0", 0),
     ("robust --threshold 0.1 --eps1 1e308 --eps-col 1", 0),
+    # clamping leaves the costs at 1e308: the simplex prices them scaled down
+    ("robust --threshold 0.1 --eps1 1e308 --eps-col 1e308", 0),
     ("simulate --threshold 0.2 --growth 1 --samples 10 --eps-xi 1e308 --eps-xi-col 1e308"
      " --eps-psi 1e308 --eps-psi-col 1e308", 5),
 ]
@@ -68,17 +70,9 @@ MESSAGES = {
     "robust --threshold 0.1 --eps1 0.01 --eps-col -0.01":
         "error: per-coordinate caps must be finite and nonnegative",
 }
-# clamping leaves the costs at 1e308, and the reduced costs overflow
-COST_OVERFLOW = pytest.param(
-    "robust --threshold 0.1 --eps1 1e308 --eps-col 1e308", 0,
-    marks=pytest.mark.xfail(
-        strict=True, raises=RuntimeWarning,
-        reason="overflow in lpsolver._run_simplex's reduced costs",
-    ),
-)
 
 
-@pytest.mark.parametrize("command, code", COMMANDS + [COST_OVERFLOW])
+@pytest.mark.parametrize("command, code", COMMANDS)
 def test_exit_code_and_stderr(command, code, tmp_path, monkeypatch, capsys):
     monkeypatch.chdir(tmp_path)
     for name, text in BUDGET_FILES.items():
