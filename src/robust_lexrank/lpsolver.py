@@ -7,25 +7,30 @@ Bland's rule takes over after ``2 * (rows + cols)`` iterations so
 degenerate models cannot cycle, where ``cols`` counts the structural and
 slack columns.
 
-Each pivot's rank-one update subtracts ``factors[i] * pivot_row[j]`` only
-in the columns ``j`` where the normalized pivot row is nonzero: in the
-others the dense update subtracts exactly zero, so the pivot sequence,
-the vertex and the objective are the same as with it. The two tableaux
-can differ only in the sign of a zero entry, which no comparison
-distinguishes. The rank models' support block is mostly zero in the pivot
-row, so a large tableau updates a small share of its columns. Below
-``SPARSE_PIVOT_CELLS`` cells the column gather and scatter cost more than
-they save, and the update stays dense.
+Each pivot divides the pivot row by the pivot once, into a new row,
+subtracts ``column[i] * row[j]`` and then writes that row in place of
+the pivot row; the update leaves the pivot column exact (``x / x`` is 1,
+``a - a * 1`` is +0). From ``SPARSE_PIVOT_CELLS`` cells up it subtracts
+only in the columns where the row is nonzero: elsewhere it would
+subtract exactly zero, so pivots, vertex and objective are unchanged,
+and only the sign of a zero entry, which no comparison sees, may differ.
+The rank models' support block is mostly zero in the pivot row; below
+the cut the column gather and scatter cost more than they save.
 
 Equality constraints are expanded into opposing inequalities, variables
 are shifted/split into the nonnegative standard form, and fixed variables
-are substituted as constants. Phase one is Chvatal's auxiliary problem:
-one auxiliary column holds -1 in each row with a negative right-hand side.
-One pivot brings it in on the most negative row, which leaves every
-right-hand side nonnegative, and phase one then minimizes the auxiliary
-alone: the model is infeasible when its minimum exceeds ``PHASE1_TOL``.
-An auxiliary still basic at zero leaves on the first nonzero entry of its
-row, and phase two runs without its column.
+are substituted as constants. ``_StandardForm`` allocates the one tableau
+of a solve and writes the rows, cap rows, slack identity and right-hand
+sides into it. Phase one is Chvatal's auxiliary problem: one auxiliary
+column holds -1 in each row with a negative right-hand side. One pivot
+brings it in on the most negative row, which leaves every right-hand
+side nonnegative, and phase one then minimizes the auxiliary alone: the
+model is infeasible when its minimum exceeds ``PHASE1_TOL``. An
+auxiliary still basic at zero leaves on the first nonzero entry of its
+row. Phase two runs in the same buffer: the right-hand sides move into
+the auxiliary's column and the loop gets the view without the last
+column, packed into the buffer's leading cells below the cut, since
+numpy updates a view row by row.
 
 The costs enter phase two alone, so one tableau serves a sequence of cost
 vectors: ``solve(lp, objectives)`` runs phase one once and each vector's
@@ -88,6 +93,13 @@ class LinearProgram:
         Every number must be a real number (``errors.real_entries``), else
         ``ModelError``; a bound pair is a tuple, list or 1-D array of two entries.
         """
+        triples = list(constraints)
+        coefficients, relations, rhs = zip(*triples) if triples else ((), (), ())
+        return cls._from_rows(objective, var_bounds, coefficients, relations, rhs)
+
+    @classmethod
+    def _from_rows(cls, objective, var_bounds, coefficients, relations, rhs):
+        """``build`` on its constraints unzipped: ``coefficients`` may be the matrix itself."""
         c = _cost_vector(objective)
         n = c.size
         bounds = list(var_bounds)
@@ -108,18 +120,16 @@ class LinearProgram:
         if math.inf in lo or -math.inf in hi:
             raise ModelError("lower bounds must be below +inf and upper bounds above -inf")
         lo, hi = np.array(lo, dtype=float), np.array(hi, dtype=float)
-        triples = list(constraints)
-        if not triples:
+        if not len(relations):
             return cls(c, lo, hi, np.zeros((0, n)), (), np.zeros(0))
-        coeffs, rels, rhs = zip(*triples)
-        mat = real_array(coeffs, "constraint coefficients", ModelError)
-        if mat.shape != (len(triples), n):
+        mat = real_array(coefficients, "constraint coefficients", ModelError)
+        if mat.shape != (len(relations), n):
             raise ModelError(f"constraint width {mat.shape[1:]} does not match {n} variables")
-        unknown = set(rels) - set(RELATIONS)
+        unknown = set(relations) - set(RELATIONS)
         if unknown:
             raise ModelError(f"unknown relation {sorted(unknown)[0]!r}")
-        rhs = real_array(rhs, "constraint rhs", ModelError, (len(triples),))
-        return cls(c, lo, hi, mat, tuple(rels), rhs)
+        rhs = real_array(rhs, "constraint rhs", ModelError, (len(relations),))
+        return cls(c, lo, hi, mat, tuple(relations), rhs)
 
     @property
     def n_vars(self):
@@ -160,13 +170,13 @@ class LinearProgramSolution:
 
 
 def _pivot(tableau, basis, row, col):
-    tableau[row] /= tableau[row, col]
-    factors = tableau[:, col].copy()
-    factors[row] = 0.0
-    cols = slice(None) if tableau.size < SPARSE_PIVOT_CELLS else np.flatnonzero(tableau[row])
-    tableau[:, cols] -= factors[:, None] * tableau[row, cols]
-    tableau[:, col] = 0.0
-    tableau[row, col] = 1.0
+    pivot_row = tableau[row] / tableau[row, col]
+    if tableau.size < SPARSE_PIVOT_CELLS:
+        tableau -= tableau[:, col, None] * pivot_row
+    else:
+        cols = np.flatnonzero(pivot_row)
+        tableau[:, cols] -= tableau[:, col, None] * pivot_row[cols]
+    tableau[row] = pivot_row
     basis[row] = col
 
 
@@ -216,7 +226,7 @@ class _StandardForm:
     sides, and ``recover`` returns it at its value. Each row keeps its
     place; an ``=`` row is followed by its negation, a ``>=`` row is
     negated, and a cap row per finite upper bound on a lower-bounded,
-    unfixed variable comes last.
+    unfixed variable comes last. ``A`` and ``b`` are views of ``tableau``.
     """
 
     def __init__(self, lp: LinearProgram):
@@ -240,12 +250,16 @@ class _StandardForm:
         flip[first[relations == "="] + 1] = -1.0
         capped = np.nonzero(has_lower & (lower < upper) & (upper < np.inf))[0]
 
-        rows = self._to_y(lp.rows[source] * flip[:, None])
-        caps = np.zeros((capped.size, self.var.size))
-        caps[np.arange(capped.size), last[capped]] = 1.0
-        self.A = np.vstack([rows, caps])
-        shifted = lp.rhs - lp.rows @ self.shift
-        self.b = np.concatenate([shifted[source] * flip, upper[capped] - lower[capped]])
+        k, ny = source.size, self.var.size
+        m = k + capped.size
+        # structural columns, slack columns, the auxiliary column, right-hand sides
+        self.tableau = np.zeros((m, ny + m + 2))
+        self.A, self.b = self.tableau[:, :ny], self.tableau[:, -1]
+        np.multiply(lp.rows[source[:, None], self.var], flip[:, None] * self.sign, out=self.A[:k])
+        self.A[k + np.arange(capped.size), last[capped]] = 1.0
+        self.tableau.reshape(-1)[ny :: ny + m + 3] = 1.0  # the slack identity
+        np.multiply((lp.rhs - lp.rows @ self.shift)[source], flip, out=self.b[:k])
+        np.subtract(upper[capped], lower[capped], out=self.b[k:])
 
     def _to_y(self, coefficients):
         """Coefficients on the original variables rewritten on ``y`` (last axis)."""
@@ -276,18 +290,16 @@ def solve(lp: LinearProgram, objectives=None):
 
 
 def _solve_each(lp, costs):
+    if not costs:
+        return []
     if np.any(lp.lower > lp.upper):
         return [LinearProgramSolution("infeasible", None, None)] * len(costs)
     form = _StandardForm(lp)
+    tableau = form.tableau
     m, ny = form.A.shape
     columns = ny + m
     negative = form.b < 0
-    # structural columns, slack columns, the auxiliary column, right-hand sides
-    tableau = np.zeros((m, columns + 2))
-    tableau[:, :ny] = form.A
-    tableau[:, ny:columns] = np.eye(m)
     tableau[negative, columns] = -1.0
-    tableau[:, -1] = form.b
     basis = ny + np.arange(m)
     bland_after = 2 * (m + columns)
 
@@ -308,7 +320,13 @@ def _solve_each(lp, costs):
                 raise NumericError("auxiliary variable left in the basis without a pivot")
             _pivot(tableau, basis, row, int(pivots[0]))
 
-    tableau = np.delete(tableau, columns, axis=1)
+    # phase two: the right-hand sides in the auxiliary's column, the last one dropped
+    tableau[:, columns] = tableau[:, -1]
+    tableau = tableau[:, :-1]
+    if tableau.size < SPARSE_PIVOT_CELLS:
+        packed = form.tableau.reshape(-1)[: tableau.size].reshape(tableau.shape)
+        packed[...] = tableau
+        tableau = packed
     solutions = []
     for c in costs:
         priced = np.zeros(columns)

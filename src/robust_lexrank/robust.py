@@ -182,7 +182,7 @@ def build_robust_program(
     bounds = x_bounds + [(0.0, None)] * (width - n)
     rhs = np.zeros(len(matrix))
     rhs[2 * n] = 1.0
-    return LinearProgram.build(cost, bounds, zip(matrix, relations, rhs))
+    return LinearProgram._from_rows(cost, bounds, matrix, relations, rhs)
 
 
 def _rank_cost(p, budget, pinned=None):

@@ -13,6 +13,10 @@ simplex pivot as one dense rank-one update, against which the package's
 column-sparse pivot is checked bit for bit, ``reference_run_simplex``, the
 simplex loop with a separate branch per pivot rule, pivoting with
 ``dense_pivot``, against which the package's loop is checked bit for bit,
+``reference_solve_each``, the solve that built its tableau from the
+standard form's own arrays and ran phase two on a copy, with its
+``ReferenceStandardForm`` and ``reference_pivot``, against which the
+one-buffer solve is checked bit for bit, pivot by pivot,
 ``substituted_comparative_program``, the comparative model with its pinned
 coordinates substituted by hand, against which the solver's substitution
 of fixed variables is checked, and ``unclamped_rank_program``, a rank
@@ -157,6 +161,124 @@ def reference_run_simplex(tableau, basis, costs, bland_after):
             leave = int(ties[0])
         dense_pivot(tableau, basis, leave, enter)
         iteration += 1
+
+
+def reference_pivot(tableau, basis, row, col):
+    """The column-sparse pivot as it was: it normalizes the pivot row in place,
+    subtracts with a copy of the pivot column and then writes that column."""
+    from robust_lexrank.lpsolver import SPARSE_PIVOT_CELLS
+
+    tableau[row] /= tableau[row, col]
+    factors = tableau[:, col].copy()
+    factors[row] = 0.0
+    cols = slice(None) if tableau.size < SPARSE_PIVOT_CELLS else np.flatnonzero(tableau[row])
+    tableau[:, cols] -= factors[:, None] * tableau[row, cols]
+    tableau[:, col] = 0.0
+    tableau[row, col] = 1.0
+    basis[row] = col
+
+
+class ReferenceStandardForm:
+    """``lpsolver._StandardForm`` as it was: ``A`` and ``b`` gathered into arrays
+    of their own, which the solve then copies into its tableau."""
+
+    def __init__(self, lp):
+        lower, upper = lp.lower, lp.upper
+        has_lower = lower > -np.inf
+        free = ~has_lower & (upper == np.inf)
+        self.shift = np.where(has_lower, lower, np.where(free, 0.0, upper))
+        width = np.where(lower == upper, 0, 1 + free)
+        last = np.cumsum(width) - 1
+        # the original variable and sign of each column of y
+        self.var = np.repeat(np.arange(lp.n_vars), width)
+        self.sign = np.repeat(np.where(has_lower | free, 1.0, -1.0), width)
+        self.sign[last[free]] = -1.0
+
+        relations = np.array(lp.relations, dtype=object)
+        copies = 1 + (relations == "=")
+        source = np.repeat(np.arange(lp.n_rows), copies)
+        flip = np.ones(source.size)
+        first = np.cumsum(copies) - copies
+        flip[first[relations == ">="]] = -1.0
+        flip[first[relations == "="] + 1] = -1.0
+        capped = np.nonzero(has_lower & (lower < upper) & (upper < np.inf))[0]
+
+        rows = self._to_y(lp.rows[source] * flip[:, None])
+        caps = np.zeros((capped.size, self.var.size))
+        caps[np.arange(capped.size), last[capped]] = 1.0
+        self.A = np.vstack([rows, caps])
+        shifted = lp.rhs - lp.rows @ self.shift
+        self.b = np.concatenate([shifted[source] * flip, upper[capped] - lower[capped]])
+
+    def _to_y(self, coefficients):
+        """Coefficients on the original variables rewritten on ``y`` (last axis)."""
+        return coefficients[..., self.var] * self.sign
+
+    def recover(self, y):
+        x = self.shift.copy()
+        np.add.at(x, self.var, self.sign * y)
+        return x
+
+
+def reference_solve_each(lp, costs):
+    """``lpsolver._solve_each`` as it was: the standard form's arrays copied into
+    a new tableau, and phase two on an ``np.delete`` copy without the auxiliary.
+
+    It loops with ``lpsolver._run_simplex`` and pivots through ``lpsolver._pivot``,
+    both looked up at each call: with ``reference_pivot`` bound to that name it
+    pivots as the route did, and a wrapper bound there sees every pivot.
+    """
+    from robust_lexrank import lpsolver
+    from robust_lexrank.errors import NumericError
+    from robust_lexrank.lpsolver import PHASE1_TOL, PIVOT_TOL, LinearProgramSolution
+
+    if np.any(lp.lower > lp.upper):
+        return [LinearProgramSolution("infeasible", None, None)] * len(costs)
+    form = ReferenceStandardForm(lp)
+    m, ny = form.A.shape
+    columns = ny + m
+    negative = form.b < 0
+    # structural columns, slack columns, the auxiliary column, right-hand sides
+    tableau = np.zeros((m, columns + 2))
+    tableau[:, :ny] = form.A
+    tableau[:, ny:columns] = np.eye(m)
+    tableau[negative, columns] = -1.0
+    tableau[:, -1] = form.b
+    basis = ny + np.arange(m)
+    bland_after = 2 * (m + columns)
+
+    if negative.any():
+        # entering on the most negative row leaves every right-hand side nonnegative
+        lpsolver._pivot(tableau, basis, int(np.argmin(form.b)), columns)
+        phase1 = np.zeros(columns + 1)
+        phase1[columns] = 1.0
+        if lpsolver._run_simplex(tableau, basis, phase1, bland_after) != "optimal":
+            raise NumericError("phase one cannot be unbounded")
+        if phase1[basis] @ tableau[:, -1] > PHASE1_TOL:
+            return [LinearProgramSolution("infeasible", None, None)] * len(costs)
+        # the slack block is the basis inverse, so the auxiliary's row has a pivot
+        if columns in basis:
+            row = int(np.argmax(basis == columns))
+            pivots = np.flatnonzero(np.abs(tableau[row, :columns]) > PIVOT_TOL)
+            if not pivots.size:
+                raise NumericError("auxiliary variable left in the basis without a pivot")
+            lpsolver._pivot(tableau, basis, row, int(pivots[0]))
+
+    tableau = np.delete(tableau, columns, axis=1)
+    solutions = []
+    for c in costs:
+        priced = np.zeros(columns)
+        priced[:ny] = form._to_y(c)
+        if lpsolver._run_simplex(tableau, basis, priced, bland_after) == "unbounded":
+            solutions.append(LinearProgramSolution("unbounded", None, None))
+            continue
+        y = np.zeros(columns)
+        y[basis] = tableau[:, -1]
+        x = form.recover(y[:ny])
+        lpsolver._check_solution(lp, x)
+        x = np.clip(x, lp.lower, lp.upper)
+        solutions.append(LinearProgramSolution("optimal", x, float(c @ x)))
+    return solutions
 
 
 def enumerate_lp_optimum(objective, rows, relations, rhs, lower, upper):

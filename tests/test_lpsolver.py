@@ -6,9 +6,29 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from oracles import dense_pivot, enumerate_lp_optimum, highs, reference_run_simplex
+from conftest import uniform_budget
+from oracles import (
+    dense_pivot,
+    enumerate_lp_optimum,
+    highs,
+    reference_pivot,
+    reference_run_simplex,
+    reference_solve_each,
+)
 
-from robust_lexrank import LinearProgram, lpsolver, solve
+from robust_lexrank import (
+    Corpus,
+    LinearProgram,
+    Sentence,
+    build_robust_program,
+    build_similarity_matrix,
+    lpsolver,
+    robust,
+    solve,
+    threshold_adjacency,
+    to_transition,
+)
+from robust_lexrank.cli import load_reference_tables
 from robust_lexrank.errors import ModelError, NumericError
 from robust_lexrank.lpsolver import SPARSE_PIVOT_CELLS, _pivot, _run_simplex, _StandardForm
 
@@ -653,8 +673,14 @@ class TestRepricedSolve:
         crossed = lp([1.0], [(2.0, 1.0)], [])
         assert [r.status for r in solve(crossed, [[1.0], [-1.0]])] == ["infeasible"] * 2
 
-    def test_no_cost_vector_gives_no_solution(self):
-        model = lp([1.0], [(0.0, None)], [([1.0], "<=", 1.0)])
+    def test_no_cost_vector_gives_no_solution(self, monkeypatch):
+        # the >= row would need phase one, but no standard form or tableau is built
+        def refused(*args):
+            raise AssertionError("an empty cost list built a tableau")
+
+        monkeypatch.setattr(lpsolver, "_StandardForm", refused)
+        monkeypatch.setattr(lpsolver, "_run_simplex", refused)
+        model = lp([1.0], [(0.0, None)], [([1.0], ">=", 1.0)])
         assert solve(model, []) == []
 
 
@@ -755,3 +781,129 @@ class TestRunSimplex:
             _run_simplex(tableau, basis, costs, bland_after)
         assert np.array_equal(tableau, expected)
         assert np.array_equal(basis, expected_basis)
+
+
+def generated_transition(corpus, n, rng):
+    """Transition matrix at threshold 0.1 of ``n`` sentences of 12-29 words
+    drawn from the words of ``corpus``."""
+    words = sorted({word for sentence in corpus.sentences for word in sentence.body.split()})
+    sentences = [
+        Sentence(f"g{i}", " ".join(rng.choice(words, size=int(rng.integers(12, 30)))))
+        for i in range(n)
+    ]
+    return to_transition(threshold_adjacency(build_similarity_matrix(Corpus(sentences)), 0.1))
+
+
+def template_transition(cluster_corpus, generated_sentences):
+    """The cluster followed by the packaged templates, at threshold 0.1."""
+    merged = Corpus(cluster_corpus.sentences + tuple(generated_sentences))
+    return to_transition(threshold_adjacency(build_similarity_matrix(merged), 0.1))
+
+
+def pivoted_route(monkeypatch, solve_each, pivot, model, costs):
+    """``solve_each(model, costs)`` with every pivot made by ``pivot``: the
+    solutions and the ``(row, col)`` of each pivot in order."""
+    pivots = []
+
+    def recorded(tableau, basis, row, col):
+        pivots.append((row, col))
+        pivot(tableau, basis, row, col)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(lpsolver, "_pivot", recorded)
+        return solve_each(model, costs), pivots
+
+
+def assert_same_route(monkeypatch, model, costs):
+    """The solve and ``oracles.reference_solve_each`` make the same pivots and
+    end the same way on each cost; returns the statuses."""
+    costs = [np.asarray(c, dtype=float) for c in costs]
+    got, got_pivots = pivoted_route(monkeypatch, lpsolver._solve_each, _pivot, model, costs)
+    expected, expected_pivots = pivoted_route(
+        monkeypatch, reference_solve_each, reference_pivot, model, costs
+    )
+    assert got_pivots == expected_pivots
+    assert len(got) == len(expected) == len(costs)
+    for result, reference in zip(got, expected):
+        assert result.status == reference.status
+        assert result.objective_value == reference.objective_value
+        assert (result.x is None and reference.x is None) or np.array_equal(result.x, reference.x)
+    return [result.status for result in got]
+
+
+class TestFrozenRoute:
+    """The solve in one phase-one buffer against the route that copied the model
+    into a new tableau and phase two into another, bit for bit."""
+
+    def test_random_mixed_models(self, monkeypatch):
+        rng = np.random.default_rng(39)
+        statuses, kinds, relations = Counter(), set(), set()
+        for _ in range(300):
+            model = random_mixed_model(rng)
+            costs = rng.integers(-4, 5, size=(int(rng.integers(2, 5)), model.n_vars))
+            statuses.update(assert_same_route(monkeypatch, model, [model.objective]))
+            statuses.update(assert_same_route(monkeypatch, model, costs))
+            finite_lower, finite_upper = model.lower > -np.inf, model.upper < np.inf
+            kinds.update(np.select(
+                [model.lower == model.upper, finite_lower & finite_upper, finite_upper,
+                 ~finite_lower],
+                ["fixed", "boxed", "upper-only", "free"],
+                "lower-only",
+            ).tolist())
+            relations.update(model.relations)
+        assert kinds == {"fixed", "boxed", "upper-only", "free", "lower-only"}
+        assert relations == {"<=", "=", ">="}
+        assert len(statuses) == 3 and min(statuses.values()) >= 100, statuses
+
+    def test_cluster_tables(self, monkeypatch, transition_01, transition_02, transition_03):
+        budgets = [uniform_budget(11, float(label)) for label in load_reference_tables()["budgets"]]
+        for p in (transition_01, transition_02, transition_03):
+            program = build_robust_program(p, budgets[0])
+            costs = [robust._rank_cost(p, budget) for budget in budgets]
+            for cost in costs:
+                assert assert_same_route(monkeypatch, program, [cost]) == ["optimal"]
+            # re-priced as reproduce-tables solves them
+            assert assert_same_route(monkeypatch, program, costs) == ["optimal"] * 3
+
+    def test_comparative_with_templates(self, monkeypatch, cluster_corpus, generated_sentences):
+        p = template_transition(cluster_corpus, generated_sentences)
+        program = build_robust_program(p, uniform_budget(p.size, 0.01), len(cluster_corpus))
+        assert assert_same_route(monkeypatch, program, [program.objective]) == ["optimal"]
+
+    def test_generated_corpora(self, monkeypatch, cluster_corpus):
+        rng = np.random.default_rng(40)
+        for n in (50, 60, 70):
+            p = generated_transition(cluster_corpus, n, rng)
+            for pinned in (None, 4 * n // 5):
+                program = build_robust_program(p, uniform_budget(n, 0.01), pinned)
+                assert assert_same_route(monkeypatch, program, [program.objective]) == ["optimal"]
+
+
+def loop_shapes(monkeypatch, program):
+    return [tableau.shape for tableau, *_ in loop_inputs(monkeypatch, program)]
+
+
+class TestTableauSizes:
+    """The tableau sizes README section 6 states, phase one's and then phase two's,
+    as ``_run_simplex`` receives them."""
+
+    def test_cluster_largest_tableau(
+        self, monkeypatch, transition_01, transition_02, transition_03, cluster_corpus,
+        generated_sentences,
+    ):
+        budget = uniform_budget(11, 0.01)
+        shapes = []
+        for p in (transition_01, transition_02, transition_03):
+            shapes += loop_shapes(monkeypatch, build_robust_program(p, budget))
+        assert set(shapes) == {(35, 71), (35, 70)}
+        p = template_transition(cluster_corpus, generated_sentences)
+        comparative = build_robust_program(p, uniform_budget(p.size, 0.01), len(cluster_corpus))
+        assert loop_shapes(monkeypatch, comparative) == [(63, 108), (63, 107)]
+
+    def test_seventy_sentences(self, monkeypatch, cluster_corpus):
+        p = generated_transition(cluster_corpus, 70, np.random.default_rng(41))
+        budget = uniform_budget(70, 0.01)
+        fixed = loop_shapes(monkeypatch, build_robust_program(p, budget))
+        assert fixed == [(212, 425), (212, 424)]
+        comparative = loop_shapes(monkeypatch, build_robust_program(p, budget, 56))
+        assert comparative == [(169, 271), (169, 270)]
